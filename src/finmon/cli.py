@@ -33,9 +33,15 @@ Configuration grammar (JSON):
       ]
     }
 
-Step and next entries use the canonical value syntax. The reader
-functor is addressed as instance "reader" in suites; its environment
-size comes from sizes["E"] (default 2).
+Step and next entries use the canonical value syntax and must be
+values of the instance's carrier over the states: the right shape, with
+every atom below the state count. Lengths and supports are not bounded,
+since flows and binds leave the bounded carrier anyway. A value outside
+the carrier is a configuration error (exit 2), and so are a measure that
+cannot measure the instance's structures, an empty next list under max,
+and max_len or max_support below 1. The reader functor is addressed as
+instance "reader" in suites; its environment size comes from sizes["E"]
+(default 2).
 
 Exit codes: 0 when every check passes, 1 when any check fails, and 2
 for configuration problems, which are reported with the offending
@@ -45,6 +51,7 @@ field's path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -56,23 +63,20 @@ from typing import Callable
 
 from . import __version__
 from .dp import MEASURES, Sdp, check_val_equiv, get_measure
-from .instances import (
-    INSTANCE_NAMES,
-    FunctorInstance,
-    MonadInstance,
-    get_instance,
-    reader_functor,
-)
+from .instances import INSTANCE_NAMES, get_instance, reader_functor
 from .laws import LAW_IDS, SuiteProfile, law_catalog, run_suite
 from .reports import LawReport
 from .systems import SYSTEM_CHECKS, MonSys, run_system_check
 from .values import (
     Atom,
     Base,
+    CarrierDesc,
     FiniteType,
+    FnTable,
     Quantifier,
+    Seq,
+    check_member,
     parse_value,
-    tabulate,
     DEFAULT_CARRIER_CAP,
 )
 
@@ -101,12 +105,7 @@ class SystemRequest:
     max_support: int = 2
 
     def echo(self) -> dict:
-        return {
-            "name": self.name, "instance": self.instance, "size": self.size,
-            "step": list(self.step), "checks": list(self.checks),
-            "n_max": self.n_max, "max_len": self.max_len,
-            "max_support": self.max_support,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(slots=True)
@@ -123,16 +122,12 @@ class SdpRequest:
     max_support: int = 2
 
     def echo(self) -> dict:
-        reward = self.reward if isinstance(self.reward, str) else [
-            [[str(r) for r in row] for row in plane] for plane in self.reward
-        ]
-        return {
-            "name": self.name, "instance": self.instance,
-            "measure": self.measure, "horizon": self.horizon,
-            "states": self.states, "controls": self.controls,
-            "next": [list(row) for row in self.next], "reward": reward,
-            "max_len": self.max_len, "max_support": self.max_support,
-        }
+        out = dataclasses.asdict(self)
+        if not isinstance(self.reward, str):
+            out["reward"] = [
+                [[str(r) for r in row] for row in plane] for plane in self.reward
+            ]
+        return out
 
 
 @dataclass(slots=True)
@@ -179,7 +174,28 @@ def _opt(data: dict, key: str, kind, default, where: str):
     return _need(data, key, kind, where)
 
 
-_KNOWN_SUITE_INSTANCES = INSTANCE_NAMES + ("reader",)
+def _bounds(entry: dict, where: str) -> tuple[int, int]:
+    """max_len and max_support of an entry, both at least 1."""
+    max_len = _opt(entry, "max_len", int, 2, where)
+    max_support = _opt(entry, "max_support", int, 2, where)
+    if max_len < 1 or max_support < 1:
+        raise ConfigError(f"{where}: max_len and max_support must be at least 1")
+    return max_len, max_support
+
+
+def _state_carrier(instance: str, states: int, max_len: int, max_support: int) -> CarrierDesc:
+    """The carrier that step and next values of an instance live in."""
+    monad = get_instance(instance, max_len=max_len, max_support=max_support)
+    return monad.carrier_of(Base(FiniteType("X", states)))
+
+
+def _instance(entry: dict, where: str, known: tuple[str, ...] = INSTANCE_NAMES) -> str:
+    instance = _need(entry, "instance", str, where)
+    if instance not in known:
+        raise ConfigError(
+            f"{where}.instance: unknown instance {instance!r} (known: {', '.join(known)})"
+        )
+    return instance
 
 
 def _parse_suite(entry: dict, i: int) -> SuiteProfile:
@@ -187,12 +203,7 @@ def _parse_suite(entry: dict, i: int) -> SuiteProfile:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
     name = _need(entry, "name", str, where)
-    instance = _need(entry, "instance", str, where)
-    if instance not in _KNOWN_SUITE_INSTANCES:
-        raise ConfigError(
-            f"{where}.instance: unknown instance {instance!r} "
-            f"(known: {', '.join(_KNOWN_SUITE_INSTANCES)})"
-        )
+    instance = _instance(entry, where, INSTANCE_NAMES + ("reader",))
     laws = tuple(_opt(entry, "laws", list, [], where))
     for law_id in laws:
         if law_id not in LAW_IDS and law_id != "F3L2":
@@ -212,18 +223,23 @@ def _parse_suite(entry: dict, i: int) -> SuiteProfile:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ConfigError(f"{where}.sizes.{role}: expected a non-negative integer")
         sizes[role] = n
+    max_len, max_support = _bounds(entry, where)
     return SuiteProfile(
         name=name,
         instance=instance,
         laws=tuple(l for l in laws if l != "F3L2"),
         view=view,
         sizes=tuple(sorted(sizes.items())),
-        max_len=_opt(entry, "max_len", int, 2, where),
-        max_support=_opt(entry, "max_support", int, 2, where),
+        max_len=max_len,
+        max_support=max_support,
     )
 
 
-def _parse_step_values(raw: list, size: int, where: str) -> tuple[str, ...]:
+def _parse_step_values(
+    raw: list, size: int, where: str, carrier: CarrierDesc
+) -> tuple[str, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where}: expected a list of canonical value strings")
     if len(raw) != size:
         raise ConfigError(f"{where}: expected {size} entries, got {len(raw)}")
     out = []
@@ -231,7 +247,7 @@ def _parse_step_values(raw: list, size: int, where: str) -> tuple[str, ...]:
         if not isinstance(text, str):
             raise ConfigError(f"{where}[{j}]: expected a canonical value string")
         try:
-            parse_value(text)
+            check_member(parse_value(text), carrier)
         except ValueError as exc:
             raise ConfigError(f"{where}[{j}]: {exc}")
         out.append(text)
@@ -243,16 +259,13 @@ def _parse_system(entry: dict, i: int) -> SystemRequest:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
     name = _need(entry, "name", str, where)
-    instance = _need(entry, "instance", str, where)
-    if instance not in INSTANCE_NAMES:
-        raise ConfigError(
-            f"{where}.instance: unknown instance {instance!r} "
-            f"(known: {', '.join(INSTANCE_NAMES)})"
-        )
+    instance = _instance(entry, where)
     size = _need(entry, "size", int, where)
     if size < 1:
         raise ConfigError(f"{where}.size: state space must be non-empty")
-    step = _parse_step_values(_need(entry, "step", list, where), size, f"{where}.step")
+    max_len, max_support = _bounds(entry, where)
+    step = _parse_step_values(_need(entry, "step", list, where), size, f"{where}.step",
+                              _state_carrier(instance, size, max_len, max_support))
     checks = tuple(_opt(entry, "checks", list, sorted(SYSTEM_CHECKS), where))
     for c in checks:
         if c not in SYSTEM_CHECKS:
@@ -264,9 +277,7 @@ def _parse_system(entry: dict, i: int) -> SystemRequest:
         raise ConfigError(f"{where}.n_max: must be non-negative")
     return SystemRequest(
         name=name, instance=instance, size=size, step=step, checks=checks,
-        n_max=n_max,
-        max_len=_opt(entry, "max_len", int, 2, where),
-        max_support=_opt(entry, "max_support", int, 2, where),
+        n_max=n_max, max_len=max_len, max_support=max_support,
     )
 
 
@@ -275,18 +286,15 @@ def _parse_sdp(entry: dict, i: int) -> SdpRequest:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
     name = _need(entry, "name", str, where)
-    instance = _need(entry, "instance", str, where)
-    if instance not in INSTANCE_NAMES:
-        raise ConfigError(
-            f"{where}.instance: unknown instance {instance!r} "
-            f"(known: {', '.join(INSTANCE_NAMES)})"
-        )
+    instance = _instance(entry, where)
     measure = _need(entry, "measure", str, where)
     if measure not in MEASURES:
         raise ConfigError(
             f"{where}.measure: unknown measure {measure!r} "
             f"(known: {', '.join(sorted(MEASURES))})"
         )
+    if instance not in MEASURES[measure].instances:
+        raise ConfigError(f"{where}.measure: {measure!r} cannot measure {instance} structures")
     horizon = _need(entry, "horizon", int, where)
     states = _need(entry, "states", int, where)
     controls = _need(entry, "controls", int, where)
@@ -297,10 +305,16 @@ def _parse_sdp(entry: dict, i: int) -> SdpRequest:
         raise ConfigError(
             f"{where}.next: expected one row per control ({controls}), got {len(raw_next)}"
         )
+    max_len, max_support = _bounds(entry, where)
+    carrier = _state_carrier(instance, states, max_len, max_support)
     next_rows = tuple(
-        _parse_step_values(row, states, f"{where}.next[{y}]")
+        _parse_step_values(row, states, f"{where}.next[{y}]", carrier)
         for y, row in enumerate(raw_next)
     )
+    for y, row in enumerate(next_rows):
+        for x, text in enumerate(row):
+            if measure == "max" and parse_value(text) == Seq(()):
+                raise ConfigError(f"{where}.next[{y}][{x}]: the max measure is undefined on []")
     reward = entry.get("reward", "next-index")
     if isinstance(reward, str):
         if reward != "next-index":
@@ -325,8 +339,7 @@ def _parse_sdp(entry: dict, i: int) -> SdpRequest:
     return SdpRequest(
         name=name, instance=instance, measure=measure, horizon=horizon,
         states=states, controls=controls, next=next_rows, reward=reward,
-        max_len=_opt(entry, "max_len", int, 2, where),
-        max_support=_opt(entry, "max_support", int, 2, where),
+        max_len=max_len, max_support=max_support,
     )
 
 
@@ -414,10 +427,9 @@ def _build_suite_instance(profile: SuiteProfile):
 def _build_system(req: SystemRequest) -> MonSys:
     monad = get_instance(req.instance, max_len=req.max_len, max_support=req.max_support)
     domain = FiniteType("X", req.size)
+    step = tuple(parse_value(text) for text in req.step)
     carrier = monad.carrier_of(Base(domain))
-    entries = [parse_value(text) for text in req.step]
-    return MonSys(req.name, monad, domain,
-                  tabulate(domain, carrier, lambda a: entries[a.index]))
+    return MonSys(req.name, monad, domain, FnTable(domain, carrier, step))
 
 
 def _build_sdp(req: SdpRequest) -> Sdp:
@@ -452,17 +464,8 @@ def _execute(cfg: RunConfig, jobs: int) -> tuple[list[tuple[str, LawReport]], fl
 
     tasks: list[tuple[str, Callable[[], list[LawReport]]]] = []
     for profile in cfg.suites:
-        effective = SuiteProfile(
-            name=profile.name,
-            instance=profile.instance,
-            laws=profile.laws,
-            view=profile.view,
-            sizes=profile.sizes,
-            max_len=profile.max_len,
-            max_support=profile.max_support,
-            budget=cfg.budget,
-            seed=cfg.seed,
-            carrier_cap=cfg.carrier_cap,
+        effective = dataclasses.replace(
+            profile, budget=cfg.budget, seed=cfg.seed, carrier_cap=cfg.carrier_cap
         )
         inst = _build_suite_instance(effective)
         tasks.append((
@@ -491,10 +494,7 @@ def _execute(cfg: RunConfig, jobs: int) -> tuple[list[tuple[str, LawReport]], fl
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             bundles = list(pool.map(lambda t: t[1](), tasks))
     elapsed = time.perf_counter() - t0
-    out: list[tuple[str, LawReport]] = []
-    for (group, _), reports in zip(tasks, bundles):
-        for rep in reports:
-            out.append((group, rep))
+    out = [(group, rep) for (group, _), reps in zip(tasks, bundles) for rep in reps]
     return out, elapsed
 
 

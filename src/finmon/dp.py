@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .instances import MonadInstance
-from .reports import LawReport, QuantifierStat
+from .reports import LawReport, Var, scan
 from .values import (
     Atom,
     Base,
@@ -48,7 +47,7 @@ from .values import (
 )
 
 __all__ = [
-    "Measure", "MEASURES", "get_measure", "CountingMeasure",
+    "Measure", "MEASURES", "get_measure",
     "Sdp", "PolicySeq", "enumerate_policy_seqs", "policy_seq_count",
     "val", "rews", "val_spec",
     "check_measure_shift", "check_val_equiv",
@@ -61,10 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Measure:
-    """Collapses one monadic structure of Rat leaves to a Fraction."""
+    """Collapses one monadic structure of Rat leaves to a Fraction; the
+    instances are those whose structures it can measure."""
 
     name: str
     apply: Callable[[Value], Fraction]
+    instances: tuple[str, ...] = ()
 
 
 def _expected(mv: Value) -> Fraction:
@@ -96,10 +97,10 @@ def _default_zero(mv: Value) -> Fraction:
 
 
 MEASURES = {
-    "expected": Measure("expected", _expected),
-    "max": Measure("max", _maximum),
-    "point": Measure("point", _point),
-    "default-zero": Measure("default-zero", _default_zero),
+    "expected": Measure("expected", _expected, ("simpleprob", "mutant-b")),
+    "max": Measure("max", _maximum, ("nondet", "mutant-a")),
+    "point": Measure("point", _point, ("identity",)),
+    "default-zero": Measure("default-zero", _default_zero, ("maybe",)),
 }
 
 
@@ -110,19 +111,6 @@ def get_measure(name: str) -> Measure:
         raise KeyError(
             f"unknown measure {name!r}; known: {', '.join(sorted(MEASURES))}"
         )
-
-
-class CountingMeasure:
-    """Instrumented wrapper: same measure, plus an application counter."""
-
-    def __init__(self, inner: Measure):
-        self.inner = inner
-        self.name = inner.name
-        self.count = 0
-
-    def apply(self, mv: Value) -> Fraction:
-        self.count += 1
-        return self.inner.apply(mv)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +131,7 @@ class Sdp:
     states: FiniteType
     controls: FiniteType
     monad: MonadInstance
-    measure: Measure | CountingMeasure
+    measure: Measure
     next: Callable[[int, Atom, Atom], Value]
     reward: Callable[[int, Atom, Atom, Atom], Fraction]
     admissible: Callable[[int, Atom], tuple[Atom, ...]] | None = None
@@ -182,25 +170,19 @@ def enumerate_policy_seqs(sdp: Sdp, steps: int, q: Quantifier, t0: int = 0):
     total = policy_seq_count(sdp, steps, t0)
     n_states = sdp.states.size
 
-    def assemble(flat: list[Atom]) -> PolicySeq:
+    def assemble(flat) -> PolicySeq:
         return tuple(
             tuple(flat[k * n_states : (k + 1) * n_states]) for k in range(steps)
         )
 
     if total <= q.budget:
-        def gen_exhaustive():
-            for flat in itertools.product(*choice_lists):
-                yield assemble(list(flat))
-
-        return gen_exhaustive(), total, "exhaustive"
-
+        return map(assemble, itertools.product(*choice_lists)), total, "exhaustive"
     rng = random.Random(sub_seed(q.seed, 0))
-
-    def gen_sampled():
-        for _ in range(q.budget):
-            yield assemble([choices[rng.randrange(len(choices))] for choices in choice_lists])
-
-    return gen_sampled(), total, "sampled"
+    samples = (
+        [choices[rng.randrange(len(choices))] for choices in choice_lists]
+        for _ in range(q.budget)
+    )
+    return map(assemble, samples), total, "sampled"
 
 
 def render_policy_seq(ps: PolicySeq, n_states: int) -> str:
@@ -268,49 +250,46 @@ def check_measure_shift(monad: MonadInstance, measure) -> LawReport:
     (the maximum of an empty sequence) are outside the measure's domain
     and are skipped, not failed; the skip count lands in the detail
     line."""
-    t0 = time.perf_counter()
     report = LawReport(
         law_id="measureShift",
         instance=monad.name,
         sizes={"R": len(_SHIFT_RATES)},
         detail=f"measure={measure.name}",
     )
-    base = FiniteType("R", len(_SHIFT_RATES))
-    carrier = monad.carrier_of(Base(base))
-    structures = [
-        monad.map(lambda a: Rat(_SHIFT_RATES[a.index]), mv)
-        for mv in enumerate_carrier(carrier)
-    ]
-    report.quantifiers = [
-        QuantifierStat("mv", "M R", len(structures), "exhaustive", len(structures)),
-        QuantifierStat("c", "shift grid", len(_SHIFT_CONSTANTS), "exhaustive", len(_SHIFT_CONSTANTS)),
-    ]
-    checked = 0
     skipped = 0
-    for mv in structures:
-        try:
-            plain = measure.apply(mv)
-        except ValueError:
-            skipped += 1
-            continue
-        for c in _SHIFT_CONSTANTS:
-            checked += 1
-            shifted = measure.apply(monad.map(lambda r: Rat(c + r.value), mv))
-            if shifted != plain + c:
-                report.passed = False
-                report.witness = {
-                    "mv": render_value(mv),
-                    "c": str(c),
-                    "lhs": str(shifted),
-                    "rhs": str(plain + c),
-                }
-                report.checked = checked
-                report.elapsed_ms = (time.perf_counter() - t0) * 1000
-                return report
-    if skipped:
+
+    def measured(structures):
+        """Each structure with its plain measurement, None where the
+        measure is undefined; measured once, when the scan reaches it."""
+        nonlocal skipped
+        for mv in structures:
+            try:
+                yield mv, measure.apply(mv)
+            except ValueError:
+                skipped += 1
+                yield mv, None
+
+    def variables():
+        carrier = monad.carrier_of(Base(FiniteType("R", len(_SHIFT_RATES))))
+        structures = [
+            monad.map(lambda a: Rat(_SHIFT_RATES[a.index]), mv)
+            for mv in enumerate_carrier(carrier)
+        ]
+        return [
+            Var("mv", "M R", measured(structures), len(structures),
+                render=lambda mp: render_value(mp[0]), count=len(structures)),
+            Var("c", "shift grid", _SHIFT_CONSTANTS, len(_SHIFT_CONSTANTS)),
+        ]
+
+    def sides(mp, c):
+        mv, plain = mp
+        if plain is None:
+            return None
+        return measure.apply(monad.map(lambda r: Rat(c + r.value), mv)), plain + c
+
+    scan(report, variables, sides)
+    if skipped and report.passed:
         report.detail += f" skipped={skipped} outside measure domain"
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
     return report
 
 
@@ -319,7 +298,6 @@ def check_val_equiv(sdp: Sdp, q: Quantifier) -> LawReport:
     provided the measure passes the shift-compatibility check. A failing
     precondition makes this report fail with the shift witness; the two
     value functions are not compared at all in that case."""
-    t0 = time.perf_counter()
     report = LawReport(
         law_id="valSpec",
         instance=sdp.monad.name,
@@ -338,32 +316,19 @@ def check_val_equiv(sdp: Sdp, q: Quantifier) -> LawReport:
             f"measure {sdp.measure.name!r} is not shift compatible; "
             "refusing to compare val with val_spec"
         )
-        report.elapsed_ms = (time.perf_counter() - t0) * 1000
+        report.elapsed_ms = shift.elapsed_ms
         return report
 
-    seqs, total, mode = enumerate_policy_seqs(sdp, sdp.horizon, q)
-    count = min(total, q.budget) if mode == "sampled" else total
-    report.quantifiers = [
-        QuantifierStat("ps", f"policy sequences (h={sdp.horizon})", total, mode, count),
-        QuantifierStat("x", "X", sdp.states.size, "exhaustive", sdp.states.size),
-    ]
-    checked = 0
-    for ps in seqs:
-        for x in enumerate_domain(sdp.states):
-            checked += 1
-            lhs = val(sdp, ps, x)
-            rhs = val_spec(sdp, ps, x)
-            if lhs != rhs:
-                report.passed = False
-                report.witness = {
-                    "ps": render_policy_seq(ps, sdp.states.size),
-                    "x": render_value(x),
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-                report.checked = checked
-                report.elapsed_ms = (time.perf_counter() - t0) * 1000
-                return report
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
+    def variables():
+        seqs, total, mode = enumerate_policy_seqs(sdp, sdp.horizon, q)
+        count = min(total, q.budget) if mode == "sampled" else total
+        n = sdp.states.size
+        return [
+            Var("ps", f"policy sequences (h={sdp.horizon})", seqs, total, mode,
+                render=lambda ps: render_policy_seq(ps, n), count=count),
+            Var("x", "X", enumerate_domain(sdp.states), n),
+        ]
+
+    scan(report, variables, lambda ps, x: (val(sdp, ps, x), val_spec(sdp, ps, x)))
+    report.elapsed_ms += shift.elapsed_ms
     return report

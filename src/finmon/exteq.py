@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .reports import EqReport, LawReport, QuantifierStat
+from .reports import EqReport, LawReport, Var, scan
 from .values import (
     Atom,
     Base,
@@ -36,8 +36,6 @@ from .values import (
     canonical_compare,
     enumerate_functions,
     function_space_size,
-    render_table,
-    render_value,
 )
 
 __all__ = [
@@ -122,36 +120,27 @@ def check_comp_pres_ee(
     harness self-tests: inject a faulty composition and the check must
     fail with a witness.
     """
-    report = LawReport(law_id="compPresEE", instance="-")
-    report.sizes = {"A": dom_a.size, "B": dom_b.size, "C": dom_c.size}
-    f_size = function_space_size(dom_a, Base(dom_b))
-    g_size = function_space_size(dom_b, Base(dom_c))
-    f_mode = "exhaustive" if f_size <= q.budget else "sampled"
-    g_mode = "exhaustive" if g_size <= q.budget else "sampled"
-    fs = list(enumerate_functions(dom_a, Base(dom_b), q))
-    gs = list(enumerate_functions(dom_b, Base(dom_c), q))
-    report.quantifiers = [
-        QuantifierStat("f", "A->B", f_size, f_mode, len(fs)),
-        QuantifierStat("g", "B->C", g_size, g_mode, len(gs)),
-    ]
-    checked = 0
-    for f in fs:
-        for g in gs:
-            checked += 1
-            reference = compose_tables(g, f)
-            candidate = composer(g, f)
-            verdict = ext_eq(reference, candidate)
-            if not verdict.equal:
-                x, left, right = verdict.witness
-                report.passed = False
-                report.checked = checked
-                report.witness = {
-                    "f": render_table(f),
-                    "g": render_table(g),
-                    "x": render_value(x),
-                    "lhs": render_value(left),
-                    "rhs": render_value(right),
-                }
-                return report
-    report.checked = checked
-    return report
+    report = LawReport(
+        law_id="compPresEE", instance="-",
+        sizes={"A": dom_a.size, "B": dom_b.size, "C": dom_c.size},
+    )
+
+    def fn_var(name: str, label: str, dom: FiniteType, cod: FiniteType) -> Var:
+        size = function_space_size(dom, Base(cod))
+        mode = "exhaustive" if size <= q.budget else "sampled"
+        tables = list(enumerate_functions(dom, Base(cod), q))
+        return Var(name, label, tables, size, mode)
+
+    def sides(f, g):
+        reference, candidate = compose_tables(g, f), composer(g, f)
+        verdict = ext_eq(reference, candidate)
+        if verdict.equal:
+            return reference, candidate
+        x, left, right = verdict.witness
+        return left, right, {"x": x}
+
+    return scan(
+        report,
+        lambda: [fn_var("f", "A->B", dom_a, dom_b), fn_var("g", "B->C", dom_b, dom_c)],
+        sides,
+    )

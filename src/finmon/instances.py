@@ -16,7 +16,7 @@ law checkers wrap quantified tables with table_fn, and operations like
 The Reader functor is exposed functor-only. Its mapped values are
 functions, so stating that map respects pointwise equality needs the
 level-2 equality tower rather than a single table scan; see
-reader_pres_ee2_report.
+laws.reader_pres_ee2_report.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exteq import ext_eq, extify_eq
-from .reports import LawReport, QuantifierStat
 from .values import (
-    Base,
     CarrierDesc,
     CarrierOverflow,
     Dist,
@@ -37,26 +34,18 @@ from .values import (
     FnOf,
     MaybeOf,
     Opt,
-    Quantifier,
     Seq,
     SeqOf,
     Value,
     Vec,
-    enumerate_carrier,
-    enumerate_functions,
-    function_space_size,
     mk_dist,
-    render_table,
-    render_value,
-    table_fn,
-    value_to_table,
 )
 
 __all__ = [
     "MonadInstance", "FunctorInstance",
     "identity_monad", "maybe_monad", "nondet_monad", "simpleprob_monad",
     "reader_functor", "broken_instances", "get_instance",
-    "INSTANCE_NAMES", "reader_pres_ee2_report", "DEFAULT_SEQ_LENGTH_CAP",
+    "INSTANCE_NAMES", "DEFAULT_SEQ_LENGTH_CAP",
 ]
 
 # Hard ceiling on sequence lengths produced by nondet join/bind. Hitting
@@ -174,8 +163,8 @@ def nondet_monad(
     )
 
 
-def _prob_ops(merge: bool):
-    """Shared finite-probability operations; merge=False is the broken
+def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
+    """Finite probability over mk_dist; merge=False is the broken
     canonical form used by mutant-b."""
 
     def pmap(fn: MapFn, mv: Value) -> Value:
@@ -198,7 +187,15 @@ def _prob_ops(merge: bool):
     def pcanon(mv: Value) -> Value:
         return mk_dist(mv.entries, merge=merge)
 
-    return pmap, pjoin, pbind, pcanon
+    return MonadInstance(
+        name=name,
+        carrier_of=lambda c: DistOf(c, max_support),
+        pure=lambda v: Dist(((v, Fraction(1)),)),
+        map=pmap,
+        join=pjoin,
+        bind=pbind,
+        canonicalize=pcanon,
+    )
 
 
 def simpleprob_monad(max_support: int = 2) -> MonadInstance:
@@ -207,16 +204,7 @@ def simpleprob_monad(max_support: int = 2) -> MonadInstance:
     (non-normalized inputs are rejected by construction in mk_dist)."""
     if max_support < 1:
         raise ValueError("simpleprob needs max_support >= 1")
-    pmap, pjoin, pbind, pcanon = _prob_ops(merge=True)
-    return MonadInstance(
-        name="simpleprob",
-        carrier_of=lambda c: DistOf(c, max_support),
-        pure=lambda v: Dist(((v, Fraction(1)),)),
-        map=pmap,
-        join=pjoin,
-        bind=pbind,
-        canonicalize=pcanon,
-    )
+    return _prob_monad("simpleprob", max_support, merge=True)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +241,7 @@ def mutant_b_monad(max_support: int = 2) -> MonadInstance:
     """simpleprob whose canonical form skips merging equal values:
     mixtures that hit the same point twice keep duplicate entries, which
     no longer compare equal to the properly merged result."""
-    pmap, pjoin, pbind, pcanon = _prob_ops(merge=False)
-    return MonadInstance(
-        name="mutant-b",
-        carrier_of=lambda c: DistOf(c, max_support),
-        pure=lambda v: Dist(((v, Fraction(1)),)),
-        map=pmap,
-        join=pjoin,
-        bind=pbind,
-        canonicalize=pcanon,
-    )
+    return _prob_monad("mutant-b", max_support, merge=False)
 
 
 def broken_instances() -> list[MonadInstance]:
@@ -287,82 +266,6 @@ def reader_functor(env: FiniteType) -> FunctorInstance:
         carrier_of=lambda c: FnOf(env, c),
         map=rmap,
     )
-
-
-def reader_pres_ee2_report(
-    env: FiniteType,
-    dom_a: FiniteType,
-    dom_b: FiniteType,
-    budget: int = 100_000,
-    seed: int = 0,
-) -> LawReport:
-    """The Reader boundary case, checked both ways.
-
-    For every arrow pair f ~ g (pointwise-equal tables are identical, so
-    classes are singletons) and every reader r: level-1 ext_eq compares
-    mapR f r against mapR g r as tables; then the maps themselves are
-    tabulated over the whole reader carrier and compared with the level-2
-    tower, which descends reader-then-environment to any disagreement.
-    """
-    reader = reader_functor(env)
-    q = Quantifier(budget=budget, seed=seed)
-    r_carrier = enumerate_carrier(FnOf(env, Base(dom_a)))
-    f_space = function_space_size(dom_a, Base(dom_b))
-    fs = list(enumerate_functions(dom_a, Base(dom_b), q))
-    report = LawReport(law_id="F3L2", instance="reader")
-    report.sizes = {"E": env.size, "A": dom_a.size, "B": dom_b.size}
-    report.quantifiers = [
-        QuantifierStat(
-            "f", "A->B", f_space,
-            "exhaustive" if f_space <= q.budget else "sampled", len(fs),
-        ),
-        QuantifierStat("r", "E->A", len(r_carrier), "exhaustive", len(r_carrier)),
-    ]
-    report.detail = "level-1 scan per reader plus level-2 tower over tabulated maps"
-    checked = 0
-    for f in fs:
-        g = f  # representative of the pointwise-equality class
-        fn_f, fn_g = table_fn(f), table_fn(g)
-        mapped_f, mapped_g = [], []
-        for r in r_carrier:
-            out_f = reader.map(fn_f, r)
-            out_g = reader.map(fn_g, r)
-            mapped_f.append(out_f)
-            mapped_g.append(out_g)
-            level1 = ext_eq(
-                value_to_table(env, Base(dom_b), out_f),
-                value_to_table(env, Base(dom_b), out_g),
-            )
-            checked += level1.checked
-            if not level1.equal:
-                x, left, right = level1.witness
-                report.passed = False
-                report.checked = checked
-                report.witness = {
-                    "f": render_table(f),
-                    "r": render_value(r),
-                    "x": render_value(x),
-                    "lhs": render_value(left),
-                    "rhs": render_value(right),
-                }
-                return report
-        tab_f = Vec(tuple(mapped_f), len(mapped_f))
-        tab_g = Vec(tuple(mapped_g), len(mapped_g))
-        level2 = extify_eq(2, tab_f, tab_g)
-        checked += level2.checked
-        if not level2.equal:
-            path, left, right = level2.witness
-            report.passed = False
-            report.checked = checked
-            report.witness = {
-                "f": render_table(f),
-                "path": render_value(path),
-                "lhs": render_value(left),
-                "rhs": render_value(right),
-            }
-            return report
-    report.checked = checked
-    return report
 
 
 # ---------------------------------------------------------------------------

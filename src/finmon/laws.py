@@ -30,24 +30,22 @@ definitional and skipped.
 
 from __future__ import annotations
 
-import itertools
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
-from .instances import FunctorInstance, MonadInstance
-from .reports import LawReport, QuantifierStat
+from .exteq import ext_eq, extify_eq
+from .instances import FunctorInstance, MonadInstance, reader_functor
+from .reports import LawReport, QuantifierStat, Var, scan
 from .values import (
-    Atom,
     Base,
     CarrierDesc,
-    CarrierOverflow,
-    CarrierTooLarge,
     FiniteType,
+    FnOf,
     FnTable,
     Quantifier,
     Value,
+    Vec,
     enumerate_carrier,
     enumerate_domain,
     enumerate_functions,
@@ -57,12 +55,13 @@ from .values import (
     render_value,
     sub_seed,
     table_fn,
+    value_to_table,
     DEFAULT_CARRIER_CAP,
 )
 
 __all__ = [
     "VarSpec", "Law", "SuiteProfile", "law_catalog", "law_by_id",
-    "check_law", "run_suite", "LAW_IDS",
+    "check_law", "run_suite", "reader_pres_ee2_report", "LAW_IDS",
 ]
 
 Instance = Union[MonadInstance, FunctorInstance]
@@ -512,43 +511,32 @@ def _candidates(
     domains: dict[str, FiniteType],
     q: Quantifier,
     cap: int,
-):
-    """Candidate list, space description, true space size and mode for
-    one bound variable."""
-    if vs.kind == "atom":
-        dom = domains[vs.dom]
-        full = list(enumerate_domain(dom))
-        space = vs.dom
-        size = len(full)
-        if size <= q.budget:
-            return full, space, size, "exhaustive"
-        rng = random.Random(sub_seed(q.seed, idx))
-        return [full[rng.randrange(size)] for _ in range(q.budget)], space, size, "sampled"
-    if vs.kind == "carrier":
-        desc = resolve_carrier(vs.cod, inst, domains)
-        full = enumerate_carrier(desc, cap)
-        space = render_carrier(desc)
-        size = len(full)
-        if size <= q.budget:
-            return list(full), space, size, "exhaustive"
-        rng = random.Random(sub_seed(q.seed, idx))
-        return [full[rng.randrange(size)] for _ in range(q.budget)], space, size, "sampled"
+) -> Var:
+    """The scan variable for one bound variable: candidates, space
+    description, true space size and mode."""
     if vs.kind == "fn":
         dom = domains[vs.dom]
         cod = resolve_carrier(vs.cod, inst, domains)
         size = function_space_size(dom, cod)
-        space = f"{vs.dom}->{render_carrier(cod)}"
         sub = Quantifier(budget=q.budget, seed=sub_seed(q.seed, idx))
         cands = list(enumerate_functions(dom, cod, sub, cap))
         mode = "exhaustive" if size <= q.budget else "sampled"
-        return cands, space, size, mode
-    raise ValueError(f"unknown variable kind {vs.kind!r}")
-
-
-def _render_binding(v) -> str:
-    if isinstance(v, FnTable):
-        return render_table(v)
-    return render_value(v)
+        return Var(vs.name, f"{vs.dom}->{render_carrier(cod)}", cands, size, mode)
+    if vs.kind == "atom":
+        full = enumerate_domain(domains[vs.dom])
+        space = vs.dom
+    elif vs.kind == "carrier":
+        desc = resolve_carrier(vs.cod, inst, domains)
+        full = enumerate_carrier(desc, cap)
+        space = render_carrier(desc)
+    else:
+        raise ValueError(f"unknown variable kind {vs.kind!r}")
+    size = len(full)
+    if size <= q.budget:
+        return Var(vs.name, space, full, size)
+    rng = random.Random(sub_seed(q.seed, idx))
+    cands = [full[rng.randrange(size)] for _ in range(q.budget)]
+    return Var(vs.name, space, cands, size, "sampled")
 
 
 def check_law(
@@ -560,7 +548,6 @@ def check_law(
 ) -> LawReport:
     """Quantify per the law's shape and evaluate its checker, recording
     the first (least, when exhaustive) counterexample."""
-    t0 = time.perf_counter()
     report = LawReport(
         law_id=law.id,
         instance=getattr(inst, "name", "?"),
@@ -572,54 +559,15 @@ def check_law(
             f"law {law.id} needs operations {missing} that instance "
             f"{report.instance!r} does not provide"
         )
-    try:
-        spaces = [
-            _candidates(vs, i, inst, domains, q, cap)
-            for i, vs in enumerate(law.variables)
-        ]
-    except CarrierTooLarge as exc:
-        report.passed = False
-        report.diagnostic = str(exc)
-        report.elapsed_ms = (time.perf_counter() - t0) * 1000
-        return report
-    report.quantifiers = [
-        QuantifierStat(vs.name, space, size, mode, len(cands))
-        for vs, (cands, space, size, mode) in zip(law.variables, spaces)
-    ]
-    any_sampled = any(mode == "sampled" for _, _, _, mode in spaces)
-    eval_cap = q.budget if any_sampled else None
-
     checker = law.make_checker(inst)
     names = [vs.name for vs in law.variables]
-    checked = 0
-    try:
-        for combo in _product([cands for cands, _, _, _ in spaces]):
-            if eval_cap is not None and checked >= eval_cap:
-                break
-            checked += 1
-            env = dict(zip(names, combo))
-            lhs, rhs = checker(env)
-            if lhs != rhs:
-                report.passed = False
-                report.witness = {
-                    name: _render_binding(val) for name, val in env.items()
-                }
-                report.witness["lhs"] = render_value(lhs)
-                report.witness["rhs"] = render_value(rhs)
-                break
-    except CarrierOverflow as exc:
-        report.passed = False
-        report.diagnostic = str(exc)
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
-
-
-def _product(spaces: list[list]) -> Iterable[tuple]:
-    if not spaces:
-        yield ()
-        return
-    yield from itertools.product(*spaces)
+    return scan(
+        report,
+        lambda: [_candidates(vs, i, inst, domains, q, cap)
+                 for i, vs in enumerate(law.variables)],
+        lambda *binding: checker(dict(zip(names, binding))),
+        budget=q.budget,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -648,19 +596,12 @@ class SuiteProfile:
     def selected_laws(self) -> tuple[Law, ...]:
         if self.view not in ("thin", "fat"):
             raise ValueError(f"unknown suite view {self.view!r}")
-        chosen = []
-        for law in law_catalog():
-            if self.laws and law.id not in self.laws:
-                continue
-            if not self.laws and self.view not in law.views:
-                continue
-            chosen.append(law)
+        bad = [i for i in self.laws if i not in _CATALOG_BY_ID]
+        if bad:
+            raise KeyError(f"unknown law ids in suite {self.name!r}: {bad}")
         if self.laws:
-            known = {law.id for law in law_catalog()}
-            bad = [i for i in self.laws if i not in known]
-            if bad:
-                raise KeyError(f"unknown law ids in suite {self.name!r}: {bad}")
-        return tuple(chosen)
+            return tuple(law for law in law_catalog() if law.id in self.laws)
+        return tuple(law for law in law_catalog() if self.view in law.views)
 
 
 def run_suite(inst: Instance, profile: SuiteProfile) -> list[LawReport]:
@@ -680,19 +621,80 @@ def run_suite(inst: Instance, profile: SuiteProfile) -> list[LawReport]:
                 )
             continue  # "all laws" on a functor instance: run what applies
         reports.append(check_law(law, inst, domains, q, cap=profile.carrier_cap))
-    if isinstance(inst, FunctorInstance) and inst.name == "reader":
-        wants_f3 = (not profile.laws) or ("F3" in profile.laws)
-        if wants_f3:
-            from .instances import reader_pres_ee2_report
-
-            env = domains.get("E") or FiniteType("E", 2)
-            reports.append(
-                reader_pres_ee2_report(
-                    env,
-                    domains["A"],
-                    domains["B"],
-                    budget=profile.budget,
-                    seed=profile.seed,
-                )
-            )
+    is_reader = isinstance(inst, FunctorInstance) and inst.name == "reader"
+    if is_reader and (not profile.laws or "F3" in profile.laws):
+        env = domains.get("E") or FiniteType("E", 2)
+        reports.append(reader_pres_ee2_report(
+            env, domains["A"], domains["B"], budget=profile.budget, seed=profile.seed,
+        ))
     return reports
+
+
+def reader_pres_ee2_report(
+    env: FiniteType,
+    dom_a: FiniteType,
+    dom_b: FiniteType,
+    budget: int = 100_000,
+    seed: int = 0,
+) -> LawReport:
+    """The Reader boundary case, checked both ways.
+
+    For every arrow pair f ~ g (pointwise-equal tables are identical, so
+    classes are singletons) and every reader r: level-1 ext_eq compares
+    mapR f r against mapR g r as tables; then the maps themselves are
+    tabulated over the whole reader carrier and compared with the level-2
+    tower, which descends reader-then-environment to any disagreement.
+    Its own loop, not a scan: checked counts slot comparisons, not
+    evaluations.
+    """
+    reader = reader_functor(env)
+    q = Quantifier(budget=budget, seed=seed)
+    r_carrier = enumerate_carrier(FnOf(env, Base(dom_a)))
+    f_space = function_space_size(dom_a, Base(dom_b))
+    fs = list(enumerate_functions(dom_a, Base(dom_b), q))
+    report = LawReport(law_id="F3L2", instance="reader")
+    report.sizes = {"E": env.size, "A": dom_a.size, "B": dom_b.size}
+    report.quantifiers = [
+        QuantifierStat(
+            "f", "A->B", f_space,
+            "exhaustive" if f_space <= q.budget else "sampled", len(fs),
+        ),
+        QuantifierStat("r", "E->A", len(r_carrier), "exhaustive", len(r_carrier)),
+    ]
+    report.detail = "level-1 scan per reader plus level-2 tower over tabulated maps"
+    checked = 0
+    for f in fs:
+        g = f  # representative of the pointwise-equality class
+        fn_f, fn_g = table_fn(f), table_fn(g)
+        mapped_f, mapped_g = [], []
+        for r in r_carrier:
+            out_f = reader.map(fn_f, r)
+            out_g = reader.map(fn_g, r)
+            mapped_f.append(out_f)
+            mapped_g.append(out_g)
+            level1 = ext_eq(
+                value_to_table(env, Base(dom_b), out_f),
+                value_to_table(env, Base(dom_b), out_g),
+            )
+            checked += level1.checked
+            if not level1.equal:
+                x, left, right = level1.witness
+                report.witness = {
+                    "f": render_table(f), "r": render_value(r), "x": render_value(x),
+                }
+                break
+        else:
+            tab_f = Vec(tuple(mapped_f), len(mapped_f))
+            tab_g = Vec(tuple(mapped_g), len(mapped_g))
+            level2 = extify_eq(2, tab_f, tab_g)
+            checked += level2.checked
+            if not level2.equal:
+                path, left, right = level2.witness
+                report.witness = {"f": render_table(f), "path": render_value(path)}
+        if report.witness is not None:
+            report.passed = False
+            report.witness["lhs"] = render_value(left)
+            report.witness["rhs"] = render_value(right)
+            break
+    report.checked = checked
+    return report

@@ -21,18 +21,16 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
-import time
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .instances import MonadInstance
-from .reports import LawReport, QuantifierStat
+from .reports import LawReport, Var, scan
 from .values import (
     Atom,
     Base,
-    CarrierDesc,
-    CarrierTooLarge,
     FiniteType,
     FnTable,
     Quantifier,
@@ -43,7 +41,6 @@ from .values import (
     enumerate_domain,
     enumerate_functions,
     identity_table,
-    render_value,
     table_fn,
     tabulate,
     DEFAULT_CARRIER_CAP,
@@ -136,33 +133,18 @@ def check_det_flow_lr(
     """Both deterministic flow recursions agree, as tables, for every
     endofunction and every iteration count up to n_max. Tables are
     extensional by construction, so table equality settles it."""
-    t0 = time.perf_counter()
     report = LawReport(law_id="flowDetLR", instance="det", sizes={"X": domain.size})
     space = domain.size**domain.size
     mode = "exhaustive" if space <= q.budget else "sampled"
-    steps = list(enumerate_functions(domain, Base(domain), q))
-    report.quantifiers = [
-        QuantifierStat("f", "X->X", space, mode, len(steps)),
-        QuantifierStat("n", f"0..{n_max}", n_max + 1, "exhaustive", n_max + 1),
-    ]
-    checked = 0
-    for step in steps:
-        for n in range(n_max + 1):
-            checked += 1
-            left = flow_det_left(step, n)
-            right = flow_det_right(step, n)
-            if left != right:
-                report.passed = False
-                report.checked = checked
-                report.witness = {
-                    "f": render_value(Vec(step.entries, step.domain.size)),
-                    "n": str(n),
-                }
-                report.elapsed_ms = (time.perf_counter() - t0) * 1000
-                return report
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return scan(
+        report,
+        lambda: [
+            Var("f", "X->X", list(enumerate_functions(domain, Base(domain), q)),
+                space, mode),
+            Var("n", f"0..{n_max}", range(n_max + 1), n_max + 1),
+        ],
+        lambda step, n: (flow_det_left(step, n), flow_det_right(step, n)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,113 +207,88 @@ def _base_report(law_id: str, sys: MonSys) -> LawReport:
     )
 
 
+def _n_var(n_max: int, per_n: Callable[[int], tuple]) -> Var:
+    """The step count as the outermost variable. per_n(n) runs once per
+    n, when the scan reaches it, and its results ride along with n."""
+    return Var("n", f"0..{n_max}", ((n, *per_n(n)) for n in range(n_max + 1)),
+               n_max + 1, render=lambda nb: str(nb[0]), count=n_max + 1)
+
+
+def _x_var(domain: FiniteType) -> Var:
+    return Var("x", "X", enumerate_domain(domain), domain.size)
+
+
 def check_flow_lr(sys: MonSys, n_max: int) -> LawReport:
     """flow_mon_left f n is pointwise equal to flow_mon_right f n for
     every n up to n_max."""
-    t0 = time.perf_counter()
-    report = _base_report("flowLR", sys)
-    report.quantifiers = [
-        QuantifierStat("n", f"0..{n_max}", n_max + 1, "exhaustive", n_max + 1),
-        QuantifierStat("x", "X", sys.domain.size, "exhaustive", sys.domain.size),
-    ]
-    checked = 0
-    for n in range(n_max + 1):
-        left = flow_mon_left(sys, n)
-        right = flow_mon_right(sys, n)
-        for a in enumerate_domain(sys.domain):
-            checked += 1
-            lv, rv = left.entries[a.index], right.entries[a.index]
-            if lv != rv:
-                report.passed = False
-                report.witness = {
-                    "n": str(n),
-                    "x": render_value(a),
-                    "lhs": render_value(lv),
-                    "rhs": render_value(rv),
-                }
-                break
-        if not report.passed:
-            break
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+
+    def sides(nb, a):
+        _, left, right = nb
+        return left.entries[a.index], right.entries[a.index]
+
+    return scan(
+        _base_report("flowLR", sys),
+        lambda: [
+            _n_var(n_max, lambda n: (flow_mon_left(sys, n), flow_mon_right(sys, n))),
+            _x_var(sys.domain),
+        ],
+        sides,
+    )
 
 
 def check_flow_mon_r_lem(sys: MonSys, n_max: int) -> LawReport:
     """The right flow leapfrogs its step: flowR f n >=> f is pointwise
     equal to f >=> flowR f n."""
-    t0 = time.perf_counter()
-    report = _base_report("flowMonRLem", sys)
     m = sys.monad
     step_fn = sys.step_fn()
-    checked = 0
-    for n in range(n_max + 1):
+
+    def per_n(n):
         flow_n = flow_mon_right(sys, n)
-        flow_fn = table_fn(flow_n)
-        for a in enumerate_domain(sys.domain):
-            checked += 1
-            lhs = m.bind(flow_n.entries[a.index], step_fn)
-            rhs = m.bind(sys.step.entries[a.index], flow_fn)
-            if lhs != rhs:
-                report.passed = False
-                report.witness = {
-                    "n": str(n),
-                    "x": render_value(a),
-                    "lhs": render_value(lhs),
-                    "rhs": render_value(rhs),
-                }
-                break
-        if not report.passed:
-            break
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+        return flow_n, table_fn(flow_n)
+
+    def sides(nb, a):
+        _, flow_n, flow_fn = nb
+        lhs = m.bind(flow_n.entries[a.index], step_fn)
+        return lhs, m.bind(sys.step.entries[a.index], flow_fn)
+
+    return scan(
+        _base_report("flowMonRLem", sys),
+        lambda: [_n_var(n_max, per_n), _x_var(sys.domain)],
+        sides,
+    )
 
 
 def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
     """flow is a monoid morphism from (N, +, 0) into Kleisli arrows:
     flow f 0 is pure and flow f (m + n) is flow f m >=> flow f n,
-    checked pointwise for every split with m + n <= total_max."""
-    t0 = time.perf_counter()
-    report = _base_report("flowMonoid", sys)
+    checked pointwise for every split with m + n <= total_max.
+
+    The split variable visits the unit first, then every split (m, n)
+    by increasing total."""
     m = sys.monad
-    flows = [flow(sys, n) for n in range(total_max + 1)]
-    checked = 0
-    # the unit: zero steps is pure
-    for a in enumerate_domain(sys.domain):
-        checked += 1
-        lhs = flows[0].entries[a.index]
-        rhs = m.pure(a)
-        if lhs != rhs:
-            report.passed = False
-            report.witness = {
-                "m": "0", "n": "0", "x": render_value(a),
-                "lhs": render_value(lhs), "rhs": render_value(rhs),
-            }
-            break
-    if report.passed:
-        for total in range(total_max + 1):
-            for mm in range(total + 1):
-                nn = total - mm
-                nn_fn = table_fn(flows[nn])
-                for a in enumerate_domain(sys.domain):
-                    checked += 1
-                    lhs = flows[total].entries[a.index]
-                    rhs = m.bind(flows[mm].entries[a.index], nn_fn)
-                    if lhs != rhs:
-                        report.passed = False
-                        report.witness = {
-                            "m": str(mm), "n": str(nn), "x": render_value(a),
-                            "lhs": render_value(lhs), "rhs": render_value(rhs),
-                        }
-                        break
-                if not report.passed:
-                    break
-            if not report.passed:
-                break
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+    flows: list[FnTable] = []
+    fns: list[Callable[[Value], Value]] = []
+
+    def variables():
+        flows.extend(flow(sys, n) for n in range(total_max + 1))
+        fns.extend(table_fn(f) for f in flows)
+        splits = [(0, 0, True)] + [
+            (mm, total - mm, False)
+            for total in range(total_max + 1) for mm in range(total + 1)
+        ]
+        return [
+            Var("(m, n)", f"unit, m+n<={total_max}", splits, len(splits),
+                render=lambda sp: {"m": str(sp[0]), "n": str(sp[1])}),
+            _x_var(sys.domain),
+        ]
+
+    def sides(split, a):
+        mm, nn, unit = split
+        if unit:
+            return flows[0].entries[a.index], m.pure(a)
+        return flows[mm + nn].entries[a.index], m.bind(flows[mm].entries[a.index], fns[nn])
+
+    return scan(_base_report("flowMonoid", sys), variables, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -361,44 +318,25 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
     as an index-table composition would require every intermediate bind
     to land back inside the bounded carrier, which fails for stochastic
     weights and growing sequences."""
-    t0 = time.perf_counter()
-    report = _base_report("reprLemma", sys)
     m = sys.monad
     step_fn = sys.step_fn()
-    try:
+
+    def variables():
         carrier_vals = enumerate_carrier(m.carrier_of(Base(sys.domain)), cap)
-    except CarrierTooLarge as exc:
-        report.passed = False
-        report.diagnostic = str(exc)
-        report.elapsed_ms = (time.perf_counter() - t0) * 1000
-        return report
-    report.quantifiers = [
-        QuantifierStat("n", f"0..{n_max}", n_max + 1, "exhaustive", n_max + 1),
-        QuantifierStat("mx", "M X", len(carrier_vals), "exhaustive", len(carrier_vals)),
-    ]
-    checked = 0
-    for n in range(n_max + 1):
-        flow_fn = table_fn(flow(sys, n))
-        for mx in carrier_vals:
-            checked += 1
-            lhs = m.bind(mx, flow_fn)
-            rhs = mx
-            for _ in range(n):
-                rhs = m.bind(rhs, step_fn)
-            if lhs != rhs:
-                report.passed = False
-                report.witness = {
-                    "n": str(n),
-                    "mx": render_value(mx),
-                    "lhs": render_value(lhs),
-                    "rhs": render_value(rhs),
-                }
-                break
-        if not report.passed:
-            break
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+        return [
+            _n_var(n_max, lambda n: (table_fn(flow(sys, n)),)),
+            Var("mx", "M X", carrier_vals, len(carrier_vals)),
+        ]
+
+    def sides(nb, mx):
+        n, flow_fn = nb
+        lhs = m.bind(mx, flow_fn)
+        rhs = mx
+        for _ in range(n):
+            rhs = m.bind(rhs, step_fn)
+        return lhs, rhs
+
+    return scan(_base_report("reprLemma", sys), variables, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -429,34 +367,29 @@ def map_last(sys: MonSys, mvx: Value) -> Value:
     return sys.monad.map(_last, mvx)
 
 
+def _vectors_var(name: str, space: str, carrier_of, domain: FiniteType,
+                 max_len: int, cap: int) -> Var:
+    """Every structure of nonempty vectors up to max_len, shortest
+    vectors first, each carrier enumerated once."""
+    values = tuple(itertools.chain.from_iterable(
+        enumerate_carrier(carrier_of(VecOf(Base(domain), ln)), cap)
+        for ln in range(1, max_len + 1)
+    ))
+    return Var(name, f"{space}[X;len=1..{max_len}]", values, len(values))
+
+
 def check_last_lemma(
     domain: FiniteType, max_len: int, cap: int = DEFAULT_CARRIER_CAP
 ) -> LawReport:
     """Prepending never changes the last element of a nonempty vector."""
-    t0 = time.perf_counter()
-    report = LawReport(law_id="lastLemma", instance="det", sizes={"X": domain.size})
-    checked = 0
-    for x in enumerate_domain(domain):
-        prepend = _prepend(x)
-        for ln in range(1, max_len + 1):
-            for vec in enumerate_carrier(VecOf(Base(domain), ln), cap):
-                checked += 1
-                lhs = _last(prepend(vec))
-                rhs = _last(vec)
-                if lhs != rhs:
-                    report.passed = False
-                    report.witness = {
-                        "x": render_value(x),
-                        "vx": render_value(vec),
-                        "lhs": render_value(lhs),
-                        "rhs": render_value(rhs),
-                    }
-                    report.checked = checked
-                    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-                    return report
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return scan(
+        LawReport(law_id="lastLemma", instance="det", sizes={"X": domain.size}),
+        lambda: [
+            _x_var(domain),
+            _vectors_var("vx", "Vec", lambda c: c, domain, max_len, cap),
+        ],
+        lambda x, vec: (_last(_prepend(x)(vec)), _last(vec)),
+    )
 
 
 def check_map_last_lemma(
@@ -464,64 +397,25 @@ def check_map_last_lemma(
 ) -> LawReport:
     """Mapping last after mapping a prepend is just mapping last, over
     every monadic structure of nonempty vectors up to max_len."""
-    t0 = time.perf_counter()
-    report = _base_report("mapLastLemma", sys)
     m = sys.monad
-    checked = 0
-    try:
-        for x in enumerate_domain(sys.domain):
-            prepend = _prepend(x)
-            for ln in range(1, max_len + 1):
-                carrier = m.carrier_of(VecOf(Base(sys.domain), ln))
-                for mvx in enumerate_carrier(carrier, cap):
-                    checked += 1
-                    lhs = m.map(_last, m.map(prepend, mvx))
-                    rhs = m.map(_last, mvx)
-                    if lhs != rhs:
-                        report.passed = False
-                        report.witness = {
-                            "x": render_value(x),
-                            "mvx": render_value(mvx),
-                            "lhs": render_value(lhs),
-                            "rhs": render_value(rhs),
-                        }
-                        report.checked = checked
-                        report.elapsed_ms = (time.perf_counter() - t0) * 1000
-                        return report
-    except CarrierTooLarge as exc:
-        report.passed = False
-        report.diagnostic = str(exc)
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return scan(
+        _base_report("mapLastLemma", sys),
+        lambda: [
+            _x_var(sys.domain),
+            _vectors_var("mvx", "M Vec", m.carrier_of, sys.domain, max_len, cap),
+        ],
+        lambda x, mvx: (m.map(_last, m.map(_prepend(x), mvx)), m.map(_last, mvx)),
+    )
 
 
 def check_flow_trj(sys: MonSys, n_max: int) -> LawReport:
     """The flow is the trajectory structure with everything but the
     final state forgotten: flow f n x equals map last (trj f n x)."""
-    t0 = time.perf_counter()
-    report = _base_report("flowTrjLemma", sys)
-    checked = 0
-    for n in range(n_max + 1):
-        flow_n = flow(sys, n)
-        for x in enumerate_domain(sys.domain):
-            checked += 1
-            lhs = flow_n.entries[x.index]
-            rhs = map_last(sys, trj(sys, n, x))
-            if lhs != rhs:
-                report.passed = False
-                report.witness = {
-                    "n": str(n),
-                    "x": render_value(x),
-                    "lhs": render_value(lhs),
-                    "rhs": render_value(rhs),
-                }
-                break
-        if not report.passed:
-            break
-    report.checked = checked
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return scan(
+        _base_report("flowTrjLemma", sys),
+        lambda: [_n_var(n_max, lambda n: (flow(sys, n),)), _x_var(sys.domain)],
+        lambda nb, x: (nb[1].entries[x.index], map_last(sys, trj(sys, nb[0], x))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +436,12 @@ def trajectory_weight(sys: MonSys, n: int, x: Atom) -> Fraction:
 # check registry, used by the command line front end
 
 SYSTEM_CHECKS = {
-    "flowLR": lambda sys, n: check_flow_lr(sys, n),
-    "flowMonRLem": lambda sys, n: check_flow_mon_r_lem(sys, n),
-    "flowMonoid": lambda sys, n: check_flow_monoid(sys, n),
-    "reprLemma": lambda sys, n: check_repr_lemma(sys, n),
-    "mapLastLemma": lambda sys, n: check_map_last_lemma(sys, n),
-    "flowTrjLemma": lambda sys, n: check_flow_trj(sys, n),
+    "flowLR": check_flow_lr,
+    "flowMonRLem": check_flow_mon_r_lem,
+    "flowMonoid": check_flow_monoid,
+    "reprLemma": check_repr_lemma,
+    "mapLastLemma": check_map_last_lemma,
+    "flowTrjLemma": check_flow_trj,
 }
 
 

@@ -43,7 +43,7 @@ __all__ = [
     "CarrierDesc", "FnTable", "Quantifier",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
-    "canonical_key", "canonical_compare", "mk_dist", "dist_from_map",
+    "canonical_key", "canonical_compare", "mk_dist", "check_member",
     "enumerate_domain", "enumerate_carrier", "carrier_size",
     "function_space_size", "enumerate_functions",
     "tabulate", "identity_table", "table_fn", "table_to_value",
@@ -174,10 +174,6 @@ def mk_dist(pairs, merge: bool = True) -> Dist:
     return Dist(tuple(cleaned))
 
 
-def dist_from_map(acc: dict, merge: bool = True) -> Dist:
-    return mk_dist(acc.items(), merge=merge)
-
-
 # ---------------------------------------------------------------------------
 # domains and carrier descriptors
 
@@ -248,6 +244,38 @@ def render_carrier(c: CarrierDesc) -> str:
     raise TypeError(f"not a carrier descriptor: {c!r}")
 
 
+def check_member(v: Value, c: CarrierDesc) -> None:
+    """Raise ValueError unless v has the shape of carrier c with every
+    atom inside its domain. Sequence lengths and distribution supports
+    are not bounded here: flows and binds leave the bounded carrier by
+    design, so only shape and atoms decide membership."""
+    if isinstance(c, Base):
+        if type(v) is Atom and v.index < c.domain.size:
+            return
+    elif isinstance(c, MaybeOf):
+        if type(v) is Opt:
+            if v.content is not None:
+                check_member(v.content, c.inner)
+            return
+    elif isinstance(c, SeqOf):
+        if type(v) is Seq:
+            for x in v.items:
+                check_member(x, c.inner)
+            return
+    elif isinstance(c, DistOf):
+        if type(v) is Dist:
+            for x, _ in v.entries:
+                check_member(x, c.inner)
+            return
+    elif isinstance(c, (VecOf, FnOf)):
+        inner, n = (c.inner, c.length) if isinstance(c, VecOf) else (c.codomain, c.domain.size)
+        if type(v) is Vec and v.length == n:
+            for x in v.items:
+                check_member(x, inner)
+            return
+    raise ValueError(f"{render_value(v)} is not a value of {render_carrier(c)}")
+
+
 # ---------------------------------------------------------------------------
 # the weight grid
 
@@ -298,17 +326,13 @@ def carrier_size(c: CarrierDesc) -> int:
         n = carrier_size(c.inner)
         total = 0
         for k in range(1, min(c.max_support, n) + 1):
-            total += _comb(n, k) * len(weight_tuples(k))
+            total += math.comb(n, k) * len(weight_tuples(k))
         return total
     if isinstance(c, VecOf):
         return carrier_size(c.inner) ** c.length
     if isinstance(c, FnOf):
         return carrier_size(c.codomain) ** c.domain.size
     raise TypeError(f"not a carrier descriptor: {c!r}")
-
-
-def _comb(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 @lru_cache(maxsize=None)
@@ -382,11 +406,6 @@ class FnTable:
                 f"table over {self.domain.name} needs {self.domain.size} entries, "
                 f"got {len(self.entries)}"
             )
-
-    def apply(self, v: Value) -> Value:
-        if not isinstance(v, Atom):
-            raise ValueError(f"table argument must be an atom, got {v!r}")
-        return self.entries[v.index]
 
 
 def tabulate(dom: FiniteType, cod: CarrierDesc, fn: Callable[[Atom], Value]) -> FnTable:
@@ -532,9 +551,6 @@ def parse_value(text: str) -> Value:
         pos += 1
         return tok
 
-    def parse_fraction(tok: str) -> Fraction:
-        return Fraction(tok)
-
     def node() -> Value:
         tok = take()
         if tok.startswith("#"):
@@ -543,31 +559,23 @@ def parse_value(text: str) -> Value:
             return Opt(None)
         if tok == "some":
             return Opt(node())
-        if tok == "[":
+        if tok in ("[", "<"):
+            close = "]" if tok == "[" else ">"
             items = []
-            if peek() != "]":
+            if peek() != close:
                 items.append(node())
                 while peek() == ",":
                     take(",")
                     items.append(node())
-            take("]")
-            return Seq(tuple(items))
-        if tok == "<":
-            items = []
-            if peek() != ">":
-                items.append(node())
-                while peek() == ",":
-                    take(",")
-                    items.append(node())
-            take(">")
-            return Vec(tuple(items), len(items))
+            take(close)
+            return Seq(tuple(items)) if tok == "[" else Vec(tuple(items), len(items))
         if tok == "{":
             pairs = []
             if peek() != "}":
                 while True:
                     v = node()
                     take(":")
-                    w = parse_fraction(take())
+                    w = Fraction(take())
                     pairs.append((v, w))
                     if peek() == ",":
                         take(",")

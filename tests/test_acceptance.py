@@ -15,8 +15,8 @@ from fractions import Fraction
 from finmon.cli import TIMING_MARKER, main
 from finmon.dp import Sdp, check_measure_shift, check_val_equiv, get_measure
 from finmon.exteq import __doc__ as exteq_doc
-from finmon.instances import get_instance, reader_pres_ee2_report
-from finmon.laws import LAW_IDS, SuiteProfile, run_suite
+from finmon.instances import get_instance
+from finmon.laws import LAW_IDS, SuiteProfile, reader_pres_ee2_report, run_suite
 from finmon.systems import (
     DetSys,
     check_det_flow_lr,

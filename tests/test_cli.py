@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finmon.cli import (
     BUILTIN_SUITES,
@@ -14,6 +17,8 @@ from finmon.cli import (
     main,
     parse_config,
 )
+from finmon.dp import MEASURES
+from finmon.instances import INSTANCE_NAMES
 
 GOOD = {
     "seed": 0,
@@ -271,3 +276,93 @@ def test_json_report_shape(tmp_path):
     assert all(set(r) >= {"group", "law", "instance", "pass", "checked"}
                for r in det["results"])
     assert "jobs" in doc["timing"] and "total_ms" in doc["timing"]
+
+
+# ---------------------------------------------------------------------------
+# step and next values outside their carrier
+
+
+@pytest.mark.parametrize("entry,path", [
+    ({"systems": [{"name": "s", "instance": "nondet", "size": 2,
+                   "step": ["[#5]", "[#0]"], "checks": ["flowLR"]}]},
+     "systems[0].step[0]"),
+    ({"systems": [{"name": "s", "instance": "simpleprob", "size": 1,
+                   "step": ["[#1]"], "checks": ["flowLR"]}]},
+     "systems[0].step[0]"),
+    ({"sdps": [{"name": "d", "instance": "nondet", "measure": "max",
+                "horizon": 1, "states": 2, "controls": 1,
+                "next": [["[#3]", "[#0]"]]}]},
+     "sdps[0].next[0][0]"),
+], ids=["atom-past-size", "seq-in-dist-carrier", "sdp-next-atom"])
+def test_value_outside_carrier_is_a_config_error(tmp_path, capsys, entry, path):
+    cfg = {"seed": 0, "budget": 100, **entry}
+    assert main(["--config", write_config(tmp_path, cfg)]) == 2
+    assert f"configuration error: {path}: " in capsys.readouterr().err
+
+
+def test_lengths_and_supports_are_not_bounded_in_step_values(tmp_path):
+    cfg = {"seed": 0, "budget": 100,
+           "systems": [{"name": "s", "instance": "nondet", "size": 2,
+                        "step": ["[#0, #1, #1, #0]", "[#1]"], "checks": ["flowLR"],
+                        "n_max": 2, "max_len": 1}]}
+    assert main(["--config", write_config(tmp_path, cfg)]) == 0
+
+
+_ANY_LEAF = ("#0", "#1", "#2", "#3", "none", "1/2", "[]", "<>")
+
+
+def _any_value(size: int):
+    """Rendered values of every shape, most of them outside the carrier."""
+    leaf = st.sampled_from(_ANY_LEAF)
+    return st.recursive(leaf, lambda inner: st.one_of(
+        inner.map(lambda v: f"some {v}"),
+        st.lists(inner, max_size=2).map(lambda vs: "[" + ", ".join(vs) + "]"),
+        st.lists(inner, max_size=2).map(lambda vs: "<" + ", ".join(vs) + ">"),
+        st.lists(inner, min_size=1, max_size=2).map(
+            lambda vs: "{" + ", ".join(f"{v}: 1/{len(vs)}" for v in vs) + "}"),
+    ), max_leaves=3)
+
+
+def _carrier_value(instance: str, size: int):
+    """Rendered values inside the instance's carrier over size states."""
+    atom = st.integers(0, size - 1).map(lambda i: f"#{i}")
+    if instance == "maybe":
+        return st.one_of(st.just("none"), atom.map(lambda a: f"some {a}"))
+    if instance in ("nondet", "mutant-a"):
+        return st.lists(atom, max_size=3).map(lambda vs: "[" + ", ".join(vs) + "]")
+    if instance in ("simpleprob", "mutant-b"):
+        return st.lists(atom, min_size=1, max_size=2, unique=True).map(
+            lambda vs: "{" + ", ".join(f"{v}: 1/{len(vs)}" for v in vs) + "}")
+    return atom
+
+
+@st.composite
+def _step_configs(draw):
+    instance = draw(st.sampled_from(INSTANCE_NAMES))
+    size = draw(st.integers(1, 3))
+    inside = _carrier_value(instance, size)
+    value = st.one_of(inside, inside, inside, _any_value(size))
+    if draw(st.booleans()):
+        return {"systems": [{
+            "name": "s", "instance": instance, "size": size,
+            "step": draw(st.lists(value, min_size=size, max_size=size)),
+            "n_max": draw(st.integers(0, 2)),
+        }]}
+    controls = draw(st.integers(1, 2))
+    fitting = st.sampled_from([m for m in sorted(MEASURES) if instance in MEASURES[m].instances])
+    return {"sdps": [{
+        "name": "d", "instance": instance, "measure": draw(st.one_of(
+            fitting, fitting, st.sampled_from(sorted(MEASURES)))),
+        "horizon": draw(st.integers(0, 2)), "states": size, "controls": controls,
+        "next": [draw(st.lists(value, min_size=size, max_size=size))
+                 for _ in range(controls)],
+    }]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_step_configs())
+def test_step_and_next_values_never_crash(entry):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({"seed": 0, "budget": 50, **entry}))
+        assert main(["--config", str(path), "--out", str(Path(tmp) / "out.txt")]) in (0, 1, 2)

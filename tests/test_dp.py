@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from finmon.dp import (
-    CountingMeasure,
     MEASURES,
+    Measure,
     Sdp,
     check_measure_shift,
     check_val_equiv,
@@ -28,6 +28,19 @@ X3 = FiniteType("X", 3)
 Y2 = FiniteType("Y", 2)
 Y1 = FiniteType("Y", 1)
 Q = Quantifier(budget=100_000)
+
+
+class CountingMeasure:
+    """Instrumented wrapper: same measure, plus an application counter."""
+
+    def __init__(self, inner: Measure):
+        self.inner = inner
+        self.name = inner.name
+        self.count = 0
+
+    def apply(self, mv):
+        self.count += 1
+        return self.inner.apply(mv)
 
 
 def idx_reward(t, x, y, x1):

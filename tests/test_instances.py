@@ -17,9 +17,9 @@ from finmon.instances import (
     mutant_b_monad,
     nondet_monad,
     reader_functor,
-    reader_pres_ee2_report,
     simpleprob_monad,
 )
+from finmon.laws import reader_pres_ee2_report
 from finmon.values import (
     Atom,
     Base,

@@ -28,6 +28,7 @@ from finmon.values import (
     WEIGHT_GRID,
     canonical_compare,
     carrier_size,
+    check_member,
     enumerate_carrier,
     enumerate_domain,
     enumerate_functions,
@@ -322,3 +323,38 @@ def test_sub_seed_is_deterministic_and_64_bit():
 
 def test_domain_enumeration():
     assert enumerate_domain(A3) == (Atom(0), Atom(1), Atom(2))
+
+
+# ---------------------------------------------------------------------------
+# carrier membership
+
+
+@pytest.mark.parametrize("desc", [
+    Base(A3), MaybeOf(Base(A2)), SeqOf(Base(A2), 2), DistOf(Base(A3), 2),
+    VecOf(Base(A2), 2), FnOf(A2, MaybeOf(Base(A2))), SeqOf(DistOf(Base(A2), 2), 1),
+], ids=render_carrier)
+def test_enumerated_values_are_members(desc):
+    for v in enumerate_carrier(desc):
+        check_member(v, desc)
+
+
+@pytest.mark.parametrize("text,desc", [
+    ("#3", Base(A3)),
+    ("[#0, #2]", SeqOf(Base(A2), 2)),
+    ("some #0", Base(A2)),
+    ("[#1]", DistOf(Base(A2), 2)),
+    ("{#0: 1/2, #4: 1/2}", DistOf(Base(A3), 2)),
+    ("<#0>", VecOf(Base(A2), 2)),
+    ("1/2", MaybeOf(Base(A2))),
+    ("some [#0]", MaybeOf(Base(A2))),
+], ids=lambda x: x if isinstance(x, str) else render_carrier(x))
+def test_shape_or_atom_outside_the_carrier_is_rejected(text, desc):
+    with pytest.raises(ValueError, match="is not a value of"):
+        check_member(parse_value(text), desc)
+
+
+def test_membership_ignores_length_and_support_bounds():
+    # flows and binds leave the bounded carrier by design
+    check_member(parse_value("[#0, #1, #1, #0]"), SeqOf(Base(A2), 1))
+    check_member(parse_value("{#0: 1/3, #1: 1/3, #2: 1/3}"), DistOf(Base(A3), 1))
+    check_member(parse_value("{#0: 1/8, #1: 7/8}"), DistOf(Base(A2), 2))
