@@ -41,7 +41,8 @@ the carrier is a configuration error (exit 2), and so are a measure that
 cannot measure the instance's structures, an empty next list under max,
 and max_len or max_support below 1. The reader functor is addressed as
 instance "reader" in suites; its environment size comes from sizes["E"]
-(default 2).
+(default 2). Its level-2 check F3L2 runs with F3, alone when "laws" is
+["F3L2"], and is a configuration error on any other instance.
 
 Exit codes: 0 when every check passes, 1 when any check fails, and 2
 for configuration problems, which are reported with the offending
@@ -210,6 +211,8 @@ def _parse_suite(entry: dict, i: int) -> SuiteProfile:
             raise ConfigError(
                 f"{where}.laws: unknown law id {law_id!r} (known: {', '.join(LAW_IDS)})"
             )
+    if "F3L2" in laws and instance != "reader":
+        raise ConfigError(f"{where}.laws: F3L2 applies only to instance 'reader'")
     view = _opt(entry, "view", str, "fat", where)
     if view not in ("thin", "fat"):
         raise ConfigError(f"{where}.view: expected 'thin' or 'fat', got {view!r}")
@@ -227,7 +230,7 @@ def _parse_suite(entry: dict, i: int) -> SuiteProfile:
     return SuiteProfile(
         name=name,
         instance=instance,
-        laws=tuple(l for l in laws if l != "F3L2"),
+        laws=laws,
         view=view,
         sizes=tuple(sorted(sizes.items())),
         max_len=max_len,

@@ -596,7 +596,7 @@ class SuiteProfile:
     def selected_laws(self) -> tuple[Law, ...]:
         if self.view not in ("thin", "fat"):
             raise ValueError(f"unknown suite view {self.view!r}")
-        bad = [i for i in self.laws if i not in _CATALOG_BY_ID]
+        bad = [i for i in self.laws if i not in _CATALOG_BY_ID and i != "F3L2"]
         if bad:
             raise KeyError(f"unknown law ids in suite {self.name!r}: {bad}")
         if self.laws:
@@ -606,9 +606,10 @@ class SuiteProfile:
 
 def run_suite(inst: Instance, profile: SuiteProfile) -> list[LawReport]:
     """Run every law the profile selects, in catalog order. Functor-only
-    instances (reader) are limited to the functor laws; selecting F3 for
-    the reader also appends the level-2 tower check, since pointwise
-    equality of function-valued outputs has a second layer there."""
+    instances (reader) are limited to the functor laws; selecting F3 (or
+    F3L2 alone) for the reader also appends the level-2 tower check, since
+    pointwise equality of function-valued outputs has a second layer
+    there."""
     domains = profile.domain_map()
     q = Quantifier(budget=profile.budget, seed=profile.seed)
     reports = []
@@ -622,7 +623,9 @@ def run_suite(inst: Instance, profile: SuiteProfile) -> list[LawReport]:
             continue  # "all laws" on a functor instance: run what applies
         reports.append(check_law(law, inst, domains, q, cap=profile.carrier_cap))
     is_reader = isinstance(inst, FunctorInstance) and inst.name == "reader"
-    if is_reader and (not profile.laws or "F3" in profile.laws):
+    if "F3L2" in profile.laws and not is_reader:
+        raise ValueError(f"suite {profile.name!r} selects F3L2, a reader-only check")
+    if is_reader and (not profile.laws or {"F3", "F3L2"} & set(profile.laws)):
         env = domains.get("E") or FiniteType("E", 2)
         reports.append(reader_pres_ee2_report(
             env, domains["A"], domains["B"], budget=profile.budget, seed=profile.seed,

@@ -24,6 +24,9 @@ reports, and the syntax accepted by parse_value):
 Function-valued carriers (FnOf) have no constructor of their own: a table
 over a domain of size n is encoded as a Vec of n entries, slot i holding
 the output at atom #i.
+
+Value identity is cheap: Opt, Seq, Dist, Vec and FnTable compute their hash
+once, on first use, and keep it in a slot that equality and repr ignore.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Union
@@ -68,21 +71,61 @@ class CarrierOverflow(Exception):
 # values
 
 
+def _cached_identity(cls):
+    """Give a frozen slotted dataclass with a `_hash` slot a hash computed
+    once: the dataclass's own hash of its compared fields, so dict and set
+    behaviour is unchanged. The slot stays empty until the first hash, so
+    construction costs nothing more; copies and pickles carry only the
+    compared fields and re-hash on first use."""
+    compute = cls.__hash__
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = compute(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in names)
+
+    def __setstate__(self, state):
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
+    return cls
+
+
+def _hash_slot():
+    # no default: the slot is filled by the first hash, not by __init__
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Atom:
     index: int
 
 
+@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Opt:
     content: Union["Value", None]
+    _hash: int = _hash_slot()
 
 
+@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Seq:
     items: tuple["Value", ...]
+    _hash: int = _hash_slot()
 
 
+@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Dist:
     """Finite distribution. Canonical form: entries sorted by canonical
@@ -90,12 +133,15 @@ class Dist:
     to exactly 1."""
 
     entries: tuple[tuple["Value", Fraction], ...]
+    _hash: int = _hash_slot()
 
 
+@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Vec:
     items: tuple["Value", ...]
     length: int
+    _hash: int = _hash_slot()
 
     def __post_init__(self) -> None:
         if self.length != len(self.items):
@@ -155,7 +201,8 @@ def mk_dist(pairs, merge: bool = True) -> Dist:
     cleaned = []
     total = Fraction(0)
     for v, w in pairs:
-        w = Fraction(w)
+        if type(w) is not Fraction:
+            w = Fraction(w)
         if w <= 0:
             raise ValueError(f"distribution weight must be positive, got {w}")
         cleaned.append((v, w))
@@ -391,6 +438,7 @@ def enumerate_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> tuple[V
 # function tables
 
 
+@_cached_identity
 @dataclass(frozen=True, slots=True)
 class FnTable:
     """A function represented extensionally: entry i is the output at
@@ -399,6 +447,7 @@ class FnTable:
     domain: FiniteType
     codomain: CarrierDesc
     entries: tuple[Value, ...]
+    _hash: int = _hash_slot()
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.domain.size:

@@ -194,6 +194,25 @@ def test_main_builtin_suite_flag(tmp_path):
     assert laws == ["F1", "F2", "F3", "F3L2"]
 
 
+def test_f3l2_on_a_non_reader_instance_is_a_config_error(tmp_path, capsys):
+    cfg = {"seed": 0, "budget": 1000,
+           "suites": [{"name": "m", "instance": "maybe", "laws": ["F3L2"]}]}
+    assert main(["--config", write_config(tmp_path, cfg)]) == 2
+    assert "suites[0].laws" in capsys.readouterr().err
+
+
+def test_f3l2_alone_runs_only_the_level2_check(tmp_path):
+    cfg = {"seed": 0, "budget": 100_000,
+           "suites": [{"name": "reader:functor", "instance": "reader",
+                       "laws": ["F3L2"]}]}
+    out = tmp_path / "r.json"
+    assert main(["--config", write_config(tmp_path, cfg),
+                 "--format", "json", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["deterministic"]["results"]
+    golden = json.loads((Path(__file__).parent / "golden" / "suite-reader.json").read_text())
+    assert results == [r for r in golden["results"] if r["law"] == "F3L2"]
+
+
 def test_main_unknown_suite_flag(capsys):
     assert main(["--suite", "nope"]) == 2
     assert "unknown builtin suite" in capsys.readouterr().err

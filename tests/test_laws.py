@@ -122,6 +122,15 @@ def test_run_suite_reader_all_laws_runs_what_applies():
     assert [r.law_id for r in reps] == ["F1", "F2", "F3", "F3L2"]
 
 
+def test_run_suite_level2_check_selected_alone():
+    reader = reader_functor(FiniteType("E", 2))
+    prof = SuiteProfile(name="r", instance="reader", laws=("F1", "F3L2"))
+    assert [r.law_id for r in run_suite(reader, prof)] == ["F1", "F3L2"]
+    with pytest.raises(ValueError, match="reader-only"):
+        run_suite(get_instance("maybe"), SuiteProfile(name="m", instance="maybe",
+                                                      laws=("F3L2",)))
+
+
 def test_run_suite_reader_explicit_monad_law_is_an_error():
     reader = reader_functor(FiniteType("E", 2))
     prof = SuiteProfile(name="r", instance="reader", laws=("F1", "T1"))

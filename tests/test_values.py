@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from finmon.instances import mutant_b_monad, nondet_monad, simpleprob_monad
 from finmon.values import (
     Atom,
     Base,
@@ -244,6 +248,40 @@ def test_mk_dist_validates_weights():
         mk_dist([(Atom(0), Fraction(3, 2)), (Atom(1), Fraction(-1, 2))])
 
 
+def test_mk_dist_converts_weights_that_are_not_fractions():
+    d = mk_dist([(Atom(1), "1/2"), (Atom(0), 0.25), (Atom(0), Fraction(1, 4))])
+    assert d == Dist(((Atom(0), Fraction(1, 2)), (Atom(1), Fraction(1, 2))))
+    assert mk_dist([(Atom(0), 1)]).entries == ((Atom(0), Fraction(1)),)
+    assert all(type(w) is Fraction for d in (d, mk_dist([(Atom(0), 1)]))
+               for _, w in d.entries)
+
+
+@pytest.mark.parametrize("weight", [Fraction, str], ids=["fraction", "text"])
+@pytest.mark.parametrize("weights,why", [
+    (("0", "1"), "positive"),
+    (("3/2", "-1/2"), "positive"),
+    (("1/2", "1/3"), "sum to 1"),
+    (("1/2", "1/2", "1/4"), "sum to 1"),
+], ids=["zero", "negative", "short", "over"])
+def test_mk_dist_still_validates_every_weight(weights, why, weight):
+    pairs = [(Atom(i), weight(w)) for i, w in enumerate(weights)]
+    for merge in (True, False):
+        with pytest.raises(ValueError, match=why):
+            mk_dist(pairs, merge=merge)
+
+
+def test_unmerged_join_keeps_duplicates():
+    # mutant-b's join: both halves land on #0, and merge=False keeps both
+    half = Fraction(1, 2)
+    point = Dist(((Atom(0), Fraction(1)),))
+    mmv = Dist(((point, half), (Dist(((Atom(0), half), (Atom(1), half))), half)))
+    merged, unmerged = simpleprob_monad().join(mmv), mutant_b_monad().join(mmv)
+    assert merged.entries == ((Atom(0), Fraction(3, 4)), (Atom(1), Fraction(1, 4)))
+    assert unmerged.entries == ((Atom(0), half), (Atom(0), Fraction(1, 4)),
+                                (Atom(1), Fraction(1, 4)))
+    assert merged != unmerged
+
+
 def test_dist_weights_sum_to_one_exactly():
     for v in enumerate_carrier(DistOf(Base(A3), 3)):
         assert sum((w for _, w in v.entries), Fraction(0)) == 1
@@ -358,3 +396,119 @@ def test_membership_ignores_length_and_support_bounds():
     check_member(parse_value("[#0, #1, #1, #0]"), SeqOf(Base(A2), 1))
     check_member(parse_value("{#0: 1/3, #1: 1/3, #2: 1/3}"), DistOf(Base(A3), 1))
     check_member(parse_value("{#0: 1/8, #1: 7/8}"), DistOf(Base(A2), 2))
+
+
+# ---------------------------------------------------------------------------
+# cached value identity
+
+PROB = simpleprob_monad()
+LIST = nondet_monad()
+IDENTITY_CARRIERS = [
+    SeqOf(Base(A2), 2),
+    DistOf(Base(A3), 2),
+    PROB.carrier_of(PROB.carrier_of(Base(A2))),  # simpleprob M M A
+    FnOf(A2, DistOf(Base(A2), 2)),
+]
+
+
+def compared_fields(v) -> tuple:
+    """What the dataclass-generated hash hashed: the compared fields."""
+    return tuple(getattr(v, f.name) for f in dataclasses.fields(v) if f.compare)
+
+
+def rebuild(v):
+    """A structurally equal value built from scratch, sharing no object
+    with v except atoms and carrier descriptors."""
+    t = type(v)
+    if t is Atom:
+        return Atom(v.index)
+    if t is Opt:
+        return Opt(None if v.content is None else rebuild(v.content))
+    if t is Seq:
+        return Seq(tuple(rebuild(x) for x in v.items))
+    if t is Dist:
+        return Dist(tuple((rebuild(x), Fraction(w.numerator, w.denominator))
+                          for x, w in v.entries))
+    if t is Vec:
+        return Vec(tuple(rebuild(x) for x in v.items), v.length)
+    if t is FnTable:
+        return FnTable(v.domain, v.codomain, tuple(rebuild(x) for x in v.entries))
+    raise TypeError(t)
+
+
+def identity_values():
+    """Every value of the carriers above, as values and as tables, plus
+    what join and bind return on them."""
+    out = []
+    for desc in IDENTITY_CARRIERS:
+        out.extend(enumerate_carrier(desc))
+    out.extend(enumerate_functions(A2, DistOf(Base(A2), 2), Quantifier(budget=100)))
+    out.extend(PROB.join(mmv) for mmv in enumerate_carrier(IDENTITY_CARRIERS[2]))
+    kernel = table_fn(tabulate(A2, DistOf(Base(A2), 2),
+                               lambda a: mk_dist([(a, "1/3"), (Atom(1), "2/3")])))
+    out.extend(PROB.bind(mv, kernel) for mv in enumerate_carrier(DistOf(Base(A2), 2)))
+    nested = enumerate_carrier(SeqOf(SeqOf(Base(A2), 2), 2))
+    out.extend(LIST.join(mmv) for mmv in nested)
+    out.extend(LIST.bind(mv, lambda a: Seq((a, a)))
+               for mv in enumerate_carrier(SeqOf(Base(A2), 2)))
+    out.extend(enumerate_carrier(MaybeOf(SeqOf(Base(A2), 1))))
+    return out
+
+
+VALUES = identity_values()
+
+
+def test_identity_values_cover_every_cached_type():
+    assert {type(v) for v in VALUES} == {Opt, Seq, Dist, Vec, FnTable}
+
+
+def test_hash_is_the_hash_of_the_compared_fields():
+    for v in VALUES:
+        fresh = rebuild(v)
+        want = hash(compared_fields(fresh))
+        assert hash(fresh) == want  # fills the slot
+        assert hash(fresh) == want  # reads it
+        assert "_hash" not in [f.name for f in dataclasses.fields(v) if f.compare]
+
+
+def test_equal_values_built_apart_agree_whichever_is_hashed_first():
+    for v in VALUES:
+        a, b = rebuild(v), rebuild(v)
+        hash(a)  # only a's slot is filled
+        assert a == b and b == a
+        assert hash(b) == hash(a)
+        c, d = rebuild(v), rebuild(v)
+        assert c == d  # neither slot is filled
+        assert len({c, d, a}) == 1
+        assert {c: 1}[d] == 1
+
+
+def test_repr_eq_and_replace_ignore_the_slot():
+    for v in VALUES:
+        fresh = rebuild(v)
+        before = repr(fresh)
+        hash(fresh)
+        assert repr(fresh) == before and "_hash" not in before
+        assert fresh == rebuild(v)
+        replaced = dataclasses.replace(fresh)
+        assert replaced == fresh and repr(replaced) == before
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(fresh, _hash=0)
+
+
+def test_replaced_and_copied_values_rehash():
+    for v in VALUES:
+        hash(v)
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v)),
+                     dataclasses.replace(v)):
+            assert twin == v and hash(twin) == hash(v)
+            assert hash(twin) == hash(compared_fields(twin))
+    for v in VALUES:
+        if type(v) is Seq and len(v.items) == 2 and v.items[0] != v.items[1]:
+            swapped = dataclasses.replace(v, items=v.items[::-1])
+            assert swapped != v
+            assert hash(swapped) == hash(compared_fields(swapped))
+    table = identity_table(A2)
+    hash(table)
+    other = dataclasses.replace(table, entries=(Atom(1), Atom(0)))
+    assert other != table and hash(other) == hash(compared_fields(other))
