@@ -10,7 +10,7 @@ Configuration grammar (JSON):
     {
       "seed": 0,               # required, unsigned 64 bit
       "budget": 100000,        # required, per-quantifier enumeration cap
-      "carrier_cap": 1000000,  # optional, enumeration hard ceiling
+      "carrier_cap": 1000000,  # optional, bounds every enumeration
       "suites": [
         {"name": "maybe-all", "instance": "maybe",
          "laws": ["F1", "T1"],           # optional; omitted = whole view
@@ -32,6 +32,12 @@ Configuration grammar (JSON):
          "reward": "next-index"}          # or nested [y][x][x1] rationals
       ]
     }
+
+n_max bounds the step count of the flow checks and the vector length of
+mapLastLemma. carrier_cap bounds every enumeration of the run: suite
+carriers, the carriers of reprLemma and mapLastLemma, and each sdp's
+measureShift gate; a check that reaches it fails with checked=0 and the
+cap diagnostic.
 
 Step and next entries use the canonical value syntax and must be
 values of the instance's carrier over the states: the right shape, with
@@ -69,13 +75,13 @@ from .laws import LAW_IDS, SuiteProfile, law_catalog, run_suite
 from .reports import LawReport
 from .systems import SYSTEM_CHECKS, MonSys, run_system_check
 from .values import (
-    Atom,
     Base,
     CarrierDesc,
     FiniteType,
     FnTable,
     Quantifier,
     Seq,
+    Value,
     check_member,
     parse_value,
     DEFAULT_CARRIER_CAP,
@@ -95,50 +101,14 @@ class ConfigError(Exception):
 
 
 @dataclass(slots=True)
-class SystemRequest:
-    name: str
-    instance: str
-    size: int
-    step: tuple[str, ...]
-    checks: tuple[str, ...]
-    n_max: int
-    max_len: int = 2
-    max_support: int = 2
-
-    def echo(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(slots=True)
-class SdpRequest:
-    name: str
-    instance: str
-    measure: str
-    horizon: int
-    states: int
-    controls: int
-    next: tuple[tuple[str, ...], ...]
-    reward: str | tuple  # "next-index" or nested [y][x][x1] rational strings
-    max_len: int = 2
-    max_support: int = 2
-
-    def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        if not isinstance(self.reward, str):
-            out["reward"] = [
-                [[str(r) for r in row] for row in plane] for plane in self.reward
-            ]
-        return out
-
-
-@dataclass(slots=True)
 class RunConfig:
     seed: int
     budget: int
     carrier_cap: int = DEFAULT_CARRIER_CAP
     suites: list[SuiteProfile] = field(default_factory=list)
-    systems: list[SystemRequest] = field(default_factory=list)
-    sdps: list[SdpRequest] = field(default_factory=list)
+    # each system with its echo, whose checks and n_max it runs
+    systems: list[tuple[MonSys, dict]] = field(default_factory=list)
+    sdps: list[tuple[Sdp, dict]] = field(default_factory=list)
 
     def echo(self) -> dict:
         """The effective configuration, as it went into the run."""
@@ -155,8 +125,8 @@ class RunConfig:
                 }
                 for p in self.suites
             ],
-            "systems": [s.echo() for s in self.systems],
-            "sdps": [s.echo() for s in self.sdps],
+            "systems": [echo for _, echo in self.systems],
+            "sdps": [echo for _, echo in self.sdps],
         }
 
 
@@ -182,12 +152,6 @@ def _bounds(entry: dict, where: str) -> tuple[int, int]:
     if max_len < 1 or max_support < 1:
         raise ConfigError(f"{where}: max_len and max_support must be at least 1")
     return max_len, max_support
-
-
-def _state_carrier(instance: str, states: int, max_len: int, max_support: int) -> CarrierDesc:
-    """The carrier that step and next values of an instance live in."""
-    monad = get_instance(instance, max_len=max_len, max_support=max_support)
-    return monad.carrier_of(Base(FiniteType("X", states)))
 
 
 def _instance(entry: dict, where: str, known: tuple[str, ...] = INSTANCE_NAMES) -> str:
@@ -240,7 +204,7 @@ def _parse_suite(entry: dict, i: int) -> SuiteProfile:
 
 def _parse_step_values(
     raw: list, size: int, where: str, carrier: CarrierDesc
-) -> tuple[str, ...]:
+) -> tuple[Value, ...]:
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: expected a list of canonical value strings")
     if len(raw) != size:
@@ -250,14 +214,15 @@ def _parse_step_values(
         if not isinstance(text, str):
             raise ConfigError(f"{where}[{j}]: expected a canonical value string")
         try:
-            check_member(parse_value(text), carrier)
+            value = parse_value(text)
+            check_member(value, carrier)
         except ValueError as exc:
             raise ConfigError(f"{where}[{j}]: {exc}")
-        out.append(text)
+        out.append(value)
     return tuple(out)
 
 
-def _parse_system(entry: dict, i: int) -> SystemRequest:
+def _parse_system(entry: dict, i: int) -> tuple[MonSys, dict]:
     where = f"systems[{i}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -267,8 +232,11 @@ def _parse_system(entry: dict, i: int) -> SystemRequest:
     if size < 1:
         raise ConfigError(f"{where}.size: state space must be non-empty")
     max_len, max_support = _bounds(entry, where)
-    step = _parse_step_values(_need(entry, "step", list, where), size, f"{where}.step",
-                              _state_carrier(instance, size, max_len, max_support))
+    monad = get_instance(instance, max_len=max_len, max_support=max_support)
+    domain = FiniteType("X", size)
+    carrier = monad.carrier_of(Base(domain))
+    raw_step = _need(entry, "step", list, where)
+    step = _parse_step_values(raw_step, size, f"{where}.step", carrier)
     checks = tuple(_opt(entry, "checks", list, sorted(SYSTEM_CHECKS), where))
     for c in checks:
         if c not in SYSTEM_CHECKS:
@@ -278,13 +246,14 @@ def _parse_system(entry: dict, i: int) -> SystemRequest:
     n_max = _opt(entry, "n_max", int, 3, where)
     if n_max < 0:
         raise ConfigError(f"{where}.n_max: must be non-negative")
-    return SystemRequest(
-        name=name, instance=instance, size=size, step=step, checks=checks,
-        n_max=n_max, max_len=max_len, max_support=max_support,
-    )
+    echo = {
+        "name": name, "instance": instance, "size": size, "step": tuple(raw_step),
+        "checks": checks, "n_max": n_max, "max_len": max_len, "max_support": max_support,
+    }
+    return MonSys(name, monad, domain, FnTable(domain, carrier, step)), echo
 
 
-def _parse_sdp(entry: dict, i: int) -> SdpRequest:
+def _parse_sdp(entry: dict, i: int) -> tuple[Sdp, dict]:
     where = f"sdps[{i}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -309,41 +278,48 @@ def _parse_sdp(entry: dict, i: int) -> SdpRequest:
             f"{where}.next: expected one row per control ({controls}), got {len(raw_next)}"
         )
     max_len, max_support = _bounds(entry, where)
-    carrier = _state_carrier(instance, states, max_len, max_support)
-    next_rows = tuple(
+    monad = get_instance(instance, max_len=max_len, max_support=max_support)
+    state_type = FiniteType("X", states)
+    carrier = monad.carrier_of(Base(state_type))
+    next_vals = tuple(
         _parse_step_values(row, states, f"{where}.next[{y}]", carrier)
         for y, row in enumerate(raw_next)
     )
-    for y, row in enumerate(next_rows):
-        for x, text in enumerate(row):
-            if measure == "max" and parse_value(text) == Seq(()):
+    for y, row in enumerate(next_vals):
+        for x, value in enumerate(row):
+            if measure == "max" and value == Seq(()):
                 raise ConfigError(f"{where}.next[{y}][{x}]: the max measure is undefined on []")
     reward = entry.get("reward", "next-index")
-    if isinstance(reward, str):
-        if reward != "next-index":
-            raise ConfigError(
-                f"{where}.reward: expected 'next-index' or a nested table, got {reward!r}"
-            )
+    if reward == "next-index":  # the index of the state a transition reaches
+        table = ((tuple(map(Fraction, range(states))),) * states,) * controls
     elif isinstance(reward, list):
         try:
-            reward = tuple(
+            table = tuple(
                 tuple(tuple(Fraction(cell) for cell in row) for row in plane)
                 for plane in reward
             )
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ConfigError(f"{where}.reward: bad rational entry ({exc})")
-        if len(reward) != controls or any(
+        if len(table) != controls or any(
             len(plane) != states or any(len(row) != states for row in plane)
-            for plane in reward
+            for plane in table
         ):
             raise ConfigError(f"{where}.reward: expected shape [controls][states][states]")
+        reward = [[[str(r) for r in row] for row in plane] for plane in table]
     else:
-        raise ConfigError(f"{where}.reward: expected 'next-index' or a nested table")
-    return SdpRequest(
-        name=name, instance=instance, measure=measure, horizon=horizon,
-        states=states, controls=controls, next=next_rows, reward=reward,
-        max_len=max_len, max_support=max_support,
-    )
+        raise ConfigError(
+            f"{where}.reward: expected 'next-index' or a nested table, got {reward!r}"
+        )
+    echo = {
+        "name": name, "instance": instance, "measure": measure, "horizon": horizon,
+        "states": states, "controls": controls, "next": tuple(map(tuple, raw_next)),
+        "reward": reward,
+        "max_len": max_len, "max_support": max_support,
+    }
+    sdp = Sdp(name, horizon, state_type, FiniteType("Y", controls), monad,
+              get_measure(measure), lambda t, x, y: next_vals[y.index][x.index],
+              lambda t, x, y, x1: table[y.index][x.index][x1.index])
+    return sdp, echo
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -415,7 +391,7 @@ BUILTIN_SUITES: dict[str, dict] = {
 
 
 # ---------------------------------------------------------------------------
-# materializing requests
+# running
 
 
 def _build_suite_instance(profile: SuiteProfile):
@@ -425,40 +401,6 @@ def _build_suite_instance(profile: SuiteProfile):
     return get_instance(
         profile.instance, max_len=profile.max_len, max_support=profile.max_support
     )
-
-
-def _build_system(req: SystemRequest) -> MonSys:
-    monad = get_instance(req.instance, max_len=req.max_len, max_support=req.max_support)
-    domain = FiniteType("X", req.size)
-    step = tuple(parse_value(text) for text in req.step)
-    carrier = monad.carrier_of(Base(domain))
-    return MonSys(req.name, monad, domain, FnTable(domain, carrier, step))
-
-
-def _build_sdp(req: SdpRequest) -> Sdp:
-    monad = get_instance(req.instance, max_len=req.max_len, max_support=req.max_support)
-    states = FiniteType("X", req.states)
-    controls = FiniteType("Y", req.controls)
-    next_vals = [[parse_value(text) for text in row] for row in req.next]
-
-    def next_fn(t: int, x: Atom, y: Atom):
-        return next_vals[y.index][x.index]
-
-    if req.reward == "next-index":
-        def reward_fn(t, x, y, x1):
-            return Fraction(x1.index)
-    else:
-        table = req.reward
-
-        def reward_fn(t, x, y, x1):
-            return table[y.index][x.index][x1.index]
-
-    return Sdp(req.name, req.horizon, states, controls, monad,
-               get_measure(req.measure), next_fn, reward_fn)
-
-
-# ---------------------------------------------------------------------------
-# running
 
 
 def _execute(cfg: RunConfig, jobs: int) -> tuple[list[tuple[str, LawReport]], float]:
@@ -475,20 +417,16 @@ def _execute(cfg: RunConfig, jobs: int) -> tuple[list[tuple[str, LawReport]], fl
             f"suite:{profile.name}",
             lambda inst=inst, eff=effective: run_suite(inst, eff),
         ))
-    for req in cfg.systems:
-        sys_obj = _build_system(req)
-        for check in req.checks:
+    cap = cfg.carrier_cap
+    for sys_obj, echo in cfg.systems:
+        for check in echo["checks"]:
             tasks.append((
-                f"system:{req.name}",
-                lambda c=check, s=sys_obj, n=req.n_max: [run_system_check(c, s, n)],
+                f"system:{sys_obj.name}",
+                lambda c=check, s=sys_obj, n=echo["n_max"]: [run_system_check(c, s, n, cap)],
             ))
     q = Quantifier(budget=cfg.budget, seed=cfg.seed)
-    for req in cfg.sdps:
-        sdp = _build_sdp(req)
-        tasks.append((
-            f"sdp:{req.name}",
-            lambda s=sdp: [check_val_equiv(s, q)],
-        ))
+    for sdp, _ in cfg.sdps:
+        tasks.append((f"sdp:{sdp.name}", lambda s=sdp: [check_val_equiv(s, q, cap)]))
 
     t0 = time.perf_counter()
     if jobs <= 1:

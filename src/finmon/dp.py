@@ -44,6 +44,7 @@ from .values import (
     enumerate_domain,
     render_value,
     sub_seed,
+    DEFAULT_CARRIER_CAP,
 )
 
 __all__ = [
@@ -240,7 +241,9 @@ _SHIFT_RATES = (Fraction(0), Fraction(1), Fraction(1, 2))
 _SHIFT_CONSTANTS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1))
 
 
-def check_measure_shift(monad: MonadInstance, measure) -> LawReport:
+def check_measure_shift(
+    monad: MonadInstance, measure, cap: int = DEFAULT_CARRIER_CAP
+) -> LawReport:
     """Shift compatibility: measuring a structure with every reward
     bumped by c must equal c plus the original measurement.
 
@@ -273,7 +276,7 @@ def check_measure_shift(monad: MonadInstance, measure) -> LawReport:
         carrier = monad.carrier_of(Base(FiniteType("R", len(_SHIFT_RATES))))
         structures = [
             monad.map(lambda a: Rat(_SHIFT_RATES[a.index]), mv)
-            for mv in enumerate_carrier(carrier)
+            for mv in enumerate_carrier(carrier, cap)
         ]
         return [
             Var("mv", "M R", measured(structures), len(structures),
@@ -293,11 +296,13 @@ def check_measure_shift(monad: MonadInstance, measure) -> LawReport:
     return report
 
 
-def check_val_equiv(sdp: Sdp, q: Quantifier) -> LawReport:
+def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
     """val and val_spec agree on every policy sequence and start state,
-    provided the measure passes the shift-compatibility check. A failing
-    precondition makes this report fail with the shift witness; the two
-    value functions are not compared at all in that case."""
+    provided the measure passes the shift-compatibility check, whose
+    carrier the cap bounds. A failing precondition makes this report fail
+    with the shift witness, or with the shift check's diagnostic when it
+    could not run; the two value functions are not compared at all in
+    that case."""
     report = LawReport(
         law_id="valSpec",
         instance=sdp.monad.name,
@@ -308,11 +313,11 @@ def check_val_equiv(sdp: Sdp, q: Quantifier) -> LawReport:
         },
         detail=f"sdp={sdp.name} measure={sdp.measure.name}",
     )
-    shift = check_measure_shift(sdp.monad, sdp.measure)
+    shift = check_measure_shift(sdp.monad, sdp.measure, cap)
     if not shift.passed:
         report.passed = False
         report.witness = shift.witness
-        report.diagnostic = (
+        report.diagnostic = shift.diagnostic or (
             f"measure {sdp.measure.name!r} is not shift compatible; "
             "refusing to compare val with val_spec"
         )

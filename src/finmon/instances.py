@@ -44,7 +44,7 @@ from .values import (
 __all__ = [
     "MonadInstance", "FunctorInstance",
     "identity_monad", "maybe_monad", "nondet_monad", "simpleprob_monad",
-    "reader_functor", "broken_instances", "get_instance",
+    "reader_functor", "get_instance",
     "INSTANCE_NAMES", "DEFAULT_SEQ_LENGTH_CAP",
 ]
 
@@ -242,10 +242,6 @@ def mutant_b_monad(max_support: int = 2) -> MonadInstance:
     mixtures that hit the same point twice keep duplicate entries, which
     no longer compare equal to the properly merged result."""
     return _prob_monad("mutant-b", max_support, merge=False)
-
-
-def broken_instances() -> list[MonadInstance]:
-    return [mutant_a_monad(), mutant_b_monad()]
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ class Law:
     name: str
     statement: str
     variables: tuple[VarSpec, ...]
-    make_checker: Callable[[Instance], Callable[[dict], tuple[Value, Value]]]
+    make_checker: Callable[[Instance], Callable[..., tuple[Value, Value]]]
     needs: tuple[str, ...] = ("map",)
     views: tuple[str, ...] = ("thin", "fat")
 
@@ -107,292 +107,224 @@ def resolve_carrier(expr: str, inst: Instance, domains: dict[str, FiniteType]) -
 # ---------------------------------------------------------------------------
 # checkers
 #
-# Each maker returns a closure from variable environment to (lhs, rhs).
-# Makers may carry per-run caches; caches never outlive one check_law call.
+# Each maker returns sides(*binding) -> (lhs, rhs), with one parameter per
+# bound variable, named and ordered as the law's variables; check_law hands
+# it to the scan as it is. Memo tables come from _memo inside the maker, so
+# each check_law call starts with empty ones.
+
+
+def _memo(fn):
+    """fn memoized on its argument tuple, for the checks where the same
+    arguments recur across the rest of the product. fn never returns
+    None."""
+    cache: dict = {}
+
+    def memo(*args):
+        got = cache.get(args)
+        if got is None:
+            got = cache[args] = fn(*args)
+        return got
+
+    return memo
 
 
 def _mk_map_pres_id(inst):
-    def check(env):
-        ma = env["ma"]
-        return inst.map(lambda v: v, ma), ma
-
-    return check
+    return lambda ma: (inst.map(lambda v: v, ma), ma)
 
 
 def _mk_map_pres_comp(inst):
-    def check(env):
-        f, g, ma = env["f"], env["g"], env["ma"]
+    def sides(f, g, ma):
         ff, gf = table_fn(f), table_fn(g)
-        lhs = inst.map(lambda v: gf(ff(v)), ma)
-        rhs = inst.map(gf, inst.map(ff, ma))
-        return lhs, rhs
+        return inst.map(lambda v: gf(ff(v)), ma), inst.map(gf, inst.map(ff, ma))
 
-    return check
+    return sides
 
 
 def _mk_map_pres_ee(inst):
-    def check(env):
-        f, ma = env["f"], env["ma"]
-        lhs = inst.map(table_fn(f), ma)
-        rhs = inst.map(table_fn(f), ma)  # the class representative of f
-        return lhs, rhs
-
-    return check
+    # the rhs maps the class representative of f
+    return lambda f, ma: (inst.map(table_fn(f), ma), inst.map(table_fn(f), ma))
 
 
 def _mk_triangle_left(inst):
-    def check(env):
-        ma = env["ma"]
-        return inst.join(inst.pure(ma)), ma
-
-    return check
+    return lambda ma: (inst.join(inst.pure(ma)), ma)
 
 
 def _mk_triangle_right(inst):
-    def check(env):
-        ma = env["ma"]
-        return inst.join(inst.map(inst.pure, ma)), ma
-
-    return check
+    return lambda ma: (inst.join(inst.map(inst.pure, ma)), ma)
 
 
 def _mk_square(inst):
-    def check(env):
-        mmma = env["mmma"]
-        return inst.join(inst.join(mmma)), inst.join(inst.map(inst.join, mmma))
-
-    return check
+    return lambda mmma: (inst.join(inst.join(mmma)), inst.join(inst.map(inst.join, mmma)))
 
 
 def _mk_pure_nat_trans(inst):
-    def check(env):
-        f, a = env["f"], env["a"]
+    def sides(f, a):
         ff = table_fn(f)
         return inst.map(ff, inst.pure(a)), inst.pure(ff(a))
 
-    return check
+    return sides
 
 
 def _mk_join_nat_trans(inst):
-    def check(env):
-        f, mma = env["f"], env["mma"]
+    def sides(f, mma):
         ff = table_fn(f)
         lhs = inst.map(ff, inst.join(mma))
-        rhs = inst.join(inst.map(lambda inner: inst.map(ff, inner), mma))
-        return lhs, rhs
+        return lhs, inst.join(inst.map(lambda inner: inst.map(ff, inner), mma))
 
-    return check
+    return sides
 
 
 def _mk_kleisli_join_map_spec(inst):
-    def check(env):
-        f, g, a = env["f"], env["g"], env["a"]
+    def sides(f, g, a):
         ff, gf = table_fn(f), table_fn(g)
-        lhs = inst.kleisli(ff, gf)(a)
-        rhs = inst.join(inst.map(gf, ff(a)))
-        return lhs, rhs
+        return inst.kleisli(ff, gf)(a), inst.join(inst.map(gf, ff(a)))
 
-    return check
+    return sides
 
 
 def _mk_bind_join_map_spec(inst):
-    def check(env):
-        f, ma = env["f"], env["ma"]
+    def sides(f, ma):
         ff = table_fn(f)
         return inst.bind(ma, ff), inst.join(inst.map(ff, ma))
 
-    return check
+    return sides
 
 
 def _mk_pure_left_id_kleisli(inst):
-    def check(env):
-        f, a = env["f"], env["a"]
+    def sides(f, a):
         ff = table_fn(f)
         return inst.kleisli(inst.pure, ff)(a), ff(a)
 
-    return check
+    return sides
 
 
 def _mk_pure_right_id_kleisli(inst):
-    def check(env):
-        f, a = env["f"], env["a"]
+    def sides(f, a):
         ff = table_fn(f)
         return inst.kleisli(ff, inst.pure)(a), ff(a)
 
-    return check
+    return sides
 
 
-def _kleisli_entries_cache(inst):
+def _kleisli_entries(inst):
     """Pointwise results of f >=> g per domain atom, memoized on the
     table pair. Shared by the associativity-shaped checkers, where the
     same composition is revisited across the rest of the product."""
-    cache: dict = {}
 
+    @_memo
     def entries(f: FnTable, g: FnTable) -> tuple[Value, ...]:
-        key = (f, g)
-        got = cache.get(key)
-        if got is None:
-            kl = inst.kleisli(table_fn(f), table_fn(g))
-            got = tuple(kl(a) for a in enumerate_domain(f.domain))
-            cache[key] = got
-        return got
+        kl = inst.kleisli(table_fn(f), table_fn(g))
+        return tuple(kl(a) for a in enumerate_domain(f.domain))
 
     return entries
 
 
 def _mk_kleisli_assoc(inst):
-    entries = _kleisli_entries_cache(inst)
-    lift_cache: dict = {}
-    rhs_cache: dict = {}
+    entries = _kleisli_entries(inst)
+    lift = _memo(lambda h, fga: inst.join(inst.map(table_fn(h), fga)))
 
-    def check(env):
-        f, g, h, a = env["f"], env["g"], env["h"], env["a"]
-        fga = entries(f, g)[a.index]
-        lkey = (h, fga)
-        lhs = lift_cache.get(lkey)
-        if lhs is None:
-            lhs = inst.join(inst.map(table_fn(h), fga))
-            lift_cache[lkey] = lhs
-        fa = f.entries[a.index]
-        rkey = (g, h, fa)
-        rhs = rhs_cache.get(rkey)
-        if rhs is None:
-            gh = entries(g, h)
-            rhs = inst.join(inst.map(lambda b: gh[b.index], fa))
-            rhs_cache[rkey] = rhs
-        return lhs, rhs
+    @_memo
+    def rhs(g, h, fa):
+        gh = entries(g, h)
+        return inst.join(inst.map(lambda b: gh[b.index], fa))
 
-    return check
+    def sides(f, g, h, a):
+        return lift(h, entries(f, g)[a.index]), rhs(g, h, f.entries[a.index])
+
+    return sides
 
 
 def _mk_kleisli_pres_ee(inst):
-    def check(env):
-        f, g, a = env["f"], env["g"], env["a"]
+    def sides(f, g, a):
         lhs = inst.kleisli(table_fn(f), table_fn(g))(a)
-        rhs = inst.kleisli(table_fn(f), table_fn(g))(a)  # primed pair
-        return lhs, rhs
+        return lhs, inst.kleisli(table_fn(f), table_fn(g))(a)  # primed pair
 
-    return check
+    return sides
 
 
 def _mk_kleisli_leapfrog(inst):
-    def check(env):
-        f, g, a = env["f"], env["g"], env["a"]
+    def sides(f, g, a):
         ff, gf = table_fn(f), table_fn(g)
         lhs = inst.kleisli(ff, gf)(a)
         lift_g = inst.kleisli(lambda mv: mv, gf)
-        rhs = lift_g(ff(a))
-        return lhs, rhs
+        return lhs, lift_g(ff(a))
 
-    return check
+    return sides
 
 
 def _mk_pure_left_id_bind(inst):
-    def check(env):
-        f, a = env["f"], env["a"]
+    def sides(f, a):
         ff = table_fn(f)
         return inst.bind(inst.pure(a), ff), ff(a)
 
-    return check
+    return sides
 
 
 def _mk_pure_right_id_bind(inst):
-    def check(env):
-        ma = env["ma"]
-        return inst.bind(ma, inst.pure), ma
-
-    return check
+    return lambda ma: (inst.bind(ma, inst.pure), ma)
 
 
 def _mk_bind_assoc(inst):
-    bind_cache: dict = {}
+    bound = _memo(lambda g, mv: inst.bind(mv, table_fn(g)))
 
-    def bound(g: FnTable, mv: Value) -> Value:
-        key = (g, mv)
-        got = bind_cache.get(key)
-        if got is None:
-            got = inst.bind(mv, table_fn(g))
-            bind_cache[key] = got
-        return got
-
-    def check(env):
-        f, g, ma = env["f"], env["g"], env["ma"]
+    def sides(f, g, ma):
         ff = table_fn(f)
-        lhs = bound(g, inst.bind(ma, ff))
-        rhs = inst.bind(ma, lambda a: bound(g, ff(a)))
-        return lhs, rhs
+        return bound(g, inst.bind(ma, ff)), inst.bind(ma, lambda a: bound(g, ff(a)))
 
-    return check
+    return sides
 
 
 def _mk_lift_pres_ee(inst):
-    def check(env):
-        f, ma = env["f"], env["ma"]
-        lhs = inst.bind(ma, table_fn(f))
-        rhs = inst.bind(ma, table_fn(f))  # the class representative of f
-        return lhs, rhs
-
-    return check
+    # the rhs binds the class representative of f
+    return lambda f, ma: (inst.bind(ma, table_fn(f)), inst.bind(ma, table_fn(f)))
 
 
 def _mk_triangle_right_from_bind(inst):
-    def check(env):
-        ma = env["ma"]
+    def sides(ma):
         lhs = inst.bind(inst.bind(ma, lambda a: inst.pure(inst.pure(a))), lambda x: x)
         return lhs, ma
 
-    return check
+    return sides
 
 
 def _mk_map_from_bind(inst):
-    def check(env):
-        f, ma = env["f"], env["ma"]
+    def sides(f, ma):
         ff = table_fn(f)
         return inst.map(ff, ma), inst.bind(ma, lambda a: inst.pure(ff(a)))
 
-    return check
+    return sides
 
 
 def _mk_join_from_bind(inst):
-    def check(env):
-        mma = env["mma"]
-        return inst.join(mma), inst.bind(mma, lambda x: x)
-
-    return check
+    return lambda mma: (inst.join(mma), inst.bind(mma, lambda x: x))
 
 
 def _mk_kleisli_from_bind(inst):
-    def check(env):
-        f, g, a = env["f"], env["g"], env["a"]
+    def sides(f, g, a):
         ff, gf = table_fn(f), table_fn(g)
         return inst.kleisli(ff, gf)(a), inst.bind(ff(a), gf)
 
-    return check
+    return sides
 
 
 def _mk_map_join_lemma(inst):
-    def check(env):
-        g, f, ma = env["g"], env["f"], env["ma"]
+    def sides(g, f, ma):
         gf, ff = table_fn(g), table_fn(f)
         lhs = inst.map(ff, inst.join(inst.map(gf, ma)))
-        rhs = inst.join(inst.map(lambda a: inst.map(ff, gf(a)), ma))
-        return lhs, rhs
+        return lhs, inst.join(inst.map(lambda a: inst.map(ff, gf(a)), ma))
 
-    return check
+    return sides
 
 
 def _mk_map_kleisli_lemma(inst):
-    entries = _kleisli_entries_cache(inst)
+    entries = _kleisli_entries(inst)
 
-    def check(env):
-        f, g, h, a = env["f"], env["g"], env["h"], env["a"]
-        hf = table_fn(h)
+    def sides(f, g, h, a):
+        hf, gf = table_fn(h), table_fn(g)
         lhs = inst.map(hf, entries(f, g)[a.index])
-        gf = table_fn(g)
-        rhs = inst.kleisli(table_fn(f), lambda b: inst.map(hf, gf(b)))(a)
-        return lhs, rhs
+        return lhs, inst.kleisli(table_fn(f), lambda b: inst.map(hf, gf(b)))(a)
 
-    return check
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +491,11 @@ def check_law(
             f"law {law.id} needs operations {missing} that instance "
             f"{report.instance!r} does not provide"
         )
-    checker = law.make_checker(inst)
-    names = [vs.name for vs in law.variables]
     return scan(
         report,
         lambda: [_candidates(vs, i, inst, domains, q, cap)
                  for i, vs in enumerate(law.variables)],
-        lambda *binding: checker(dict(zip(names, binding))),
+        law.make_checker(inst),
         budget=q.budget,
     )
 

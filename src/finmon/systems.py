@@ -445,11 +445,18 @@ SYSTEM_CHECKS = {
 }
 
 
-def run_system_check(name: str, sys: MonSys, n_max: int) -> LawReport:
+def run_system_check(
+    name: str, sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP
+) -> LawReport:
+    """Run one named check. n_max is the step count of the flow checks
+    and the vector length of mapLastLemma; cap bounds the carriers that
+    reprLemma and mapLastLemma enumerate."""
     try:
         fn = SYSTEM_CHECKS[name]
     except KeyError:
         raise KeyError(
             f"unknown system check {name!r}; known: {', '.join(sorted(SYSTEM_CHECKS))}"
         )
+    if fn in (check_repr_lemma, check_map_last_lemma):
+        return fn(sys, n_max, cap)
     return fn(sys, n_max)

@@ -19,6 +19,7 @@ from finmon.cli import (
 )
 from finmon.dp import MEASURES
 from finmon.instances import INSTANCE_NAMES
+from finmon.values import parse_value
 
 GOOD = {
     "seed": 0,
@@ -264,6 +265,81 @@ def test_refused_sdp_measure_fails_the_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "not shift compatible" in out
     assert "mv = none" in out
+
+
+_WALK = ["{#0: 1/2, #1: 1/2}", "{#1: 1/2, #2: 1/2}", "{#0: 1/2, #2: 1/2}"]
+
+
+def test_carrier_cap_bounds_system_and_sdp_checks(tmp_path):
+    # every carrier here has 18 values: Dist over 3 atoms at support 2
+    cfg = {"seed": 0, "budget": 100_000, "carrier_cap": 5,
+           "suites": [{"name": "p", "instance": "simpleprob", "laws": ["F1"],
+                       "sizes": {"A": 3}}],
+           "systems": [{"name": "walk", "instance": "simpleprob", "size": 3,
+                        "step": _WALK, "checks": ["reprLemma", "mapLastLemma"]}],
+           "sdps": [{"name": "coin-walk", "instance": "simpleprob",
+                     "measure": "expected", "horizon": 3, "states": 3,
+                     "controls": 1, "next": [_WALK]}]}
+    out = tmp_path / "out.json"
+    assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--out", str(out)]) == 1
+    results = json.loads(out.read_text())["deterministic"]["results"]
+    assert [(r["law"], r["checked"]) for r in results] == [
+        ("F1", 0), ("reprLemma", 0), ("mapLastLemma", 0), ("valSpec", 0)]
+    for r in results:
+        assert not r["pass"] and "witness" not in r
+        assert r["diagnostic"].startswith("carrier too large: ")
+        assert r["diagnostic"].endswith("has 18 values, cap 5")
+
+
+def test_echo_keeps_texts_renders_rewards_and_fills_defaults(tmp_path):
+    cfg = {"seed": 0, "budget": 1000,
+           "systems": [{"name": "s", "instance": "nondet", "size": 2,
+                        "step": ["[#1,#0]", "[ #1 ]"]}],
+           "sdps": [{"name": "d", "instance": "nondet", "measure": "max",
+                     "horizon": 1, "states": 2, "controls": 1,
+                     "next": [["[#0, #1]", "[#1]"]],
+                     "reward": [[[0, "2/4"], [0.25, "1/3"]]]}]}
+    out = tmp_path / "out.json"
+    main(["--config", write_config(tmp_path, cfg), "--format", "json", "--out", str(out)])
+    echo = json.loads(out.read_text())["deterministic"]["config"]
+    assert echo["carrier_cap"] == 1_000_000
+    assert echo["systems"] == [{
+        "name": "s", "instance": "nondet", "size": 2, "step": ["[#1,#0]", "[ #1 ]"],
+        "checks": ["flowLR", "flowMonRLem", "flowMonoid", "flowTrjLemma",
+                   "mapLastLemma", "reprLemma"],
+        "n_max": 3, "max_len": 2, "max_support": 2,
+    }]
+    assert echo["sdps"] == [{
+        "name": "d", "instance": "nondet", "measure": "max", "horizon": 1,
+        "states": 2, "controls": 1, "next": [["[#0, #1]", "[#1]"]],
+        "reward": [[["0", "1/2"], ["1/4", "1/3"]]], "max_len": 2, "max_support": 2,
+    }]
+    cfg["sdps"][0].pop("reward")
+    main(["--config", write_config(tmp_path, cfg), "--format", "json", "--out", str(out)])
+    echo = json.loads(out.read_text())["deterministic"]["config"]
+    assert echo["sdps"][0]["reward"] == "next-index"
+
+
+def test_each_step_and_next_text_is_parsed_once(tmp_path, monkeypatch):
+    import finmon.cli as cli
+
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_value(text)
+
+    monkeypatch.setattr(cli, "parse_value", counting_parse)
+    cfg = {"seed": 0, "budget": 1000,
+           "systems": [{"name": "walk", "instance": "simpleprob", "size": 3,
+                        "step": _WALK, "checks": ["flowLR", "flowTrjLemma"]}],
+           "sdps": [{"name": "d", "instance": "nondet", "measure": "max",
+                     "horizon": 1, "states": 2, "controls": 2,
+                     "next": [["[#0]", "[#1]"], ["[#0, #1]", "[#1, #0]"]]}]}
+    assert main(["--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out.txt")]) == 0
+    assert parsed == _WALK + ["[#0]", "[#1]", "[#0, #1]", "[#1, #0]"]
 
 
 def test_deterministic_section_stable_across_jobs(tmp_path):

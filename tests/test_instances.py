@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from finmon.instances import (
     INSTANCE_NAMES,
-    broken_instances,
     get_instance,
     identity_monad,
     maybe_monad,
@@ -154,8 +153,9 @@ def test_mutant_b_keeps_duplicate_support():
     assert out != good
 
 
-def test_broken_instances_roster():
-    assert [m.name for m in broken_instances()] == ["mutant-a", "mutant-b"]
+def test_mutant_instance_names():
+    assert [mutant_a_monad().name, mutant_b_monad().name] == ["mutant-a", "mutant-b"]
+    assert [get_instance(n).name for n in ("mutant-a", "mutant-b")] == ["mutant-a", "mutant-b"]
 
 
 def test_reader_map_is_slotwise():

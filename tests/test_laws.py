@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from finmon.instances import get_instance, reader_functor
+from finmon.instances import INSTANCE_NAMES, get_instance, reader_functor
 from finmon.laws import (
     LAW_IDS,
     SuiteProfile,
@@ -34,6 +36,27 @@ def test_thin_view_drops_derived_op_checks():
     thin = [law.id for law in law_catalog() if "thin" in law.views]
     assert len(thin) == 20
     assert set(LAW_IDS) - set(thin) == {"KJ", "BJ", "E1", "E2", "E3"}
+
+
+@pytest.mark.parametrize("law", law_catalog(), ids=LAW_IDS)
+def test_checker_parameters_are_the_law_variables_in_order(law):
+    # the scan binds checker arguments by position, in the order of the
+    # law's variables; this pins that order by name
+    instances = [get_instance(name) for name in INSTANCE_NAMES]
+    instances.append(reader_functor(FiniteType("E", 2)))
+    fitting = [i for i in instances if all(hasattr(i, op) for op in law.needs)]
+    assert len(fitting) >= len(INSTANCE_NAMES)
+    want = [v.name for v in law.variables]
+    for inst in fitting:
+        assert list(inspect.signature(law.make_checker(inst)).parameters) == want, inst.name
+
+
+def test_checker_parameters_reach_reader_and_l1_order():
+    reader = reader_functor(FiniteType("E", 2))
+    functor_laws = [law.id for law in law_catalog()
+                    if all(hasattr(reader, op) for op in law.needs)]
+    assert functor_laws == ["F1", "F2", "F3"]
+    assert [v.name for v in law_by_id("L1").variables] == ["g", "f", "ma"]
 
 
 def test_law_by_id_unknown():
