@@ -51,9 +51,8 @@ def coin_walk(horizon: int) -> Sdp:
 
 
 def value_table(sdp: Sdp, top: int = 5) -> None:
-    q = Quantifier(seed=0, budget=100_000)
-    seqs, total, mode = enumerate_policy_seqs(sdp, sdp.horizon, q)
-    print(f"== {sdp.name} (h={sdp.horizon}, {total} policy sequences, {mode}) ==")
+    seqs = enumerate_policy_seqs(sdp, sdp.horizon)
+    print(f"== {sdp.name} (h={sdp.horizon}, {seqs.size} policy sequences) ==")
     scored = []
     for ps in seqs:
         worth = {i: val(sdp, ps, Atom(i)) for i in range(sdp.states.size)}

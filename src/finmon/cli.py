@@ -9,7 +9,7 @@ Configuration grammar (JSON):
 
     {
       "seed": 0,               # required, unsigned 64 bit
-      "budget": 100000,        # required, per-quantifier enumeration cap
+      "budget": 100000,        # required, exhaustive cut-off and sample count
       "carrier_cap": 1000000,  # optional, bounds every enumeration
       "suites": [
         {"name": "maybe-all", "instance": "maybe",
@@ -579,6 +579,7 @@ def main(argv: list[str] | None = None) -> int:
                 if args.suite in BUILTIN_SUITES:
                     built = parse_config(BUILTIN_SUITES[args.suite])
                     built.seed, built.budget = cfg.seed, cfg.budget
+                    built.carrier_cap = cfg.carrier_cap
                     cfg = built
                 else:
                     wanted = [p for p in cfg.suites if p.name == args.suite]

@@ -21,8 +21,6 @@ monadic operations can transport exact rationals.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -35,6 +33,7 @@ from .values import (
     Dist,
     FiniteType,
     Opt,
+    Product,
     Quantifier,
     Rat,
     Seq,
@@ -43,13 +42,12 @@ from .values import (
     enumerate_carrier,
     enumerate_domain,
     render_value,
-    sub_seed,
     DEFAULT_CARRIER_CAP,
 )
 
 __all__ = [
     "Measure", "MEASURES", "get_measure",
-    "Sdp", "PolicySeq", "enumerate_policy_seqs", "policy_seq_count",
+    "Sdp", "PolicySeq", "enumerate_policy_seqs",
     "val", "rews", "val_spec",
     "check_measure_shift", "check_val_equiv",
 ]
@@ -152,23 +150,14 @@ Policy = tuple[Atom, ...]
 PolicySeq = tuple[Policy, ...]
 
 
-def policy_seq_count(sdp: Sdp, steps: int, t0: int = 0) -> int:
-    total = 1
-    for t in range(t0, t0 + steps):
-        for x in enumerate_domain(sdp.states):
-            total *= len(sdp.controls_at(t, x))
-    return total
-
-
-def enumerate_policy_seqs(sdp: Sdp, steps: int, q: Quantifier, t0: int = 0):
+def enumerate_policy_seqs(sdp: Sdp, steps: int, t0: int = 0) -> Product:
     """All policy sequences of the given length, lexicographically over
-    admissible-control positions; seeded samples when the space exceeds
-    the budget."""
+    admissible-control positions (the last state of the last step
+    varies fastest); its size is their number."""
     choice_lists: list[tuple[Atom, ...]] = []
     for t in range(t0, t0 + steps):
         for x in enumerate_domain(sdp.states):
             choice_lists.append(sdp.controls_at(t, x))
-    total = policy_seq_count(sdp, steps, t0)
     n_states = sdp.states.size
 
     def assemble(flat) -> PolicySeq:
@@ -176,14 +165,7 @@ def enumerate_policy_seqs(sdp: Sdp, steps: int, q: Quantifier, t0: int = 0):
             tuple(flat[k * n_states : (k + 1) * n_states]) for k in range(steps)
         )
 
-    if total <= q.budget:
-        return map(assemble, itertools.product(*choice_lists)), total, "exhaustive"
-    rng = random.Random(sub_seed(q.seed, 0))
-    samples = (
-        [choices[rng.randrange(len(choices))] for choices in choice_lists]
-        for _ in range(q.budget)
-    )
-    return map(assemble, samples), total, "sampled"
+    return Product(choice_lists, assemble)
 
 
 def render_policy_seq(ps: PolicySeq, n_states: int) -> str:
@@ -280,7 +262,7 @@ def check_measure_shift(
         ]
         return [
             Var("mv", "M R", measured(structures), len(structures),
-                render=lambda mp: render_value(mp[0]), count=len(structures)),
+                render=lambda mp: render_value(mp[0])),
             Var("c", "shift grid", _SHIFT_CONSTANTS, len(_SHIFT_CONSTANTS)),
         ]
 
@@ -325,15 +307,14 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
         return report
 
     def variables():
-        seqs, total, mode = enumerate_policy_seqs(sdp, sdp.horizon, q)
-        count = min(total, q.budget) if mode == "sampled" else total
+        seqs = enumerate_policy_seqs(sdp, sdp.horizon)
         n = sdp.states.size
         return [
-            Var("ps", f"policy sequences (h={sdp.horizon})", seqs, total, mode,
-                render=lambda ps: render_policy_seq(ps, n), count=count),
+            Var("ps", f"policy sequences (h={sdp.horizon})", seqs, seqs.size,
+                render=lambda ps: render_policy_seq(ps, n)),
             Var("x", "X", enumerate_domain(sdp.states), n),
         ]
 
-    scan(report, variables, lambda ps, x: (val(sdp, ps, x), val_spec(sdp, ps, x)))
+    scan(report, variables, lambda ps, x: (val(sdp, ps, x), val_spec(sdp, ps, x)), q)
     report.elapsed_ms += shift.elapsed_ms
     return report

@@ -126,10 +126,8 @@ def check_comp_pres_ee(
     )
 
     def fn_var(name: str, label: str, dom: FiniteType, cod: FiniteType) -> Var:
-        size = function_space_size(dom, Base(cod))
-        mode = "exhaustive" if size <= q.budget else "sampled"
-        tables = list(enumerate_functions(dom, Base(cod), q))
-        return Var(name, label, tables, size, mode)
+        return Var(name, label, enumerate_functions(dom, Base(cod)),
+                   function_space_size(dom, Base(cod)))
 
     def sides(f, g):
         reference, candidate = compose_tables(g, f), composer(g, f)
@@ -143,4 +141,5 @@ def check_comp_pres_ee(
         report,
         lambda: [fn_var("f", "A->B", dom_a, dom_b), fn_var("g", "B->C", dom_b, dom_c)],
         sides,
+        q,
     )

@@ -1,10 +1,12 @@
 """Uncertainty-monad instances as first-class records of operations.
 
-Each instance packages pure, map, join, bind, kleisli and canonicalize
-over the closed value universe, plus a carrier constructor so the law
-suite can enumerate M A, M (M A) and deeper nestings. Four lawful
-instances are registered (identity, maybe, nondet, simpleprob) together
-with two deliberately broken ones used to prove the harness can refute:
+Each instance packages pure, map, join, bind and kleisli over the
+closed value universe, plus a carrier constructor so the law suite can
+enumerate M A, M (M A) and deeper nestings. Distributions are put in
+canonical form by mk_dist as they are built, so an instance carries no
+canonicalizer of its own. Four lawful instances are registered
+(identity, maybe, nondet, simpleprob) together with two deliberately
+broken ones used to prove the harness can refute:
 
   mutant-a  nondet whose join concatenates the reversed outer sequence
   mutant-b  simpleprob whose canonical form skips merging equal values
@@ -64,7 +66,6 @@ class MonadInstance:
     map: Callable[[MapFn, Value], Value]
     join: Callable[[Value], Value]
     bind: Callable[[Value, MapFn], Value]
-    canonicalize: Callable[[Value], Value]
 
     def kleisli(self, f: MapFn, g: MapFn) -> MapFn:
         """Composition of effectful arrows, specified as join . map g . f."""
@@ -91,7 +92,6 @@ def identity_monad() -> MonadInstance:
         map=lambda fn, v: fn(v),
         join=ident,
         bind=lambda v, fn: fn(v),
-        canonicalize=ident,
     )
 
 
@@ -118,7 +118,6 @@ def maybe_monad() -> MonadInstance:
         map=mmap,
         join=mjoin,
         bind=mbind,
-        canonicalize=lambda v: v,
     )
 
 
@@ -159,7 +158,6 @@ def nondet_monad(
         map=nmap,
         join=njoin,
         bind=nbind,
-        canonicalize=lambda v: v,
     )
 
 
@@ -184,9 +182,6 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
                 pairs.append((y, w * p))
         return mk_dist(pairs, merge=merge)
 
-    def pcanon(mv: Value) -> Value:
-        return mk_dist(mv.entries, merge=merge)
-
     return MonadInstance(
         name=name,
         carrier_of=lambda c: DistOf(c, max_support),
@@ -194,7 +189,6 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
         map=pmap,
         join=pjoin,
         bind=pbind,
-        canonicalize=pcanon,
     )
 
 
@@ -233,7 +227,6 @@ def mutant_a_monad(
         map=good.map,
         join=bad_join,
         bind=lambda mv, fn: bad_join(good.map(fn, mv)),
-        canonicalize=good.canonicalize,
     )
 
 

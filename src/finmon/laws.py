@@ -7,11 +7,11 @@ compares sides by canonical structural equality, and reports the first
 failing assignment, which for fully exhaustive runs is the least
 counterexample in the lexicographic order of the variable tuple.
 
-Quantifier budgets apply per variable: a space that fits the budget is
-visited exhaustively in canonical order, a larger one contributes
-budget-many seeded samples (with replacement). When any variable is
-sampled the overall product is also capped at the budget, since a full
-product of sample lists would multiply far past the requested effort.
+Every check hands the scan its whole variable spaces and the suite's
+quantifier, and the scan alone decides how to visit them: the whole
+product in canonical order when every space fits the budget, otherwise
+budget-many joint bindings, each variable drawn uniformly (with
+replacement) from its own seeded stream (reports.scan).
 
 Premise-filtered laws (mapPresEE, kleisliPresEE, liftPresEE) quantify
 over pointwise-equality classes of arrows. Function tables are
@@ -30,13 +30,12 @@ definitional and skipped.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .exteq import ext_eq, extify_eq
+from .exteq import extify_eq
 from .instances import FunctorInstance, MonadInstance, reader_functor
-from .reports import LawReport, QuantifierStat, Var, scan
+from .reports import LawReport, Var, scan
 from .values import (
     Base,
     CarrierDesc,
@@ -51,11 +50,7 @@ from .values import (
     enumerate_functions,
     function_space_size,
     render_carrier,
-    render_table,
-    render_value,
-    sub_seed,
     table_fn,
-    value_to_table,
     DEFAULT_CARRIER_CAP,
 )
 
@@ -436,24 +431,16 @@ def law_by_id(law_id: str) -> Law:
 # the runner
 
 
-def _candidates(
-    vs: VarSpec,
-    idx: int,
-    inst: Instance,
-    domains: dict[str, FiniteType],
-    q: Quantifier,
-    cap: int,
+def _variable(
+    vs: VarSpec, inst: Instance, domains: dict[str, FiniteType], cap: int
 ) -> Var:
-    """The scan variable for one bound variable: candidates, space
-    description, true space size and mode."""
+    """The scan variable for one bound variable: its whole space in
+    canonical order, with the space's description and size."""
     if vs.kind == "fn":
         dom = domains[vs.dom]
         cod = resolve_carrier(vs.cod, inst, domains)
-        size = function_space_size(dom, cod)
-        sub = Quantifier(budget=q.budget, seed=sub_seed(q.seed, idx))
-        cands = list(enumerate_functions(dom, cod, sub, cap))
-        mode = "exhaustive" if size <= q.budget else "sampled"
-        return Var(vs.name, f"{vs.dom}->{render_carrier(cod)}", cands, size, mode)
+        return Var(vs.name, f"{vs.dom}->{render_carrier(cod)}",
+                   enumerate_functions(dom, cod, cap), function_space_size(dom, cod))
     if vs.kind == "atom":
         full = enumerate_domain(domains[vs.dom])
         space = vs.dom
@@ -463,12 +450,7 @@ def _candidates(
         space = render_carrier(desc)
     else:
         raise ValueError(f"unknown variable kind {vs.kind!r}")
-    size = len(full)
-    if size <= q.budget:
-        return Var(vs.name, space, full, size)
-    rng = random.Random(sub_seed(q.seed, idx))
-    cands = [full[rng.randrange(size)] for _ in range(q.budget)]
-    return Var(vs.name, space, cands, size, "sampled")
+    return Var(vs.name, space, full, len(full))
 
 
 def check_law(
@@ -493,10 +475,9 @@ def check_law(
         )
     return scan(
         report,
-        lambda: [_candidates(vs, i, inst, domains, q, cap)
-                 for i, vs in enumerate(law.variables)],
+        lambda: [_variable(vs, inst, domains, cap) for vs in law.variables],
         law.make_checker(inst),
-        budget=q.budget,
+        q,
     )
 
 
@@ -558,7 +539,7 @@ def run_suite(inst: Instance, profile: SuiteProfile) -> list[LawReport]:
     if is_reader and (not profile.laws or {"F3", "F3L2"} & set(profile.laws)):
         env = domains.get("E") or FiniteType("E", 2)
         reports.append(reader_pres_ee2_report(
-            env, domains["A"], domains["B"], budget=profile.budget, seed=profile.seed,
+            env, domains["A"], domains["B"], q, profile.carrier_cap,
         ))
     return reports
 
@@ -567,67 +548,43 @@ def reader_pres_ee2_report(
     env: FiniteType,
     dom_a: FiniteType,
     dom_b: FiniteType,
-    budget: int = 100_000,
-    seed: int = 0,
+    q: Quantifier | None = None,
+    cap: int = DEFAULT_CARRIER_CAP,
 ) -> LawReport:
-    """The Reader boundary case, checked both ways.
+    """The Reader boundary case: map respects pointwise equality at
+    level 2.
 
-    For every arrow pair f ~ g (pointwise-equal tables are identical, so
-    classes are singletons) and every reader r: level-1 ext_eq compares
-    mapR f r against mapR g r as tables; then the maps themselves are
-    tabulated over the whole reader carrier and compared with the level-2
-    tower, which descends reader-then-environment to any disagreement.
-    Its own loop, not a scan: checked counts slot comparisons, not
-    evaluations.
+    For every arrow f (pointwise-equal tables are identical, so the
+    class representative g is f itself), mapR f and mapR g are
+    tabulated over the whole reader carrier and compared with the
+    level-2 tower, which descends reader-then-environment to the first
+    disagreement. Level-2 equality holds exactly when the level-1
+    comparison of mapR f r against mapR g r holds at every reader r, so
+    the per-reader check needs no pass of its own; checked counts one
+    evaluation per arrow.
     """
     reader = reader_functor(env)
-    q = Quantifier(budget=budget, seed=seed)
-    r_carrier = enumerate_carrier(FnOf(env, Base(dom_a)))
-    f_space = function_space_size(dom_a, Base(dom_b))
-    fs = list(enumerate_functions(dom_a, Base(dom_b), q))
-    report = LawReport(law_id="F3L2", instance="reader")
-    report.sizes = {"E": env.size, "A": dom_a.size, "B": dom_b.size}
-    report.quantifiers = [
-        QuantifierStat(
-            "f", "A->B", f_space,
-            "exhaustive" if f_space <= q.budget else "sampled", len(fs),
-        ),
-        QuantifierStat("r", "E->A", len(r_carrier), "exhaustive", len(r_carrier)),
-    ]
-    report.detail = "level-1 scan per reader plus level-2 tower over tabulated maps"
-    checked = 0
-    for f in fs:
-        g = f  # representative of the pointwise-equality class
-        fn_f, fn_g = table_fn(f), table_fn(g)
-        mapped_f, mapped_g = [], []
-        for r in r_carrier:
-            out_f = reader.map(fn_f, r)
-            out_g = reader.map(fn_g, r)
-            mapped_f.append(out_f)
-            mapped_g.append(out_g)
-            level1 = ext_eq(
-                value_to_table(env, Base(dom_b), out_f),
-                value_to_table(env, Base(dom_b), out_g),
-            )
-            checked += level1.checked
-            if not level1.equal:
-                x, left, right = level1.witness
-                report.witness = {
-                    "f": render_table(f), "r": render_value(r), "x": render_value(x),
-                }
-                break
-        else:
-            tab_f = Vec(tuple(mapped_f), len(mapped_f))
-            tab_g = Vec(tuple(mapped_g), len(mapped_g))
-            level2 = extify_eq(2, tab_f, tab_g)
-            checked += level2.checked
-            if not level2.equal:
-                path, left, right = level2.witness
-                report.witness = {"f": render_table(f), "path": render_value(path)}
-        if report.witness is not None:
-            report.passed = False
-            report.witness["lhs"] = render_value(left)
-            report.witness["rhs"] = render_value(right)
-            break
-    report.checked = checked
-    return report
+    readers: list[Value] = []
+
+    def variables():
+        readers.extend(enumerate_carrier(FnOf(env, Base(dom_a)), cap))
+        return [Var("f", "A->B", enumerate_functions(dom_a, Base(dom_b), cap),
+                    function_space_size(dom_a, Base(dom_b)))]
+
+    def mapped(f: FnTable) -> Vec:
+        return Vec(tuple(reader.map(table_fn(f), r) for r in readers), len(readers))
+
+    def sides(f):
+        tab_f, tab_g = mapped(f), mapped(f)  # g is f's class representative
+        level2 = extify_eq(2, tab_f, tab_g)
+        if level2.equal:
+            return tab_f, tab_g
+        path, left, right = level2.witness
+        return left, right, {"path": path}
+
+    report = LawReport(
+        law_id="F3L2", instance="reader",
+        sizes={"E": env.size, "A": dom_a.size, "B": dom_b.size},
+        detail="level-2 tower over mapR on every reader, implying level-1 per reader",
+    )
+    return scan(report, variables, sides, q)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,9 +16,11 @@ from .values import (
     CarrierOverflow,
     CarrierTooLarge,
     FnTable,
+    Quantifier,
     Value,
     render_table,
     render_value,
+    sub_seed,
 )
 
 
@@ -105,60 +108,76 @@ def render_any(v) -> str:
 class Var:
     """One bound variable of a scan: candidates in visiting order, the
     label and true size of their space, and the witness rendering of a
-    binding (a dict when one variable binds several names). Only the
-    outermost variable may stream from a one-shot iterator, which needs
-    an explicit count; per-binding set-up computed there runs once."""
+    binding (a dict when one variable binds several names). Exhaustive
+    scans iterate the candidates, the outermost one value at a time, so
+    per-binding set-up computed there runs once; sampled scans index
+    them, so they must then be a Sequence of length size."""
 
     name: str
     space: str
     candidates: Iterable
     size: int
-    mode: str = "exhaustive"
     render: Callable[[Any], str | dict[str, str]] = render_any
-    count: int | None = None
-
-    def stat(self) -> QuantifierStat:
-        count = len(self.candidates) if self.count is None else self.count
-        return QuantifierStat(self.name, self.space, self.size, self.mode, count)
 
 
-def _bindings(variables: Sequence[Var]) -> Iterable[tuple]:
-    """The lexicographic product of the candidates. An outermost iterator
-    is consumed one value at a time, never materialized."""
-    if not variables or isinstance(variables[0].candidates, Sequence):
-        return itertools.product(*(v.candidates for v in variables))
+def _product(variables: Sequence[Var]) -> Iterable[tuple]:
+    """The lexicographic product of the candidates. The outermost
+    variable is consumed one value at a time, never materialized."""
     inner = [tuple(v.candidates) for v in variables[1:]]
-    return ((head,) + tail for head in variables[0].candidates
-            for tail in itertools.product(*inner))
+    return itertools.chain.from_iterable(
+        itertools.product((head,), *inner) for head in variables[0].candidates
+    )
+
+
+def _plan(
+    variables: Sequence[Var], q: Quantifier | None
+) -> tuple[Iterable[tuple], list[QuantifierStat]]:
+    """The bindings a scan visits, with the stat of each variable.
+
+    Exhaustive, in lexicographic order, without a quantifier or when
+    every space fits its budget; vacuous when a space is empty.
+    Otherwise q.budget joint bindings drawn up front: variable i draws
+    uniformly with replacement from its own stream, seeded with
+    sub_seed(q.seed, i), so every variable varies and the first k draws
+    are the same under any budget of at least k. A sampled variable
+    reports how many distinct values it drew."""
+    sizes = [v.size for v in variables]
+    vacuous = 0 in sizes
+    if vacuous or q is None or max(sizes) <= q.budget:
+        stats = [QuantifierStat(v.name, v.space, v.size, "exhaustive", v.size)
+                 for v in variables]
+        return (() if vacuous else _product(variables)), stats
+    picks = []
+    for i, n in enumerate(sizes):
+        rng = random.Random(sub_seed(q.seed, i))
+        picks.append([rng.randrange(n) for _ in range(q.budget)])
+    stats = [QuantifierStat(v.name, v.space, v.size, "sampled", len(set(p)))
+             for v, p in zip(variables, picks)]
+    return (tuple(v.candidates[k] for v, k in zip(variables, ks))
+            for ks in zip(*picks)), stats
 
 
 def scan(
     report: LawReport,
     variables: Callable[[], Sequence[Var]],
     sides: Callable[..., tuple | None],
-    budget: int | None = None,
+    q: Quantifier | None = None,
 ) -> LawReport:
-    """Visit the bindings of the variables in lexicographic order and
-    stop at the first whose two sides differ: the least counterexample
-    when every variable is exhaustive.
+    """Visit the bindings _plan chooses and stop at the first whose two
+    sides differ: the least counterexample when the scan is exhaustive.
 
     variables() builds the variables inside the scan, so a carrier past
     its cap stops the check before its first evaluation. sides(*binding)
     returns (lhs, rhs), optionally with a dict of extra witness entries,
     or None for a binding outside the property's domain, which is not
-    counted. With a budget and any variable sampled, at most budget
-    bindings are evaluated. A carrier past its cap or an overflowing
-    operation fails the report with a diagnostic instead of a witness."""
+    counted. A carrier past its cap or an overflowing operation fails
+    the report with a diagnostic instead of a witness."""
     t0 = time.perf_counter()
     checked = 0
     try:
         bound = variables()
-        report.quantifiers = [v.stat() for v in bound]
-        if budget is not None and all(v.mode != "sampled" for v in bound):
-            budget = None
-        for binding in _bindings(bound):
-            if budget is not None and checked >= budget:
-                break
+        bindings, report.quantifiers = _plan(bound, q)
+        for binding in bindings:
             checked += 1
             out = sides(*binding)
             if out is None:

@@ -134,16 +134,15 @@ def check_det_flow_lr(
     endofunction and every iteration count up to n_max. Tables are
     extensional by construction, so table equality settles it."""
     report = LawReport(law_id="flowDetLR", instance="det", sizes={"X": domain.size})
-    space = domain.size**domain.size
-    mode = "exhaustive" if space <= q.budget else "sampled"
     return scan(
         report,
         lambda: [
-            Var("f", "X->X", list(enumerate_functions(domain, Base(domain), q)),
-                space, mode),
+            Var("f", "X->X", enumerate_functions(domain, Base(domain)),
+                domain.size**domain.size),
             Var("n", f"0..{n_max}", range(n_max + 1), n_max + 1),
         ],
         lambda step, n: (flow_det_left(step, n), flow_det_right(step, n)),
+        q,
     )
 
 
@@ -211,7 +210,7 @@ def _n_var(n_max: int, per_n: Callable[[int], tuple]) -> Var:
     """The step count as the outermost variable. per_n(n) runs once per
     n, when the scan reaches it, and its results ride along with n."""
     return Var("n", f"0..{n_max}", ((n, *per_n(n)) for n in range(n_max + 1)),
-               n_max + 1, render=lambda nb: str(nb[0]), count=n_max + 1)
+               n_max + 1, render=lambda nb: str(nb[0]))
 
 
 def _x_var(domain: FiniteType) -> Var:

@@ -33,17 +33,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 __all__ = [
     "Atom", "Opt", "Seq", "Dist", "Vec", "Rat", "Value",
     "FiniteType", "Base", "MaybeOf", "SeqOf", "DistOf", "VecOf", "FnOf",
-    "CarrierDesc", "FnTable", "Quantifier",
+    "CarrierDesc", "FnTable", "Quantifier", "Product", "sub_seed",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
     "canonical_key", "canonical_compare", "mk_dist", "check_member",
@@ -486,9 +486,10 @@ def function_space_size(dom: FiniteType, cod: CarrierDesc) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Quantifier:
-    """Budgeted quantification. Exhaustive when the space fits the budget
-    (canonical order); otherwise `budget` candidates sampled uniformly
-    with replacement from the given 64-bit seed. Bit-reproducible."""
+    """Budgeted quantification. A scan whose spaces all fit the budget
+    is exhaustive (canonical order); otherwise it evaluates `budget`
+    joint bindings drawn uniformly with replacement from the given
+    64-bit seed (reports.scan). Bit-reproducible."""
 
     budget: int
     seed: int = 0
@@ -505,34 +506,43 @@ def sub_seed(seed: int, i: int) -> int:
     return (seed ^ ((i + 1) * 0x9E3779B97F4A7C15)) % (2 ** 64)
 
 
+class Product(Sequence):
+    """The cartesian product of finite factors, each tuple of picks
+    passed through build. Iterating gives itertools.product order (last
+    factor fastest); [i] decodes i mixed-radix, first factor most
+    significant: the i-th element of that order, building no other.
+    size counts the elements; len() overflows past sys.maxsize."""
+
+    def __init__(self, factors, build: Callable[[tuple], object]):
+        self.factors = tuple(tuple(f) for f in factors)
+        self.build = build
+        self.size = math.prod(len(f) for f in self.factors)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return map(self.build, itertools.product(*self.factors))
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        picks = []
+        for f in reversed(self.factors):
+            i, r = divmod(i, len(f))
+            picks.append(f[r])
+        return self.build(tuple(reversed(picks)))
+
+
 def enumerate_functions(
-    dom: FiniteType,
-    cod: CarrierDesc,
-    q: Quantifier,
-    cap: int = DEFAULT_CARRIER_CAP,
-) -> Iterator[FnTable]:
-    """All tables dom -> cod in mixed-radix order (entry at the highest
-    atom index varies fastest) when the space fits q.budget; otherwise
-    q.budget tables sampled by seeded index decoding."""
-    space = enumerate_carrier(cod, cap)
-    n = dom.size
-    total = len(space) ** n
-    if n == 0:
-        yield FnTable(dom, cod, ())
-        return
-    if total <= q.budget:
-        for combo in itertools.product(space, repeat=n):
-            yield FnTable(dom, cod, combo)
-        return
-    rng = random.Random(q.seed)
-    base = len(space)
-    for _ in range(q.budget):
-        idx = rng.randrange(total)
-        entries = []
-        for slot in range(n):
-            power = base ** (n - 1 - slot)
-            entries.append(space[(idx // power) % base])
-        yield FnTable(dom, cod, tuple(entries))
+    dom: FiniteType, cod: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP
+) -> Product:
+    """All tables dom -> cod in mixed-radix order: the entry at the
+    highest atom index varies fastest."""
+    return Product(
+        (enumerate_carrier(cod, cap),) * dom.size,
+        lambda combo: FnTable(dom, cod, combo),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,18 @@ def test_flag_overrides_are_echoed(tmp_path):
     assert cfg["seed"] == 7 and cfg["budget"] == 555
 
 
+def test_builtin_suite_keeps_the_config_carrier_cap(tmp_path):
+    cfg = dict(GOOD, carrier_cap=2)
+    out = tmp_path / "out.json"
+    assert main(["--config", write_config(tmp_path, cfg), "--suite", "reader",
+                 "--format", "json", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())["deterministic"]
+    assert doc["config"]["carrier_cap"] == 2
+    f1 = next(r for r in doc["results"] if r["law"] == "F1")
+    assert f1["checked"] == 0
+    assert f1["diagnostic"] == "carrier too large: Fn[E(2)->A(2)] has 4 values, cap 2"
+
+
 def test_reward_table_variant_runs(tmp_path):
     cfg = {"seed": 0, "budget": 1000,
            "sdps": [{"name": "d", "instance": "nondet", "measure": "max",

@@ -15,13 +15,13 @@ from finmon.dp import (
     check_val_equiv,
     enumerate_policy_seqs,
     get_measure,
-    policy_seq_count,
     render_policy_seq,
     rews,
     val,
     val_spec,
 )
 from finmon.instances import get_instance
+from finmon.reports import LawReport, Var, scan
 from finmon.values import Atom, FiniteType, Quantifier, Rat, parse_value, render_value
 
 X3 = FiniteType("X", 3)
@@ -98,7 +98,7 @@ def test_expected_value_oracle():
 def test_coin_value_matches_explicit_path_expectation():
     """Independent oracle: enumerate the four two-step paths by hand."""
     sdp = coin_walk(horizon=2)
-    ps = next(enumerate_policy_seqs(sdp, 2, Q)[0])
+    ps = enumerate_policy_seqs(sdp, 2)[0]
     total = Fraction(0)
     for moves in itertools.product([0, 1], repeat=2):
         xs = [0]
@@ -113,21 +113,21 @@ def test_coin_value_matches_explicit_path_expectation():
 
 def test_coin_single_step_value():
     sdp = coin_walk(horizon=1)
-    ps = next(enumerate_policy_seqs(sdp, 1, Q)[0])
+    ps = enumerate_policy_seqs(sdp, 1)[0]
     assert val(sdp, ps, Atom(0)) == Fraction(1, 2)
 
 
 def test_greedy_walk_best_value_is_three():
     # with two steps the best play from #0 hops 0 -> 1 -> 2, worth 1 + 2
     sdp = greedy_walk(horizon=2)
-    seqs, total, mode = enumerate_policy_seqs(sdp, 2, Q)
-    assert (total, mode) == (64, "exhaustive")
+    seqs = enumerate_policy_seqs(sdp, 2)
+    assert len(seqs) == 64
     assert max(val(sdp, ps, Atom(0)) for ps in seqs) == 3
 
 
 def test_rews_structure_oracle():
     sdp = coin_walk(horizon=2)
-    ps = next(enumerate_policy_seqs(sdp, 2, Q)[0])
+    ps = enumerate_policy_seqs(sdp, 2)[0]
     out = rews(sdp, ps, Atom(0))
     assert render_value(out) == "{0: 1/4, 1: 1/4, 2: 1/4, 3: 1/4}"
 
@@ -143,7 +143,7 @@ def test_measure_application_counts():
     """val measures at every node, val_spec exactly once."""
     cm = CountingMeasure(get_measure("expected"))
     sdp = coin_walk(horizon=3, measure=cm)
-    ps = next(enumerate_policy_seqs(sdp, 3, Q)[0])
+    ps = enumerate_policy_seqs(sdp, 3)[0]
     cm.count = 0
     val(sdp, ps, Atom(0))
     # one application per visited node: 1 + 2 + 4 under branching 2
@@ -199,10 +199,9 @@ def test_val_and_val_spec_genuinely_differ_under_default_zero():
 
 def test_policy_enumeration_counts_and_order():
     sdp = greedy_walk(horizon=1)
-    assert policy_seq_count(sdp, 1) == 8
-    seqs, total, mode = enumerate_policy_seqs(sdp, 1, Q)
+    seqs = enumerate_policy_seqs(sdp, 1)
     listing = list(seqs)
-    assert len(listing) == 8 == total
+    assert len(listing) == 8 == len(seqs)
     assert listing[0] == ((Atom(0), Atom(0), Atom(0)),)
     assert listing[1] == ((Atom(0), Atom(0), Atom(1)),)  # last slot fastest
     assert render_policy_seq(listing[1], 3) == "[<#0, #0, #1>]"
@@ -210,13 +209,21 @@ def test_policy_enumeration_counts_and_order():
 
 def test_policy_sampling_reproducible():
     sdp = greedy_walk(horizon=4)
-    assert policy_seq_count(sdp, 4) == 2**12
-    small = Quantifier(budget=50, seed=3)
-    one = list(enumerate_policy_seqs(sdp, 4, small)[0])
-    two = list(enumerate_policy_seqs(sdp, 4, small)[0])
-    assert one == two and len(one) == 50
-    other = list(enumerate_policy_seqs(sdp, 4, Quantifier(budget=50, seed=4))[0])
-    assert one != other
+    seqs = enumerate_policy_seqs(sdp, 4)
+    assert len(seqs) == 2**12
+    # sampling indexes the space: seqs[i] is the i-th sequence in order
+    listing = list(seqs)
+    assert all(seqs[i] == listing[i] for i in (0, 1, 7, 2**11, 2**12 - 1))
+
+    def visited(seed):
+        seen = []
+        scan(LawReport("t", "-"), lambda: [Var("ps", "policies", seqs, len(seqs))],
+             lambda ps: seen.append(ps) or (0, 0), Quantifier(budget=50, seed=seed))
+        return seen
+
+    one = visited(3)
+    assert one == visited(3) and len(one) == 50
+    assert one != visited(4)
 
 
 def test_val_equiv_sampled_mode():
@@ -224,7 +231,22 @@ def test_val_equiv_sampled_mode():
     rep = check_val_equiv(sdp, Quantifier(budget=100, seed=0))
     assert rep.passed
     assert rep.quantifiers[0].mode == "sampled"
-    assert rep.checked == 100 * 3
+    assert rep.quantifiers[1].mode == "sampled"  # x is drawn as well
+    assert rep.checked == 100  # budget joint draws of (ps, x)
+
+
+def test_val_equiv_samples_more_policy_sequences_than_sys_maxsize():
+    def shift_next(t, x, y):
+        return Atom((x.index + y.index) % 3)
+
+    sdp = Sdp("long-shift", 22, X3, Y2, get_instance("identity"),
+              get_measure("point"), shift_next, idx_reward)
+    assert enumerate_policy_seqs(sdp, 22).size == 2 ** 66
+    rep = check_val_equiv(sdp, Quantifier(budget=50, seed=3))
+    assert rep.passed, rep.diagnostic
+    assert rep.checked == 50
+    assert rep.quantifiers[0].size == 2 ** 66
+    assert rep.quantifiers[0].mode == "sampled"
 
 
 def test_admissible_controls_respected():
@@ -235,8 +257,8 @@ def test_admissible_controls_respected():
 
     sdp = Sdp("guarded", 1, X3, Y2, get_instance("nondet"), get_measure("max"),
               greedy_walk().next, idx_reward, admissible=only_stay_at_two)
-    assert policy_seq_count(sdp, 1) == 4
-    for ps in enumerate_policy_seqs(sdp, 1, Q)[0]:
+    assert len(enumerate_policy_seqs(sdp, 1)) == 4
+    for ps in enumerate_policy_seqs(sdp, 1):
         assert ps[0][2] == Atom(0)
 
 
@@ -244,4 +266,4 @@ def test_empty_admissible_set_raises():
     sdp = Sdp("stuck", 1, X3, Y2, get_instance("nondet"), get_measure("max"),
               greedy_walk().next, idx_reward, admissible=lambda t, x: ())
     with pytest.raises(ValueError):
-        policy_seq_count(sdp, 1)
+        enumerate_policy_seqs(sdp, 1)

@@ -25,7 +25,7 @@ A2 = FiniteType("A", 2)
 B2 = FiniteType("B", 2)
 C2 = FiniteType("C", 2)
 
-ALL_TABLES_22 = list(enumerate_functions(A2, Base(A2), Quantifier(budget=100)))
+ALL_TABLES_22 = list(enumerate_functions(A2, Base(A2)))
 
 
 def test_identity_equals_itself():
@@ -105,9 +105,9 @@ def test_compose_tables_oracle():
 
 
 def test_compose_tables_associative_all_64_triples():
-    fs = list(enumerate_functions(A2, Base(B2), Quantifier(budget=100)))
-    gs = list(enumerate_functions(B2, Base(C2), Quantifier(budget=100)))
-    hs = list(enumerate_functions(C2, Base(A2), Quantifier(budget=100)))
+    fs = list(enumerate_functions(A2, Base(B2)))
+    gs = list(enumerate_functions(B2, Base(C2)))
+    hs = list(enumerate_functions(C2, Base(A2)))
     count = 0
     for f, g, h in itertools.product(fs, gs, hs):
         count += 1
@@ -147,3 +147,11 @@ def test_comp_pres_ee_catches_faulty_composer():
     assert not rep.passed
     assert rep.witness is not None
     assert set(rep.witness) == {"f", "g", "x", "lhs", "rhs"}
+
+
+def test_comp_pres_ee_sampled_checks_at_most_budget():
+    # 27 tables on each side: the scan draws 10 joint (f, g) bindings
+    a3, b3, c3 = (FiniteType(r, 3) for r in "ABC")
+    rep = check_comp_pres_ee(a3, b3, c3, Quantifier(budget=10))
+    assert rep.passed and rep.checked == 10
+    assert [q.mode for q in rep.quantifiers] == ["sampled", "sampled"]

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from finmon import laws
 from finmon.instances import (
     INSTANCE_NAMES,
+    FunctorInstance,
     get_instance,
     identity_monad,
     maybe_monad,
@@ -32,6 +35,7 @@ from finmon.values import (
     SeqOf,
     Vec,
     enumerate_carrier,
+    mk_dist,
     parse_value,
     render_value,
 )
@@ -103,9 +107,9 @@ PROB_VALUES = enumerate_carrier(DistOf(Base(A3), 2))
 
 @given(st.sampled_from(PROB_VALUES))
 def test_simpleprob_canonicalize_is_idempotent(v):
-    m = simpleprob_monad()
-    assert m.canonicalize(v) == v
-    assert m.canonicalize(m.canonicalize(v)) == m.canonicalize(v)
+    # enumerated distributions are already in mk_dist's canonical form
+    assert mk_dist(v.entries) == v
+    assert mk_dist(mk_dist(v.entries).entries) == mk_dist(v.entries)
 
 
 @given(st.sampled_from(PROB_VALUES))
@@ -174,6 +178,28 @@ def test_reader_level2_report_is_exhaustive_and_green():
     assert rep.law_id == "F3L2"
     assert rep.checked > 0
     assert all(q.mode == "exhaustive" for q in rep.quantifiers)
+
+
+def test_reader_level2_witness_is_the_arrow_and_the_path(monkeypatch):
+    calls = itertools.count()
+
+    def drifting_reader(env):
+        # the eighth map call (mapR g at the last reader, first arrow)
+        # answers slot 1 wrongly
+        good = reader_functor(env)
+
+        def rmap(fn, r):
+            out = good.map(fn, r)
+            if next(calls) == 7:
+                out = Vec((out.items[0], Atom(1 - out.items[1].index)), 2)
+            return out
+
+        return FunctorInstance("reader", good.carrier_of, rmap)
+
+    monkeypatch.setattr(laws, "reader_functor", drifting_reader)
+    rep = reader_pres_ee2_report(FiniteType("E", 2), A2, FiniteType("B", 2))
+    assert not rep.passed and rep.checked == 1
+    assert rep.witness == {"f": "<#0, #0>", "path": "[#3, #1]", "lhs": "#0", "rhs": "#1"}
 
 
 def test_registry_names_and_lookup():

@@ -91,6 +91,10 @@ def test_vacuous_domain_passes():
     doms["A"] = FiniteType("A", 0)
     rep = check_law(law_by_id("T4"), get_instance("maybe"), doms, Quantifier(budget=100))
     assert rep.passed and rep.checked == 0
+    # an empty space keeps the scan vacuous even where others are sampled
+    doms = {r: FiniteType(r, 0 if r == "A" else 3) for r in "ABCD"}
+    rep = check_law(law_by_id("D3"), get_instance("nondet"), doms, Quantifier(budget=5))
+    assert rep.passed and rep.checked == 0
 
 
 def test_sampling_kicks_in_and_caps_evaluations():
@@ -99,6 +103,18 @@ def test_sampling_kicks_in_and_caps_evaluations():
     assert any(q.mode == "sampled" for q in rep.quantifiers)
     assert rep.checked <= 5
     assert rep.passed
+
+
+def test_sampling_refutes_mutant_a_associativity():
+    # at budget 30 every variable is drawn, so the outer tables vary too
+    inst = get_instance("mutant-a")
+    held = {
+        law_id: [check_law(law_by_id(law_id), inst, DOMS2, Quantifier(30, seed)).passed
+                 for seed in range(10)]
+        for law_id in ("D3", "W3")
+    }
+    assert held["D3"].count(True) == 0
+    assert held["W3"].count(True) <= 1
 
 
 def test_mutant_a_triangle_right_least_witness():

@@ -9,7 +9,9 @@ from finmon.cli import main
 from finmon.reports import LawReport, Var, scan
 from finmon.systems import MonSys, check_map_last_lemma
 from finmon.instances import get_instance
-from finmon.values import Base, CarrierOverflow, FiniteType, parse_value, tabulate
+from finmon.values import (
+    Base, CarrierOverflow, FiniteType, Quantifier, parse_value, tabulate,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -100,11 +102,46 @@ def test_skipped_bindings_are_not_counted():
 
 
 def test_budget_caps_only_sampled_scans():
-    exhaustive = lambda: [Var("x", "0..9", range(10), 10)]
-    sampled = lambda: [Var("x", "0..99", range(10), 100, "sampled")]
-    agree = lambda x: (x, x)
-    assert scan(_report(), exhaustive, agree, budget=4).checked == 10
-    assert scan(_report(), sampled, agree, budget=4).checked == 4
+    agree = lambda x, y: (x, x)
+    fits = lambda: [Var("x", "0..3", range(4), 4), Var("y", "0..3", range(4), 4)]
+    # every space fits the budget: the whole product, past the budget
+    rep = scan(_report(), fits, agree, Quantifier(budget=4))
+    assert rep.checked == 16
+    assert all(s.mode == "exhaustive" and s.count == 4 for s in rep.quantifiers)
+    # without a quantifier a scan is exhaustive whatever its sizes
+    big = lambda: [Var("x", "0..99", range(100), 100), Var("y", "0..3", range(4), 4)]
+    assert scan(_report(), big, agree).checked == 400
+
+
+def test_sampled_scan_draws_budget_joint_bindings():
+    seen = []
+    variables = lambda: [Var("x", "0..99", range(100), 100), Var("y", "0..2", range(3), 3)]
+    rep = scan(_report(), variables, lambda x, y: seen.append((x, y)) or (x, x),
+               Quantifier(budget=30, seed=5))
+    assert rep.passed and rep.checked == 30 == len(seen)
+    # y fits the budget but is drawn too, so both variables vary
+    for stat, column in zip(rep.quantifiers, zip(*seen)):
+        assert stat.mode == "sampled"
+        assert stat.count == len(set(column)) > 1
+
+
+def test_sampled_draws_extend_with_the_budget():
+    def drawn(budget):
+        seen = []
+        scan(_report(),
+             lambda: [Var("x", "0..999", range(1000), 1000), Var("y", "0..49", range(50), 50)],
+             lambda x, y: seen.append((x, y)) or (0, 0), Quantifier(budget=budget, seed=9))
+        return seen
+
+    first = drawn(10)
+    assert len(first) == 10
+    assert drawn(11)[:10] == first == drawn(40)[:10]
+
+
+def test_empty_space_makes_a_sampled_scan_vacuous():
+    variables = lambda: [Var("f", "huge", range(10**6), 10**6), Var("a", "A", (), 0)]
+    rep = scan(_report(), variables, lambda f, a: (f, a), Quantifier(budget=5))
+    assert rep.passed and rep.checked == 0
 
 
 def test_outer_variable_streams_its_setup():
@@ -116,7 +153,7 @@ def test_outer_variable_streams_its_setup():
             yield n
 
     rep = scan(_report(),
-               lambda: [Var("n", "0..4", outer(), 5, count=5), Var("x", "X", (0, 1), 2)],
+               lambda: [Var("n", "0..4", outer(), 5), Var("x", "X", (0, 1), 2)],
                lambda n, x: (n, 2 - x))
     assert rep.quantifiers[0].count == 5
     assert rep.witness == {"n": "0", "x": "0", "lhs": "0", "rhs": "2"}

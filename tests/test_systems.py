@@ -88,6 +88,13 @@ def test_det_flow_lr_covers_all_162_comparisons():
     assert rep.checked == 27 * 6
 
 
+def test_det_flow_lr_sampled_checks_at_most_budget():
+    # 27 endofunctions exceed the budget: 10 joint (f, n) draws, not 10 * 6
+    rep = check_det_flow_lr(X3, 5, Quantifier(budget=10))
+    assert rep.passed and rep.checked == 10
+    assert [q.mode for q in rep.quantifiers] == ["sampled", "sampled"]
+
+
 def test_det_sys_validates_shape():
     with pytest.raises(ValueError):
         DetSys("bad", X3, identity_table(FiniteType("Y", 2)))

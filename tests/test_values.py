@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finmon.instances import mutant_b_monad, nondet_monad, simpleprob_monad
+from finmon.reports import LawReport, Var, scan
 from finmon.values import (
     Atom,
     Base,
@@ -302,7 +303,7 @@ def test_carrier_too_large():
 
 
 def test_enumerate_functions_exhaustive_order():
-    tables = list(enumerate_functions(A2, Base(A2), Quantifier(budget=100)))
+    tables = list(enumerate_functions(A2, Base(A2)))
     assert [tuple(v.index for v in t.entries) for t in tables] == [
         (0, 0),
         (0, 1),
@@ -312,8 +313,7 @@ def test_enumerate_functions_exhaustive_order():
 
 
 def test_enumerate_functions_counts_49():
-    q = Quantifier(budget=1000)
-    tables = list(enumerate_functions(A2, SeqOf(Base(A2), 2), q))
+    tables = list(enumerate_functions(A2, SeqOf(Base(A2), 2)))
     assert len(tables) == 49
     assert len(set(tables)) == 49
 
@@ -322,17 +322,27 @@ def test_enumerate_functions_sampling_reproducible():
     cod = SeqOf(Base(A3), 3)
     dom = FiniteType("A", 3)
     assert function_space_size(dom, cod) > 50
-    one = list(enumerate_functions(dom, cod, Quantifier(budget=50, seed=7)))
-    two = list(enumerate_functions(dom, cod, Quantifier(budget=50, seed=7)))
-    other = list(enumerate_functions(dom, cod, Quantifier(budget=50, seed=8)))
-    assert one == two
+    tables = enumerate_functions(dom, cod)
+    assert len(tables) == function_space_size(dom, cod)
+    # sampling indexes the space: tables[i] is the i-th table in order
+    listing = list(tables)
+    assert all(tables[i] == listing[i] for i in (0, 1, 50, len(listing) - 1))
+
+    def visited(seed):
+        seen = []
+        scan(LawReport("t", "-"), lambda: [Var("f", "A->B", tables, len(tables))],
+             lambda f: seen.append(f) or (0, 0), Quantifier(budget=50, seed=seed))
+        return seen
+
+    one = visited(7)
+    assert one == visited(7)
     assert len(one) == 50
-    assert one != other
+    assert one != visited(8)
 
 
 def test_empty_domain_has_one_table():
     empty = FiniteType("A", 0)
-    tables = list(enumerate_functions(empty, Base(A2), Quantifier(budget=10)))
+    tables = list(enumerate_functions(empty, Base(A2)))
     assert len(tables) == 1
     assert tables[0].entries == ()
 
@@ -442,7 +452,7 @@ def identity_values():
     out = []
     for desc in IDENTITY_CARRIERS:
         out.extend(enumerate_carrier(desc))
-    out.extend(enumerate_functions(A2, DistOf(Base(A2), 2), Quantifier(budget=100)))
+    out.extend(enumerate_functions(A2, DistOf(Base(A2), 2)))
     out.extend(PROB.join(mmv) for mmv in enumerate_carrier(IDENTITY_CARRIERS[2]))
     kernel = table_fn(tabulate(A2, DistOf(Base(A2), 2),
                                lambda a: mk_dist([(a, "1/3"), (Atom(1), "2/3")])))
