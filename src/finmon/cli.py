@@ -35,9 +35,10 @@ Configuration grammar (JSON):
 
 n_max bounds the step count of the flow checks and the vector length of
 mapLastLemma. carrier_cap bounds every enumeration of the run: suite
-carriers, the carriers of reprLemma and mapLastLemma, and each sdp's
-measureShift gate; a check that reaches it fails with checked=0 and the
-cap diagnostic.
+domains, carriers and function-table domains, the carriers of reprLemma
+and mapLastLemma, and each sdp's measureShift gate; a check that reaches
+it fails with checked=0 and the cap diagnostic. A deterministic system
+is a system over instance "identity".
 
 Step and next entries use the canonical value syntax and must be
 values of the instance's carrier over the states: the right shape, with

@@ -49,6 +49,7 @@ from .values import (
     enumerate_domain,
     enumerate_functions,
     function_space_size,
+    refuse_wide,
     render_carrier,
     table_fn,
     DEFAULT_CARRIER_CAP,
@@ -435,14 +436,15 @@ def _variable(
     vs: VarSpec, inst: Instance, domains: dict[str, FiniteType], cap: int
 ) -> Var:
     """The scan variable for one bound variable: its whole space in
-    canonical order, with the space's description and size."""
+    canonical order, with the space's description and size. A domain or
+    carrier past cap raises CarrierTooLarge."""
     if vs.kind == "fn":
         dom = domains[vs.dom]
         cod = resolve_carrier(vs.cod, inst, domains)
         return Var(vs.name, f"{vs.dom}->{render_carrier(cod)}",
                    enumerate_functions(dom, cod, cap), function_space_size(dom, cod))
     if vs.kind == "atom":
-        full = enumerate_domain(domains[vs.dom])
+        full = enumerate_domain(refuse_wide(domains[vs.dom], cap))
         space = vs.dom
     elif vs.kind == "carrier":
         desc = resolve_carrier(vs.cod, inst, domains)

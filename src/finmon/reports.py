@@ -135,17 +135,18 @@ def _plan(
     """The bindings a scan visits, with the stat of each variable.
 
     Exhaustive, in lexicographic order, without a quantifier or when
-    every space fits its budget; vacuous when a space is empty.
-    Otherwise q.budget joint bindings drawn up front: variable i draws
-    uniformly with replacement from its own stream, seeded with
-    sub_seed(q.seed, i), so every variable varies and the first k draws
-    are the same under any budget of at least k. A sampled variable
-    reports how many distinct values it drew."""
+    every space fits its budget; vacuous, visiting nothing of any
+    space, when a space is empty. Otherwise q.budget joint bindings
+    drawn up front: variable i draws uniformly with replacement from its
+    own stream, seeded with sub_seed(q.seed, i), so every variable
+    varies and the first k draws are the same under any budget of at
+    least k. A sampled variable reports how many distinct values it
+    drew."""
     sizes = [v.size for v in variables]
     vacuous = 0 in sizes
     if vacuous or q is None or max(sizes) <= q.budget:
-        stats = [QuantifierStat(v.name, v.space, v.size, "exhaustive", v.size)
-                 for v in variables]
+        stats = [QuantifierStat(v.name, v.space, v.size, "exhaustive",
+                                0 if vacuous else v.size) for v in variables]
         return (() if vacuous else _product(variables)), stats
     picks = []
     for i, n in enumerate(sizes):

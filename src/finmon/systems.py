@@ -1,9 +1,11 @@
-"""Finite dynamical systems, deterministic and monadic.
+"""Finite monadic dynamical systems.
 
-A deterministic system is an endofunction table on a finite state
-space; a monadic system steps into a monadic structure over the state
-space. Flows iterate steps, trajectories record the visited states.
-Every theorem about them here is a bounded check returning a report.
+A monadic system steps each state into a monadic structure over the
+finite state space. A deterministic system is a monadic system over the
+identity monad, so one generic check covers both: function composition
+is Kleisli composition in identity. Flows iterate steps, trajectories
+record the visited states. Every theorem about them here is a bounded
+check returning a report.
 
 Conventions, fixed once:
 
@@ -33,40 +35,23 @@ from .values import (
     Base,
     FiniteType,
     FnTable,
-    Quantifier,
     Value,
     Vec,
     VecOf,
     enumerate_carrier,
     enumerate_domain,
-    enumerate_functions,
-    identity_table,
     table_fn,
     tabulate,
     DEFAULT_CARRIER_CAP,
 )
 
 __all__ = [
-    "DetSys", "MonSys", "flow_det_left", "flow_det_right",
-    "check_det_flow_lr", "embed", "flow_mon_left", "flow_mon_right",
+    "MonSys", "flow_mon_left", "flow_mon_right",
     "flow", "repr_table", "trj", "map_last",
     "check_flow_lr", "check_flow_mon_r_lem", "check_flow_monoid",
-    "check_repr_lemma", "check_last_lemma", "check_map_last_lemma",
+    "check_repr_lemma", "check_map_last_lemma",
     "check_flow_trj", "SYSTEM_CHECKS", "run_system_check",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class DetSys:
-    """A deterministic dynamical system: one endofunction table."""
-
-    name: str
-    domain: FiniteType
-    step: FnTable
-
-    def __post_init__(self):
-        if self.step.domain != self.domain or self.step.codomain != Base(self.domain):
-            raise ValueError("deterministic step must be an endofunction table")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -100,66 +85,7 @@ def mon_sys(
 
 
 # ---------------------------------------------------------------------------
-# deterministic flows
-
-
-def flow_det_left(step: FnTable, n: int) -> FnTable:
-    """n-fold iteration, peeling one step off the front."""
-    out = identity_table(step.domain)
-    for _ in range(n):
-        out = FnTable(
-            step.domain,
-            step.codomain,
-            tuple(out.entries[v.index] for v in step.entries),
-        )
-    return out
-
-
-def flow_det_right(step: FnTable, n: int) -> FnTable:
-    """n-fold iteration, appending one step at the end."""
-    out = identity_table(step.domain)
-    for _ in range(n):
-        out = FnTable(
-            step.domain,
-            step.codomain,
-            tuple(step.entries[v.index] for v in out.entries),
-        )
-    return out
-
-
-def check_det_flow_lr(
-    domain: FiniteType, n_max: int, q: Quantifier
-) -> LawReport:
-    """Both deterministic flow recursions agree, as tables, for every
-    endofunction and every iteration count up to n_max. Tables are
-    extensional by construction, so table equality settles it."""
-    report = LawReport(law_id="flowDetLR", instance="det", sizes={"X": domain.size})
-    return scan(
-        report,
-        lambda: [
-            Var("f", "X->X", enumerate_functions(domain, Base(domain)),
-                domain.size**domain.size),
-            Var("n", f"0..{n_max}", range(n_max + 1), n_max + 1),
-        ],
-        lambda step, n: (flow_det_left(step, n), flow_det_right(step, n)),
-        q,
-    )
-
-
-# ---------------------------------------------------------------------------
 # monadic flows
-
-
-def embed(det: DetSys, monad: MonadInstance, name: str | None = None) -> MonSys:
-    """View a deterministic system as a monadic one through pure."""
-    carrier = monad.carrier_of(Base(det.domain))
-    det_fn = table_fn(det.step)
-    return MonSys(
-        name or det.name,
-        monad,
-        det.domain,
-        tabulate(det.domain, carrier, lambda a: monad.pure(det_fn(a))),
-    )
 
 
 def flow_mon_left(sys: MonSys, n: int) -> FnTable:
@@ -366,43 +292,25 @@ def map_last(sys: MonSys, mvx: Value) -> Value:
     return sys.monad.map(_last, mvx)
 
 
-def _vectors_var(name: str, space: str, carrier_of, domain: FiniteType,
-                 max_len: int, cap: int) -> Var:
-    """Every structure of nonempty vectors up to max_len, shortest
-    vectors first, each carrier enumerated once."""
-    values = tuple(itertools.chain.from_iterable(
-        enumerate_carrier(carrier_of(VecOf(Base(domain), ln)), cap)
-        for ln in range(1, max_len + 1)
-    ))
-    return Var(name, f"{space}[X;len=1..{max_len}]", values, len(values))
-
-
-def check_last_lemma(
-    domain: FiniteType, max_len: int, cap: int = DEFAULT_CARRIER_CAP
-) -> LawReport:
-    """Prepending never changes the last element of a nonempty vector."""
-    return scan(
-        LawReport(law_id="lastLemma", instance="det", sizes={"X": domain.size}),
-        lambda: [
-            _x_var(domain),
-            _vectors_var("vx", "Vec", lambda c: c, domain, max_len, cap),
-        ],
-        lambda x, vec: (_last(_prepend(x)(vec)), _last(vec)),
-    )
-
-
 def check_map_last_lemma(
     sys: MonSys, max_len: int, cap: int = DEFAULT_CARRIER_CAP
 ) -> LawReport:
     """Mapping last after mapping a prepend is just mapping last, over
-    every monadic structure of nonempty vectors up to max_len."""
+    every monadic structure of nonempty vectors up to max_len, shortest
+    vectors first, each carrier enumerated once."""
     m = sys.monad
+
+    def variables():
+        values = tuple(itertools.chain.from_iterable(
+            enumerate_carrier(m.carrier_of(VecOf(Base(sys.domain), ln)), cap)
+            for ln in range(1, max_len + 1)
+        ))
+        return [_x_var(sys.domain),
+                Var("mvx", f"M Vec[X;len=1..{max_len}]", values, len(values))]
+
     return scan(
         _base_report("mapLastLemma", sys),
-        lambda: [
-            _x_var(sys.domain),
-            _vectors_var("mvx", "M Vec", m.carrier_of, sys.domain, max_len, cap),
-        ],
+        variables,
         lambda x, mvx: (m.map(_last, m.map(_prepend(x), mvx)), m.map(_last, mvx)),
     )
 

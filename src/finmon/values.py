@@ -47,7 +47,7 @@ __all__ = [
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
     "canonical_key", "canonical_compare", "mk_dist", "check_member",
-    "enumerate_domain", "enumerate_carrier", "carrier_size",
+    "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size",
     "function_space_size", "enumerate_functions",
     "tabulate", "identity_table", "table_fn", "table_to_value",
     "value_to_table", "render_value", "render_table", "parse_value",
@@ -359,6 +359,15 @@ def enumerate_domain(d: FiniteType) -> tuple[Atom, ...]:
     return tuple(Atom(i) for i in range(d.size))
 
 
+def refuse_wide(d: FiniteType, cap: int) -> FiniteType:
+    """d itself; CarrierTooLarge if it has more than cap atoms."""
+    if d.size > cap:
+        raise CarrierTooLarge(
+            f"domain too large: {render_carrier(Base(d))} has {d.size} atoms, cap {cap}"
+        )
+    return d
+
+
 def carrier_size(c: CarrierDesc) -> int:
     """Closed-form count of enumerate_carrier output (documented per
     constructor; the test suite pins these against direct counting)."""
@@ -538,9 +547,10 @@ def enumerate_functions(
     dom: FiniteType, cod: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP
 ) -> Product:
     """All tables dom -> cod in mixed-radix order: the entry at the
-    highest atom index varies fastest."""
+    highest atom index varies fastest. Like the codomain's carrier, the
+    domain is refused past the cap, before the space is sized."""
     return Product(
-        (enumerate_carrier(cod, cap),) * dom.size,
+        (enumerate_carrier(cod, cap),) * refuse_wide(dom, cap).size,
         lambda combo: FnTable(dom, cod, combo),
     )
 

@@ -18,18 +18,16 @@ from finmon.exteq import __doc__ as exteq_doc
 from finmon.instances import get_instance
 from finmon.laws import LAW_IDS, SuiteProfile, reader_pres_ee2_report, run_suite
 from finmon.systems import (
-    DetSys,
-    check_det_flow_lr,
+    MonSys,
     check_flow_lr,
     check_flow_monoid,
     check_flow_trj,
     check_repr_lemma,
-    embed,
     mon_sys,
     trajectory_count,
     trajectory_weight,
 )
-from finmon.values import Atom, FiniteType, Quantifier, parse_value, tabulate
+from finmon.values import Atom, Base, FiniteType, Quantifier, enumerate_functions, parse_value
 
 from pathlib import Path
 
@@ -65,11 +63,9 @@ def drop_sys():
 
 
 def rotate_embeddings():
-    from finmon.values import Base
-
-    table = tabulate(X3, Base(X3), lambda a: Atom((a.index + 1) % 3))
-    det = DetSys("rotate", X3, table)
-    return [embed(det, get_instance("identity")), embed(det, get_instance("maybe"))]
+    rot = lambda a: Atom((a.index + 1) % 3)
+    return [mon_sys("rotate", m, X3, lambda a: m.pure(rot(a)))
+            for m in (get_instance("identity"), get_instance("maybe"))]
 
 
 def greedy_walk(h: int) -> Sdp:
@@ -126,12 +122,17 @@ def test_criterion_02_mutation_sensitivity(tmp_path):
 
 
 def test_criterion_03_det_flow_equality():
+    # a deterministic system is an identity system: one per endofunction
+    ident = get_instance("identity")
     t0 = time.perf_counter()
-    rep = check_det_flow_lr(X3, 5, Quantifier(seed=0, budget=100_000))
+    reports = [check_flow_lr(MonSys("det", ident, X3, f), 5)
+               for f in enumerate_functions(X3, Base(X3))]
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and rep.checked == 162 and elapsed < 1.0
+    checked = sum(r.checked for r in reports)
+    ok = (len(reports) == 27 and all(r.passed for r in reports)
+          and checked == 486 and elapsed < 1.0)
     verdict(3, "left and right deterministic flows agree",
-            ok, f"162 table comparisons in {elapsed * 1000:.0f}ms")
+            ok, f"{checked} pointwise comparisons in {elapsed * 1000:.0f}ms")
 
 
 def test_criterion_04_monadic_flow_equality():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,34 @@ def test_carrier_cap_bounds_system_and_sdp_checks(tmp_path):
         assert not r["pass"] and "witness" not in r
         assert r["diagnostic"].startswith("carrier too large: ")
         assert r["diagnostic"].endswith("has 18 values, cap 5")
+
+
+def test_carrier_cap_bounds_domain_widths(tmp_path):
+    # 3,000,000 atoms: sizing A->B or listing A would not end in time
+    cfg = {"seed": 0, "budget": 10, "carrier_cap": 1000,
+           "suites": [{"name": "wide", "instance": "identity", "laws": ["T4"],
+                       "sizes": {"A": 3_000_000}}]}
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    (row,) = json.loads(out.read_text())["deterministic"]["results"]
+    assert not row["pass"] and row["checked"] == 0 and "witness" not in row
+    assert row["diagnostic"] == "domain too large: A(3000000) has 3000000 atoms, cap 1000"
+
+
+def test_identity_systems_run_the_deterministic_lemmas(tmp_path):
+    cfg = {"seed": 0, "budget": 100_000,
+           "systems": [{"name": "rot", "instance": "identity", "size": 3,
+                        "step": ["#1", "#2", "#0"],
+                        "checks": ["flowLR", "mapLastLemma"], "n_max": 3}]}
+    out = tmp_path / "out.json"
+    assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["deterministic"]["results"]
+    assert [(r["law"], r["instance"], r["checked"]) for r in results] == [
+        ("flowLR", "identity", 12), ("mapLastLemma", "identity", 117)]
 
 
 def test_echo_keeps_texts_renders_rewards_and_fills_defaults(tmp_path):

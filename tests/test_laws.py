@@ -10,12 +10,15 @@ from finmon.instances import INSTANCE_NAMES, get_instance, reader_functor
 from finmon.laws import (
     LAW_IDS,
     SuiteProfile,
+    VarSpec,
+    _variable,
     check_law,
     law_by_id,
     law_catalog,
+    reader_pres_ee2_report,
     run_suite,
 )
-from finmon.values import FiniteType, Quantifier
+from finmon.values import CarrierTooLarge, FiniteType, Quantifier
 
 DOMS2 = {r: FiniteType(r, 2) for r in "ABCD"}
 
@@ -95,6 +98,20 @@ def test_vacuous_domain_passes():
     doms = {r: FiniteType(r, 0 if r == "A" else 3) for r in "ABCD"}
     rep = check_law(law_by_id("D3"), get_instance("nondet"), doms, Quantifier(budget=5))
     assert rep.passed and rep.checked == 0
+    assert [q.count for q in rep.quantifiers] == [0, 0, 0, 0]
+
+
+def test_domain_wider_than_the_cap_is_refused():
+    wide = {"A": FiniteType("A", 3_000_000), "B": FiniteType("B", 2)}
+    q = Quantifier(budget=10)
+    rep = check_law(law_by_id("T4"), get_instance("identity"), wide, q, cap=1000)
+    assert not rep.passed and rep.checked == 0
+    assert rep.diagnostic == "domain too large: A(3000000) has 3000000 atoms, cap 1000"
+    # an atom variable is bounded the same way
+    with pytest.raises(CarrierTooLarge, match="A.3000000. has 3000000 atoms, cap 1000"):
+        _variable(VarSpec("atom", "a", dom="A"), get_instance("identity"), wide, 1000)
+    rep = reader_pres_ee2_report(FiniteType("E", 1), wide["A"], wide["B"], q, cap=1000)
+    assert not rep.passed and rep.checked == 0 and rep.diagnostic is not None
 
 
 def test_sampling_kicks_in_and_caps_evaluations():

@@ -142,6 +142,7 @@ def test_empty_space_makes_a_sampled_scan_vacuous():
     variables = lambda: [Var("f", "huge", range(10**6), 10**6), Var("a", "A", (), 0)]
     rep = scan(_report(), variables, lambda f, a: (f, a), Quantifier(budget=5))
     assert rep.passed and rep.checked == 0
+    assert [q.count for q in rep.quantifiers] == [0, 0]
 
 
 def test_outer_variable_streams_its_setup():

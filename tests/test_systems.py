@@ -8,20 +8,14 @@ import pytest
 
 from finmon.instances import get_instance
 from finmon.systems import (
-    DetSys,
     MonSys,
-    check_det_flow_lr,
     check_flow_lr,
     check_flow_mon_r_lem,
     check_flow_monoid,
     check_flow_trj,
-    check_last_lemma,
     check_map_last_lemma,
     check_repr_lemma,
-    embed,
     flow,
-    flow_det_left,
-    flow_det_right,
     flow_mon_left,
     flow_mon_right,
     mon_sys,
@@ -36,20 +30,23 @@ from finmon.values import (
     Atom,
     Base,
     FiniteType,
-    Quantifier,
     enumerate_carrier,
+    enumerate_functions,
     identity_table,
     parse_value,
     render_value,
-    tabulate,
 )
 
 X3 = FiniteType("X", 3)
 
 
-def rotate() -> DetSys:
-    step = tabulate(X3, Base(X3), lambda a: Atom((a.index + 1) % 3))
-    return DetSys("rot", X3, step)
+def rot(a: Atom) -> Atom:
+    return Atom((a.index + 1) % 3)
+
+
+def rotate() -> MonSys:
+    """A deterministic system is a monadic system over identity."""
+    return mon_sys("rot", get_instance("identity"), X3, rot)
 
 
 def branch_sys() -> MonSys:
@@ -76,28 +73,25 @@ def drop_sys() -> MonSys:
 
 def test_det_flow_oracle():
     sys = rotate()
-    f2 = flow_det_left(sys.step, 2)
+    f2 = flow(sys, 2)
     assert [v.index for v in f2.entries] == [2, 0, 1]
-    assert flow_det_left(sys.step, 0) == identity_table(X3)
-    assert flow_det_right(sys.step, 2) == f2
+    assert flow(sys, 0) == identity_table(X3)
+    assert flow_mon_right(sys, 2) == f2
 
 
 def test_det_flow_lr_covers_all_162_comparisons():
-    rep = check_det_flow_lr(X3, 5, Quantifier(budget=1000))
-    assert rep.passed
-    assert rep.checked == 27 * 6
-
-
-def test_det_flow_lr_sampled_checks_at_most_budget():
-    # 27 endofunctions exceed the budget: 10 joint (f, n) draws, not 10 * 6
-    rep = check_det_flow_lr(X3, 5, Quantifier(budget=10))
-    assert rep.passed and rep.checked == 10
-    assert [q.mode for q in rep.quantifiers] == ["sampled", "sampled"]
+    # flowLR on the identity system of each of the 27 endofunctions: each
+    # of the 27 * 6 (f, n) table comparisons is 3 pointwise ones
+    ident = get_instance("identity")
+    reports = [check_flow_lr(MonSys("det", ident, X3, f), 5)
+               for f in enumerate_functions(X3, Base(X3))]
+    assert all(r.passed for r in reports)
+    assert sum(r.checked for r in reports) == 27 * 6 * 3
 
 
 def test_det_sys_validates_shape():
     with pytest.raises(ValueError):
-        DetSys("bad", X3, identity_table(FiniteType("Y", 2)))
+        MonSys("bad", get_instance("identity"), X3, identity_table(FiniteType("Y", 2)))
 
 
 def test_mon_sys_validates_codomain():
@@ -126,7 +120,8 @@ def test_left_and_right_flows_differ_only_intensionally():
 
 
 def test_embed_wraps_pure():
-    sys = embed(rotate(), get_instance("nondet"))
+    m = get_instance("nondet")
+    sys = mon_sys("rot", m, X3, lambda a: m.pure(rot(a)))
     assert render_value(sys.step.entries[0]) == "[#1]"
     rep = check_flow_lr(sys, 4)
     assert rep.passed
@@ -201,10 +196,12 @@ def test_map_last_extracts_final_states():
 
 
 def test_last_lemma():
-    rep = check_last_lemma(X3, 3)
+    # over identity, mapLastLemma is the plain lemma on vectors
+    rep = check_map_last_lemma(rotate(), 3)
     assert rep.passed
     # 3 prepends, vectors of lengths 1..3: 3 * (3 + 9 + 27)
     assert rep.checked == 117
+    assert [q.size for q in rep.quantifiers] == [3, 39]
 
 
 def test_map_last_lemma_all_instances():
