@@ -2,8 +2,9 @@
 
 Loads a JSON configuration describing law suites, system checks and
 decision-process checks, runs everything, and writes a two-part report:
-a deterministic part that is byte-identical across runs and worker
-counts, and a separate timing part that is allowed to vary.
+a deterministic part that is byte-identical across runs, and a separate
+timing part that is allowed to vary. Checks run one after another, in
+declaration order, on the calling thread.
 
 Configuration grammar (JSON):
 
@@ -63,11 +64,9 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .dp import MEASURES, Sdp, check_val_equiv, get_measure
@@ -404,44 +403,30 @@ def _build_suite_instance(profile: SuiteProfile):
     )
 
 
-def _execute(cfg: RunConfig, jobs: int) -> tuple[list[tuple[str, LawReport]], float]:
-    """Run everything; returns (group, report) pairs in declaration
-    order regardless of worker count, plus wall seconds."""
-
-    tasks: list[tuple[str, Callable[[], list[LawReport]]]] = []
+def _execute(cfg: RunConfig) -> tuple[list[tuple[str, LawReport]], float]:
+    """Run every check in declaration order on the calling thread;
+    returns (group, report) pairs plus wall seconds."""
+    t0 = time.perf_counter()
+    out: list[tuple[str, LawReport]] = []
     for profile in cfg.suites:
         effective = dataclasses.replace(
             profile, budget=cfg.budget, seed=cfg.seed, carrier_cap=cfg.carrier_cap
         )
         inst = _build_suite_instance(effective)
-        tasks.append((
-            f"suite:{profile.name}",
-            lambda inst=inst, eff=effective: run_suite(inst, eff),
-        ))
+        out.extend((f"suite:{profile.name}", rep) for rep in run_suite(inst, effective))
     cap = cfg.carrier_cap
     for sys_obj, echo in cfg.systems:
         for check in echo["checks"]:
-            tasks.append((
-                f"system:{sys_obj.name}",
-                lambda c=check, s=sys_obj, n=echo["n_max"]: [run_system_check(c, s, n, cap)],
-            ))
+            out.append((f"system:{sys_obj.name}",
+                        run_system_check(check, sys_obj, echo["n_max"], cap)))
     q = Quantifier(budget=cfg.budget, seed=cfg.seed)
     for sdp, _ in cfg.sdps:
-        tasks.append((f"sdp:{sdp.name}", lambda s=sdp: [check_val_equiv(s, q, cap)]))
-
-    t0 = time.perf_counter()
-    if jobs <= 1:
-        bundles = [fn() for _, fn in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bundles = list(pool.map(lambda t: t[1](), tasks))
-    elapsed = time.perf_counter() - t0
-    out = [(group, rep) for (group, _), reps in zip(tasks, bundles) for rep in reps]
-    return out, elapsed
+        out.append((f"sdp:{sdp.name}", check_val_equiv(sdp, q, cap)))
+    return out, time.perf_counter() - t0
 
 
 def build_report(cfg: RunConfig, results: list[tuple[str, LawReport]],
-                 elapsed_s: float, jobs: int) -> dict:
+                 elapsed_s: float) -> dict:
     failures = sum(1 for _, r in results if not r.passed)
     deterministic = {
         "schema": REPORT_SCHEMA,
@@ -456,7 +441,6 @@ def build_report(cfg: RunConfig, results: list[tuple[str, LawReport]],
     }
     timing = {
         "note": "non-deterministic section; excluded from byte-identity",
-        "jobs": jobs,
         "total_ms": round(elapsed_s * 1000, 3),
         "checks": [
             {"group": group, "law": rep.law_id,
@@ -506,7 +490,7 @@ def render_text(report: dict) -> str:
     )
     timing = report["timing"]
     lines.append(TIMING_MARKER)
-    lines.append(f"jobs={timing['jobs']} total={timing['total_ms']}ms")
+    lines.append(f"total={timing['total_ms']}ms")
     return "\n".join(lines) + "\n"
 
 
@@ -537,10 +521,9 @@ def list_catalog() -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(cfg: RunConfig, jobs: int = 1, fmt: str = "text",
-        out_path: str | None = None) -> int:
-    results, elapsed = _execute(cfg, jobs)
-    report = build_report(cfg, results, elapsed, jobs)
+def run(cfg: RunConfig, fmt: str = "text", out_path: str | None = None) -> int:
+    results, elapsed = _execute(cfg)
+    report = build_report(cfg, results, elapsed)
     text = render_json(report) if fmt == "json" else render_text(report)
     if out_path:
         Path(out_path).write_text(text)
@@ -564,7 +547,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--budget", type=int, help="override the config budget")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads (affects timing only)")
+                        help="accepted for compatibility and has no effect: "
+                        "checks run one after another in declaration order")
     parser.add_argument("--list", action="store_true",
                         help="print the catalog of laws, instances, checks "
                         "and measures, then exit")
@@ -610,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.budget = args.budget
         if args.jobs < 1:
             raise ConfigError("--jobs: must be at least 1")
-        return run(cfg, jobs=args.jobs, fmt=args.format, out_path=args.out)
+        return run(cfg, fmt=args.format, out_path=args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -12,13 +12,13 @@ Conventions, fixed once:
 * the left flow recursion peels steps off the front: one step first,
   then the rest of the flow. The right recursion does the opposite.
   `flow` with no suffix means the left monadic variant.
-* `repr_table` materializes the Kleisli lift of a step as an honest
-  lookup table over the enumerated bounded carrier. Its outputs are not
-  constrained to that carrier: iterated stochastic steps leave the
-  weight grid (half of a third is a sixth) and iterated nondeterminism
-  outgrows any length bound. `check_repr_lemma` therefore evaluates the
-  deterministic flow of the lift by functional iteration instead of by
-  composing index tables, which would force exactly that constraint.
+* `check_repr_lemma` binds every value of the enumerated bounded
+  carrier through the step, but the results are not constrained to
+  that carrier: iterated stochastic steps leave the weight grid (half
+  of a third is a sixth) and iterated nondeterminism outgrows any
+  length bound. It therefore evaluates the deterministic flow of the
+  Kleisli lift by functional iteration instead of by composing index
+  tables over the carrier, which would force exactly that constraint.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .values import (
 
 __all__ = [
     "MonSys", "flow_mon_left", "flow_mon_right",
-    "flow", "repr_table", "trj", "map_last",
+    "flow", "trj", "map_last",
     "check_flow_lr", "check_flow_mon_r_lem", "check_flow_monoid",
     "check_repr_lemma", "check_map_last_lemma",
     "check_flow_trj", "SYSTEM_CHECKS", "run_system_check",
@@ -88,34 +88,32 @@ def mon_sys(
 # monadic flows
 
 
+def _pure_table(sys: MonSys) -> FnTable:
+    return tabulate(sys.domain, sys.step.codomain, sys.monad.pure)
+
+
 def flow_mon_left(sys: MonSys, n: int) -> FnTable:
     """Iterate by taking the flow so far, then one more step."""
     m = sys.monad
-    if n == 0:
-        return tabulate(
-            sys.domain, sys.step.codomain, lambda a: m.pure(a)
-        )
-    prev = flow_mon_left(sys, n - 1)
     step_fn = sys.step_fn()
-    return FnTable(
-        sys.domain,
-        sys.step.codomain,
-        tuple(m.bind(mv, step_fn) for mv in prev.entries),
-    )
+    entries = _pure_table(sys).entries
+    for _ in range(n):
+        entries = tuple(m.bind(mv, step_fn) for mv in entries)
+    return FnTable(sys.domain, sys.step.codomain, entries)
 
 
 def flow_mon_right(sys: MonSys, n: int) -> FnTable:
     """Iterate by taking one step, then the flow of the rest."""
     m = sys.monad
-    if n == 0:
-        return tabulate(sys.domain, sys.step.codomain, lambda a: m.pure(a))
-    prev = flow_mon_right(sys, n - 1)
-    prev_fn = table_fn(prev)
-    return FnTable(
-        sys.domain,
-        sys.step.codomain,
-        tuple(m.bind(mv, prev_fn) for mv in sys.step.entries),
-    )
+    table = _pure_table(sys)
+    for _ in range(n):
+        prev_fn = table_fn(table)
+        table = FnTable(
+            sys.domain,
+            sys.step.codomain,
+            tuple(m.bind(mv, prev_fn) for mv in sys.step.entries),
+        )
+    return table
 
 
 def flow(sys: MonSys, n: int) -> FnTable:
@@ -220,20 +218,6 @@ def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
 # representations
 
 
-def repr_table(sys: MonSys, cap: int = DEFAULT_CARRIER_CAP) -> FnTable:
-    """The Kleisli lift id >=> step of the system, written out as a
-    table over the enumerated bounded carrier. Entry i is the result of
-    binding carrier value i through the step; results may leave the
-    bounded carrier (see the module docstring)."""
-    m = sys.monad
-    carrier = m.carrier_of(Base(sys.domain))
-    vals = enumerate_carrier(carrier, cap)
-    step_fn = sys.step_fn()
-    synth = FiniteType(f"idx({sys.name})", len(vals))
-    entries = tuple(m.bind(mv, step_fn) for mv in vals)
-    return FnTable(synth, carrier, entries)
-
-
 def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
     """Lifting the n-step flow equals iterating the lifted step n times,
     over the whole bounded carrier of monadic states.
@@ -274,12 +258,20 @@ def _prepend(x: Atom):
 
 def trj(sys: MonSys, n: int, x: Atom) -> Value:
     """All n-step trajectories from x: an M-structure of state vectors
-    of length n + 1, heads first."""
+    of length n + 1, heads first. Built bottom-up, one level over all
+    states at a time: level k at y is map (prepend y) (step y >>= level
+    k - 1)."""
     m = sys.monad
-    if n == 0:
-        return m.map(_prepend(x), m.pure(Vec((), 0)))
     step_fn = sys.step_fn()
-    return m.map(_prepend(x), m.bind(step_fn(x), lambda y: trj(sys, n - 1, y)))
+    states = enumerate_domain(sys.domain)
+    level = tuple(m.map(_prepend(y), m.pure(Vec((), 0))) for y in states)
+    for _ in range(n):
+        prev = level
+        level = tuple(
+            m.map(_prepend(y), m.bind(step_fn(y), lambda z: prev[z.index]))
+            for y in states
+        )
+    return level[x.index]
 
 
 def _last(vec: Value) -> Value:

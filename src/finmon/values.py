@@ -50,7 +50,7 @@ __all__ = [
     "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size",
     "function_space_size", "enumerate_functions",
     "tabulate", "identity_table", "table_fn", "table_to_value",
-    "value_to_table", "render_value", "render_table", "parse_value",
+    "render_value", "render_table", "parse_value",
     "DEFAULT_CARRIER_CAP",
 ]
 
@@ -483,10 +483,6 @@ def table_to_value(t: FnTable) -> Vec:
     """Vec encoding of a table (slot i = output at #i), the form FnOf
     carriers enumerate to and extify levels walk."""
     return Vec(t.entries, t.domain.size)
-
-
-def value_to_table(dom: FiniteType, cod: CarrierDesc, v: Vec) -> FnTable:
-    return FnTable(dom, cod, v.items)
 
 
 def function_space_size(dom: FiniteType, cod: CarrierDesc) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -400,6 +401,47 @@ def test_deterministic_section_stable_across_jobs(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_checks_run_in_order_on_the_calling_thread(tmp_path, monkeypatch, capsys):
+    import finmon.cli as cli
+
+    calls = []
+    real = cli.run_system_check
+
+    def recording(name, *args):
+        calls.append((threading.get_ident(), name))
+        return real(name, *args)
+
+    monkeypatch.setattr(cli, "run_system_check", recording)
+    cfg = {"seed": 0, "budget": 1000,
+           "systems": [{"name": "a", "instance": "nondet", "size": 2,
+                        "step": ["[#0, #1]", "[#1]"],
+                        "checks": ["flowTrjLemma", "flowLR"], "n_max": 2},
+                       {"name": "b", "instance": "maybe", "size": 2,
+                        "step": ["some #1", "none"],
+                        "checks": ["flowMonoid", "flowMonRLem", "flowLR"], "n_max": 2}]}
+    path = write_config(tmp_path, cfg)
+    assert main(["--config", path, "--jobs", "8", "--out", str(tmp_path / "out.txt")]) == 0
+    me = threading.get_ident()
+    assert calls == [(me, "flowTrjLemma"), (me, "flowLR"),
+                     (me, "flowMonoid"), (me, "flowMonRLem"), (me, "flowLR")]
+    assert main(["--config", path, "--jobs", "0"]) == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+
+def test_deep_flows_run_to_a_report(tmp_path):
+    cfg = {"seed": 0, "budget": 1000,
+           "systems": [{"name": "swap", "instance": "maybe", "size": 2,
+                        "step": ["some #1", "some #0"],
+                        "checks": ["flowLR", "flowMonRLem", "flowTrjLemma"],
+                        "n_max": 400}]}
+    out = tmp_path / "out.json"
+    assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["deterministic"]["results"]
+    assert [(r["law"], r["checked"]) for r in results] == [
+        ("flowLR", 802), ("flowMonRLem", 802), ("flowTrjLemma", 802)]
+
+
 def test_json_report_shape(tmp_path):
     path = write_config(tmp_path, GOOD)
     out = tmp_path / "out.json"
@@ -411,7 +453,7 @@ def test_json_report_shape(tmp_path):
     assert det["counts"] == {"checks": 2, "failures": 0}
     assert all(set(r) >= {"group", "law", "instance", "pass", "checked"}
                for r in det["results"])
-    assert "jobs" in doc["timing"] and "total_ms" in doc["timing"]
+    assert "total_ms" in doc["timing"]
 
 
 # ---------------------------------------------------------------------------

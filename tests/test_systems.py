@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from finmon.instances import get_instance
@@ -20,7 +18,6 @@ from finmon.systems import (
     flow_mon_right,
     mon_sys,
     map_last,
-    repr_table,
     run_system_check,
     trajectory_count,
     trajectory_weight,
@@ -30,7 +27,6 @@ from finmon.values import (
     Atom,
     Base,
     FiniteType,
-    enumerate_carrier,
     enumerate_functions,
     identity_table,
     parse_value,
@@ -127,6 +123,26 @@ def test_embed_wraps_pure():
     assert rep.passed
 
 
+def swap_sys() -> MonSys:
+    mb = get_instance("maybe")
+    outs = ["some #1", "some #0"]
+    return mon_sys("swap", mb, FiniteType("X", 2), lambda a: parse_value(outs[a.index]))
+
+
+def test_deep_flows_iterate_without_recursion():
+    sys = swap_sys()
+    left, right = flow_mon_left(sys, 2000), flow_mon_right(sys, 2000)
+    assert left == right
+    assert [render_value(v) for v in left.entries] == ["some #0", "some #1"]
+
+
+def test_deep_trajectory_is_one_vector():
+    out = trj(swap_sys(), 1000, Atom(0))
+    vec = out.content
+    assert vec.length == len(vec.items) == 1001
+    assert [a.index for a in vec.items[:4]] == [0, 1, 0, 1]
+
+
 @pytest.mark.parametrize("mk", [branch_sys, walk_sys, drop_sys], ids=["nondet", "simpleprob", "maybe"])
 def test_flow_checks_green(mk):
     sys = mk()
@@ -147,20 +163,6 @@ def test_mutant_a_breaks_the_flow_monoid():
     rep = check_flow_monoid(broken, 3)
     assert not rep.passed
     assert rep.witness is not None
-
-
-def test_repr_table_shape_and_escape():
-    sys = walk_sys()
-    table = repr_table(sys)
-    carrier = sys.monad.carrier_of(Base(X3))
-    vals = enumerate_carrier(carrier)
-    assert table.domain.size == len(vals)
-    # binding a half/half mixture through a half/half step yields
-    # quarter weights, which lie outside the enumerated weight grid
-    mixed = vals.index(parse_value("{#0: 1/2, #1: 1/2}"))
-    out = table.entries[mixed]
-    assert Fraction(1, 4) in [w for _, w in out.entries]
-    assert out not in vals
 
 
 def test_repr_lemma_maybe_and_simpleprob():
