@@ -3,8 +3,9 @@
 Each instance packages pure, map, join, bind and kleisli over the
 closed value universe, plus a carrier constructor so the law suite can
 enumerate M A, M (M A) and deeper nestings. Distributions are put in
-canonical form by mk_dist as they are built, so an instance carries no
-canonicalizer of its own. Four lawful instances are registered
+canonical form as they are built, so an instance carries no canonicalizer
+of its own: map goes through mk_dist, bind (and join, bind with the
+identity) through dist_of_terms. Four lawful instances are registered
 (identity, maybe, nondet, simpleprob) together with two deliberately
 broken ones used to prove the harness can refute:
 
@@ -24,7 +25,6 @@ laws.reader_pres_ee2_report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .values import (
@@ -40,6 +40,8 @@ from .values import (
     SeqOf,
     Value,
     Vec,
+    WEIGHT_GRID,
+    dist_of_terms,
     mk_dist,
 )
 
@@ -129,65 +131,48 @@ def nondet_monad(
     if max_len < 1:
         raise ValueError("nondet needs max_len >= 1")
 
-    def guard(items: tuple) -> tuple:
-        if len(items) > length_cap:
-            raise CarrierOverflow(
-                f"nondet result length {len(items)} exceeds cap {length_cap}"
-            )
-        return items
-
     def nmap(fn: MapFn, mv: Value) -> Value:
         return Seq(tuple(fn(x) for x in mv.items))
-
-    def njoin(mmv: Value) -> Value:
-        out: list[Value] = []
-        for inner in mmv.items:
-            out.extend(inner.items)
-        return Seq(guard(tuple(out)))
 
     def nbind(mv: Value, fn: MapFn) -> Value:
         out: list[Value] = []
         for x in mv.items:
             out.extend(fn(x).items)
-        return Seq(guard(tuple(out)))
+        if len(out) > length_cap:
+            raise CarrierOverflow(f"nondet result length {len(out)} exceeds cap {length_cap}")
+        return Seq(tuple(out))
 
     return MonadInstance(
         name="nondet",
         carrier_of=lambda c: SeqOf(c, max_len),
         pure=lambda v: Seq((v,)),
         map=nmap,
-        join=njoin,
+        join=lambda mmv: nbind(mmv, lambda s: s),
         bind=nbind,
     )
 
 
 def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
-    """Finite probability over mk_dist; merge=False is the broken
-    canonical form used by mutant-b."""
+    """Finite probability over the integer core of values; merge=False
+    is the broken canonical form used by mutant-b."""
 
     def pmap(fn: MapFn, mv: Value) -> Value:
         return mk_dist(((fn(x), w) for x, w in mv.entries), merge=merge)
 
-    def pjoin(mmv: Value) -> Value:
-        pairs: list[tuple[Value, Fraction]] = []
-        for inner, w in mmv.entries:
-            for x, p in inner.entries:
-                pairs.append((x, w * p))
-        return mk_dist(pairs, merge=merge)
-
     def pbind(mv: Value, fn: MapFn) -> Value:
-        pairs: list[tuple[Value, Fraction]] = []
+        terms: list[tuple[Value, int, int]] = []
         for x, w in mv.entries:
+            wn, wd = w.numerator, w.denominator
             for y, p in fn(x).entries:
-                pairs.append((y, w * p))
-        return mk_dist(pairs, merge=merge)
+                terms.append((y, wn * p.numerator, wd * p.denominator))
+        return dist_of_terms(terms, merge)
 
     return MonadInstance(
         name=name,
         carrier_of=lambda c: DistOf(c, max_support),
-        pure=lambda v: Dist(((v, Fraction(1)),)),
+        pure=lambda v: Dist(((v, WEIGHT_GRID[0]),)),  # the interned weight 1
         map=pmap,
-        join=pjoin,
+        join=lambda mmv: pbind(mmv, lambda d: d),
         bind=pbind,
     )
 
@@ -195,7 +180,7 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
 def simpleprob_monad(max_support: int = 2) -> MonadInstance:
     """Finite probability with exact rational weights. All operations
     return canonical distributions: sorted, merged, total weight exactly 1
-    (non-normalized inputs are rejected by construction in mk_dist)."""
+    (non-normalized inputs are rejected by construction in dist_of_terms)."""
     if max_support < 1:
         raise ValueError("simpleprob needs max_support >= 1")
     return _prob_monad("simpleprob", max_support, merge=True)

@@ -9,9 +9,9 @@ check returning a report.
 
 Conventions, fixed once:
 
-* the left flow recursion peels steps off the front: one step first,
-  then the rest of the flow. The right recursion does the opposite.
-  `flow` with no suffix means the left monadic variant.
+* the left flow binds the flow so far through one more step,
+  `flow (n+1) x = flow n x >>= step`; the right flow takes the step
+  first, `step x >>= flow n`. `flow` with no suffix means the left one.
 * `check_repr_lemma` binds every value of the enumerated bounded
   carrier through the step, but the results are not constrained to
   that carrier: iterated stochastic steps leave the weight grid (half

@@ -9,7 +9,9 @@ extensional function tables over enumerated domains.
 Functions are tables, not code. That single choice makes pointwise
 function equality decidable: two tables agree everywhere iff their entry
 tuples are equal. Distributions carry exact rationals (fractions.Fraction)
-so every equality check is a decision, never a tolerance.
+so every equality check is a decision, never a tolerance. One integer
+core, dist_of_terms, builds them over a common denominator and interns
+their weights, so equal weights are one shared object.
 
 Canonical textual rendering (the bit-exact witness format used in
 reports, and the syntax accepted by parse_value):
@@ -46,7 +48,7 @@ __all__ = [
     "CarrierDesc", "FnTable", "Quantifier", "Product", "sub_seed",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
-    "canonical_key", "canonical_compare", "mk_dist", "check_member",
+    "canonical_key", "canonical_compare", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size",
     "function_space_size", "enumerate_functions",
     "tabulate", "identity_table", "table_fn", "table_to_value",
@@ -130,7 +132,7 @@ class Seq:
 class Dist:
     """Finite distribution. Canonical form: entries sorted by canonical
     value order, no duplicate values, strictly positive weights summing
-    to exactly 1."""
+    to exactly 1. Built or enumerated weights are interned Fractions."""
 
     entries: tuple[tuple["Value", Fraction], ...]
     _hash: int = _hash_slot()
@@ -192,33 +194,47 @@ def canonical_compare(a: Value, b: Value) -> int:
     return -1 if ka < kb else (0 if ka == kb else 1)
 
 
-def mk_dist(pairs, merge: bool = True) -> Dist:
-    """Build a distribution in canonical form: sort by value, merge equal
-    values, demand strictly positive weights summing to exactly 1.
+class _Weights(dict):
+    """(n, d) -> the interned Fraction n/d, one object per value."""
 
-    merge=False is the hook the deliberately broken instance uses; it
-    still sorts and validates the total."""
-    cleaned = []
-    total = Fraction(0)
-    for v, w in pairs:
-        if type(w) is not Fraction:
-            w = Fraction(w)
-        if w <= 0:
-            raise ValueError(f"distribution weight must be positive, got {w}")
-        cleaned.append((v, w))
-        total += w
-    if total != 1:
-        raise ValueError(f"distribution weights must sum to 1, got {total}")
-    cleaned.sort(key=lambda p: canonical_key(p[0]))
+    def __missing__(self, key):
+        g = math.gcd(*key)
+        w = self[key] = Fraction(*key) if g == 1 else self[key[0] // g, key[1] // g]
+        return w
+
+
+_WEIGHTS = _Weights()
+
+
+def dist_of_terms(terms: list[tuple[Value, int, int]], merge: bool = True) -> Dist:
+    """The canonical Dist of terms (value, numerator, denominator > 0) over
+    one common denominator: numerators positive and summing to it, equal
+    values merged (merge=False is mutant-b's hook), sorted once, interned."""
+    den = math.lcm(*[d for _, _, d in terms])
+    scaled = []
+    total = 0
+    for v, n, d in terms:
+        if n <= 0:
+            raise ValueError(f"distribution weight must be positive, got {Fraction(n, d)}")
+        n *= den // d
+        total += n
+        scaled.append((v, n))
+    if total != den:
+        raise ValueError(f"distribution weights must sum to 1, got {Fraction(total, den)}")
     if merge:
-        merged: list[tuple[Value, Fraction]] = []
-        for v, w in cleaned:
-            if merged and merged[-1][0] == v:
-                merged[-1] = (v, merged[-1][1] + w)
-            else:
-                merged.append((v, w))
-        cleaned = merged
-    return Dist(tuple(cleaned))
+        acc: dict[Value, int] = {}
+        for v, n in scaled:
+            acc[v] = acc.get(v, 0) + n
+        scaled = acc.items()
+    scaled = sorted(scaled, key=lambda e: canonical_key(e[0]))
+    return Dist(tuple([(v, _WEIGHTS[n, den]) for v, n in scaled]))
+
+
+def mk_dist(pairs, merge: bool = True) -> Dist:
+    """The canonical Dist of (value, weight) pairs: weights that are not
+    Fractions are converted, then dist_of_terms validates and sorts."""
+    pairs = [(v, w if type(w) is Fraction else Fraction(w)) for v, w in pairs]
+    return dist_of_terms([(v, w.numerator, w.denominator) for v, w in pairs], merge)
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +343,9 @@ def check_member(v: Value, c: CarrierDesc) -> None:
 # the weight grid
 
 # Exactly the configured grid: every enumerated distribution draws its
-# weights from here, in tuples summing to exactly 1.
-WEIGHT_GRID: tuple[Fraction, ...] = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(2, 3),
-    Fraction(1, 4),
-    Fraction(3, 4),
+# weights from here, in tuples summing to exactly 1; interned, like built ones.
+WEIGHT_GRID: tuple[Fraction, ...] = tuple(
+    _WEIGHTS[w] for w in ((1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4))
 )
 
 

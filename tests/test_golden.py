@@ -1,4 +1,4 @@
-"""Golden reports: the deterministic section of four runs, byte for byte.
+"""Golden reports: the deterministic section of five runs, byte for byte.
 
 Each golden file under tests/golden/ is the deterministic section of one
 run's JSON report, dumped with sorted keys. A change that alters a
@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RUNS = {
+    "suite-full": ["--suite", "full"],
     "suite-mutants": ["--suite", "mutants"],
     "suite-reader": ["--suite", "reader"],
     "config-systems": ["--config", str(ROOT / "configs" / "systems.json")],

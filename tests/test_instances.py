@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finmon import laws
 from finmon.instances import (
@@ -34,7 +34,10 @@ from finmon.values import (
     Seq,
     SeqOf,
     Vec,
+    canonical_key,
+    dist_of_terms,
     enumerate_carrier,
+    enumerate_domain,
     mk_dist,
     parse_value,
     render_value,
@@ -117,6 +120,107 @@ def test_simpleprob_bind_preserves_total_mass(v):
     m = simpleprob_monad()
     out = m.bind(v, lambda a: parse_value("{#0: 1/2, #1: 1/2}"))
     assert sum((w for _, w in out.entries), Fraction(0)) == 1
+
+
+# The Fraction algorithm the integer core replaced, kept as the reference:
+# multiply weights pairwise, check and sum them as Fractions, sort the
+# pairs by value and merge neighbours that are equal.
+
+
+def ref_mk_dist(pairs, merge):
+    cleaned = []
+    total = Fraction(0)
+    for v, w in pairs:
+        if w <= 0:
+            raise ValueError(f"distribution weight must be positive, got {w}")
+        cleaned.append((v, w))
+        total += w
+    if total != 1:
+        raise ValueError(f"distribution weights must sum to 1, got {total}")
+    cleaned.sort(key=lambda p: canonical_key(p[0]))
+    if merge:
+        merged = []
+        for v, w in cleaned:
+            if merged and merged[-1][0] == v:
+                merged[-1] = (v, merged[-1][1] + w)
+            else:
+                merged.append((v, w))
+        cleaned = merged
+    return Dist(tuple(cleaned))
+
+
+def ref_map(fn, mv, merge):
+    return ref_mk_dist([(fn(x), w) for x, w in mv.entries], merge)
+
+
+def ref_bind(mv, fn, merge):
+    return ref_mk_dist(
+        [(y, w * p) for x, w in mv.entries for y, p in fn(x).entries], merge)
+
+
+PROB_OPS = [(simpleprob_monad(), True), (mutant_b_monad(), False)]
+
+
+def assert_canonical(d):
+    keys = [canonical_key(v) for v, _ in d.entries]
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no duplicates
+    assert all(w > 0 for _, w in d.entries)
+    assert sum((w for _, w in d.entries), Fraction(0)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prob_ops_match_the_fraction_reference(data):
+    # A and B of size 1 or 2; the inner carrier X is A (ops on M A) or
+    # M A (ops on M M A, whose enumerated values are not all sorted)
+    a = FiniteType("A", data.draw(st.integers(1, 2), label="|A|"))
+    b = FiniteType("B", data.draw(st.integers(1, 2), label="|B|"))
+    x = data.draw(st.sampled_from([Base(a), DistOf(Base(a), 2)]), label="X")
+    xs = enumerate_carrier(x)
+    index = {v: i for i, v in enumerate(xs)}
+    mv = data.draw(st.sampled_from(enumerate_carrier(DistOf(x, 2))), label="mv")
+    mmv = data.draw(st.sampled_from(enumerate_carrier(DistOf(DistOf(x, 2), 2))),
+                    label="mmv")
+    to_b = data.draw(st.lists(st.sampled_from(enumerate_domain(b)),
+                              min_size=len(xs), max_size=len(xs)), label="f")
+    to_mb = data.draw(st.lists(st.sampled_from(enumerate_carrier(DistOf(Base(b), 2))),
+                               min_size=len(xs), max_size=len(xs)), label="k")
+    f = lambda v: to_b[index[v]]
+    k = lambda v: to_mb[index[v]]
+    for m, merge in PROB_OPS:
+        outs = [m.map(f, mv), m.join(mmv), m.bind(mv, k), m.pure(mv)]
+        assert outs[:3] == [ref_map(f, mv, merge), ref_bind(mmv, lambda d: d, merge),
+                            ref_bind(mv, k, merge)]
+        if merge:
+            for d in outs[:3]:
+                assert_canonical(d)
+        # equal weights are one object, across results and within each
+        weights = {}
+        for d in outs:
+            for _, w in d.entries:
+                assert weights.setdefault(w, w) is w
+
+
+BAD_TERMS = [
+    ([(Atom(0), 0, 1), (Atom(1), 1, 1)], "distribution weight must be positive, got 0"),
+    ([(Atom(0), 3, 2), (Atom(1), -1, 2)], "distribution weight must be positive, got -1/2"),
+    ([(Atom(0), 1, 2), (Atom(1), 1, 3)], "distribution weights must sum to 1, got 5/6"),
+    ([(Atom(0), 1, 2), (Atom(0), 2, 4), (Atom(1), 1, 4)],
+     "distribution weights must sum to 1, got 5/4"),
+    ([], "distribution weights must sum to 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("merge", [True, False], ids=["merge", "no-merge"])
+@pytest.mark.parametrize("terms,message", BAD_TERMS,
+                         ids=["zero", "negative", "short", "over", "empty"])
+def test_integer_core_rejects_what_mk_dist_rejects(terms, message, merge):
+    pairs = [(v, Fraction(n, d)) for v, n, d in terms]
+    for build, arg in ((dist_of_terms, terms), (mk_dist, pairs),
+                       (ref_mk_dist, pairs)):
+        with pytest.raises(ValueError) as exc:
+            build(arg, merge)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", ["identity", "maybe", "nondet", "simpleprob"])
