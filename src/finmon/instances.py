@@ -1,7 +1,7 @@
 """Uncertainty-monad instances as first-class records of operations.
 
-Each instance packages pure, map, join, bind and kleisli over the
-closed value universe, plus a carrier constructor so the law suite can
+Each instance packages pure, map, join and bind over the closed value
+universe, plus a carrier constructor so the law suite can
 enumerate M A, M (M A) and deeper nestings. Distributions are put in
 canonical form as they are built, so an instance carries no canonicalizer
 of its own: map goes through mk_dist, bind (and join, bind with the
@@ -13,8 +13,10 @@ broken ones used to prove the harness can refute:
   mutant-b  simpleprob whose canonical form skips merging equal values
 
 map and bind take plain value-to-value callables rather than tables:
-law checkers wrap quantified tables with table_fn, and operations like
-"map join" need callables whose domain is itself a carrier.
+compiled law terms look quantified tables up by atom index, and
+operations like "map join" need callables whose domain is itself a
+carrier. Kleisli composition is not an operation: the law terms write
+f >=> g as join . map g . f.
 
 The Reader functor is exposed functor-only. Its mapped values are
 functions, so stating that map respects pointwise equality needs the
@@ -68,10 +70,6 @@ class MonadInstance:
     map: Callable[[MapFn, Value], Value]
     join: Callable[[Value], Value]
     bind: Callable[[Value, MapFn], Value]
-
-    def kleisli(self, f: MapFn, g: MapFn) -> MapFn:
-        """Composition of effectful arrows, specified as join . map g . f."""
-        return lambda a: self.join(self.map(g, f(a)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,37 +1,47 @@
 """The law catalog: every functor/monad property as a finite check.
 
-Each law declares its bound variables (domain elements, carrier values,
-or function tables) and a checker producing the two sides of a pointwise
-equality. The runner enumerates the variable spaces in canonical order,
-compares sides by canonical structural equality, and reports the first
-failing assignment, which for fully exhaustive runs is the least
-counterexample in the lexicographic order of the variable tuple.
+A law is data: its bound variables (domain elements, carrier values or
+function tables) and two terms, lhs and rhs. A term is a point-free
+arrow applied to the law's one atom or carrier variable. Arrows are
+built from table leaves (one per fn variable), id, pure, join, ∘
+(written @), map and >>= (Bind); f >=> g (written >>) is
+(join ∘ map g) ∘ f, so that join ∘ map g is a subterm of its own. A law
+needs the instance operations its terms apply.
 
-Every check hands the scan its whole variable spaces and the suite's
-quantifier, and the scan alone decides how to visit them: the whole
-product in canonical order when every space fits the budget, otherwise
-budget-many joint bindings, each variable drawn uniformly (with
-replacement) from its own seeded stream (reports.scan).
+Premise laws (mapPresEE, kleisliPresEE, liftPresEE) quantify over
+pointwise-equality classes of arrows. Tables are extensional, so each
+class has one member and the primed arrow f' is f itself: a leaf of its
+own that reads the table of f. These checks certify that the operations
+are functions of the table, not of its identity.
 
-Premise-filtered laws (mapPresEE, kleisliPresEE, liftPresEE) quantify
-over pointwise-equality classes of arrows. Function tables are
-extensional by construction, so each class has exactly one member and
-the primed arrow is the class representative itself. The checks still
-run both sides through independent wrappers; what they certify is that
-the operations are functions of the table, not of its identity.
+Each check compiles the two terms into one function of the binding,
+which calls the instance's operations where the terms apply them, and
+hands it with the whole variable spaces to reports.scan. The scan visits
+the whole product in canonical order when it fits the budget, so the
+first failing binding is the least counterexample, and otherwise
+samples (see reports._plan).
 
-Two suite views exist. The "fat" view checks all 25 laws, treating bind
-and Kleisli composition as independent operations whose relationship to
-join/map is itself a law (BJ, KJ) and whose agreement with the
-bind-derived forms is checked (E1-E3). The "thin" view treats bind and
-Kleisli composition as derived from join/map, so those five checks are
-definitional and skipped.
+One memo rule decides what is cached. A side's root is not, and neither
+is a subterm applied to the bound variable that reads every table: its
+key would be the whole binding. Each maximal remaining subterm gets its
+own lru_cache for the check, keyed on the tables it reads and its input,
+and the rule applies again inside it, with its input and tables in
+place of the bound variable and every table. A subterm that applies no
+map, join or bind is never cached. Subterms holding a primed leaf get
+caches of their own, so the primed side makes its own operation calls.
+
+Two suite views exist. The "fat" view checks all 25 laws: bind and
+Kleisli composition are independent operations, so their relation to
+join/map (BJ, KJ) and to the bind-derived forms (E1-E3) are laws too.
+The "thin" view derives them from join/map and skips those five checks.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .exteq import extify_eq
 from .instances import FunctorInstance, MonadInstance, reader_functor
@@ -56,7 +66,7 @@ from .values import (
 )
 
 __all__ = [
-    "VarSpec", "Law", "SuiteProfile", "law_catalog", "law_by_id",
+    "Arrow", "Term", "VarSpec", "Law", "SuiteProfile", "law_catalog", "law_by_id",
     "check_law", "run_suite", "reader_pres_ee2_report", "LAW_IDS",
 ]
 
@@ -76,15 +86,74 @@ class VarSpec:
     cod: str = ""
 
 
+# ---------------------------------------------------------------------------
+# terms
+
+_INSTANCE_OPS = ("map", "pure", "join", "bind")
+
+
+@dataclass(frozen=True)
+class Arrow:
+    """A point-free arrow. op is "id", "pure", "join", "comp" (args:
+    outer, inner), "map" or "bind" (args: the mapped or bound arrow);
+    any other op is a table leaf named after the fn variable it reads,
+    and a primed leaf "f'" reads the table of f."""
+
+    op: str
+    args: tuple["Arrow", ...] = ()
+
+    def __matmul__(self, inner: "Arrow") -> "Arrow":
+        return Arrow("comp", (self, inner))
+
+    def __rshift__(self, then: "Arrow") -> "Arrow":
+        return JOIN @ Map(then) @ self
+
+    def __call__(self, var: str) -> "Term":
+        return Term(self, var)
+
+    @property
+    def table(self) -> str | None:
+        return None if self.args or self.op in ("id", "pure", "join") else self.op.rstrip("'")
+
+    def nodes(self) -> Iterator["Arrow"]:
+        yield self
+        for arg in self.args:
+            yield from arg.nodes()
+
+    def reads(self) -> frozenset[str]:
+        return frozenset(n.table for n in self.nodes() if n.table)
+
+
+ID, PURE, JOIN = Arrow("id"), Arrow("pure"), Arrow("join")
+
+
+def Map(arrow: Arrow) -> Arrow:
+    return Arrow("map", (arrow,))
+
+
+def Bind(arrow: Arrow) -> Arrow:
+    return Arrow("bind", (arrow,))
+
+
+# an arrow applied to one atom or carrier variable, named
+Term = NamedTuple("Term", [("arrow", Arrow), ("var", str)])
+
+
 @dataclass(frozen=True, eq=False)
 class Law:
     id: str
     name: str
     statement: str
     variables: tuple[VarSpec, ...]
-    make_checker: Callable[[Instance], Callable[..., tuple[Value, Value]]]
-    needs: tuple[str, ...] = ("map",)
+    lhs: Term
+    rhs: Term
     views: tuple[str, ...] = ("thin", "fat")
+
+    @property
+    def needs(self) -> tuple[str, ...]:
+        """The instance operations the terms apply."""
+        used = {n.op for side in (self.lhs, self.rhs) for n in side.arrow.nodes()}
+        return tuple(op for op in _INSTANCE_OPS if op in used)
 
 
 def resolve_carrier(expr: str, inst: Instance, domains: dict[str, FiniteType]) -> CarrierDesc:
@@ -101,319 +170,130 @@ def resolve_carrier(expr: str, inst: Instance, domains: dict[str, FiniteType]) -
 
 
 # ---------------------------------------------------------------------------
-# checkers
-#
-# Each maker returns sides(*binding) -> (lhs, rhs), with one parameter per
-# bound variable, named and ordered as the law's variables; check_law hands
-# it to the scan as it is. Memo tables come from _memo inside the maker, so
-# each check_law call starts with empty ones.
-
-
-def _memo(fn):
-    """fn memoized on its argument tuple, for the checks where the same
-    arguments recur across the rest of the product. fn never returns
-    None."""
-    cache: dict = {}
-
-    def memo(*args):
-        got = cache.get(args)
-        if got is None:
-            got = cache[args] = fn(*args)
-        return got
-
-    return memo
-
-
-def _mk_map_pres_id(inst):
-    return lambda ma: (inst.map(lambda v: v, ma), ma)
-
-
-def _mk_map_pres_comp(inst):
-    def sides(f, g, ma):
-        ff, gf = table_fn(f), table_fn(g)
-        return inst.map(lambda v: gf(ff(v)), ma), inst.map(gf, inst.map(ff, ma))
-
-    return sides
-
-
-def _mk_map_pres_ee(inst):
-    # the rhs maps the class representative of f
-    return lambda f, ma: (inst.map(table_fn(f), ma), inst.map(table_fn(f), ma))
-
-
-def _mk_triangle_left(inst):
-    return lambda ma: (inst.join(inst.pure(ma)), ma)
-
-
-def _mk_triangle_right(inst):
-    return lambda ma: (inst.join(inst.map(inst.pure, ma)), ma)
-
-
-def _mk_square(inst):
-    return lambda mmma: (inst.join(inst.join(mmma)), inst.join(inst.map(inst.join, mmma)))
-
-
-def _mk_pure_nat_trans(inst):
-    def sides(f, a):
-        ff = table_fn(f)
-        return inst.map(ff, inst.pure(a)), inst.pure(ff(a))
-
-    return sides
-
-
-def _mk_join_nat_trans(inst):
-    def sides(f, mma):
-        ff = table_fn(f)
-        lhs = inst.map(ff, inst.join(mma))
-        return lhs, inst.join(inst.map(lambda inner: inst.map(ff, inner), mma))
-
-    return sides
-
-
-def _mk_kleisli_join_map_spec(inst):
-    def sides(f, g, a):
-        ff, gf = table_fn(f), table_fn(g)
-        return inst.kleisli(ff, gf)(a), inst.join(inst.map(gf, ff(a)))
-
-    return sides
-
-
-def _mk_bind_join_map_spec(inst):
-    def sides(f, ma):
-        ff = table_fn(f)
-        return inst.bind(ma, ff), inst.join(inst.map(ff, ma))
-
-    return sides
-
-
-def _mk_pure_left_id_kleisli(inst):
-    def sides(f, a):
-        ff = table_fn(f)
-        return inst.kleisli(inst.pure, ff)(a), ff(a)
-
-    return sides
-
-
-def _mk_pure_right_id_kleisli(inst):
-    def sides(f, a):
-        ff = table_fn(f)
-        return inst.kleisli(ff, inst.pure)(a), ff(a)
-
-    return sides
-
-
-def _kleisli_entries(inst):
-    """Pointwise results of f >=> g per domain atom, memoized on the
-    table pair. Shared by the associativity-shaped checkers, where the
-    same composition is revisited across the rest of the product."""
-
-    @_memo
-    def entries(f: FnTable, g: FnTable) -> tuple[Value, ...]:
-        kl = inst.kleisli(table_fn(f), table_fn(g))
-        return tuple(kl(a) for a in enumerate_domain(f.domain))
-
-    return entries
-
-
-def _mk_kleisli_assoc(inst):
-    entries = _kleisli_entries(inst)
-    lift = _memo(lambda h, fga: inst.join(inst.map(table_fn(h), fga)))
-
-    @_memo
-    def rhs(g, h, fa):
-        gh = entries(g, h)
-        return inst.join(inst.map(lambda b: gh[b.index], fa))
-
-    def sides(f, g, h, a):
-        return lift(h, entries(f, g)[a.index]), rhs(g, h, f.entries[a.index])
-
-    return sides
-
-
-def _mk_kleisli_pres_ee(inst):
-    def sides(f, g, a):
-        lhs = inst.kleisli(table_fn(f), table_fn(g))(a)
-        return lhs, inst.kleisli(table_fn(f), table_fn(g))(a)  # primed pair
-
-    return sides
-
-
-def _mk_kleisli_leapfrog(inst):
-    def sides(f, g, a):
-        ff, gf = table_fn(f), table_fn(g)
-        lhs = inst.kleisli(ff, gf)(a)
-        lift_g = inst.kleisli(lambda mv: mv, gf)
-        return lhs, lift_g(ff(a))
-
-    return sides
-
-
-def _mk_pure_left_id_bind(inst):
-    def sides(f, a):
-        ff = table_fn(f)
-        return inst.bind(inst.pure(a), ff), ff(a)
-
-    return sides
-
-
-def _mk_pure_right_id_bind(inst):
-    return lambda ma: (inst.bind(ma, inst.pure), ma)
-
-
-def _mk_bind_assoc(inst):
-    bound = _memo(lambda g, mv: inst.bind(mv, table_fn(g)))
-
-    def sides(f, g, ma):
-        ff = table_fn(f)
-        return bound(g, inst.bind(ma, ff)), inst.bind(ma, lambda a: bound(g, ff(a)))
-
-    return sides
-
-
-def _mk_lift_pres_ee(inst):
-    # the rhs binds the class representative of f
-    return lambda f, ma: (inst.bind(ma, table_fn(f)), inst.bind(ma, table_fn(f)))
-
-
-def _mk_triangle_right_from_bind(inst):
-    def sides(ma):
-        lhs = inst.bind(inst.bind(ma, lambda a: inst.pure(inst.pure(a))), lambda x: x)
-        return lhs, ma
-
-    return sides
-
-
-def _mk_map_from_bind(inst):
-    def sides(f, ma):
-        ff = table_fn(f)
-        return inst.map(ff, ma), inst.bind(ma, lambda a: inst.pure(ff(a)))
-
-    return sides
-
-
-def _mk_join_from_bind(inst):
-    return lambda mma: (inst.join(mma), inst.bind(mma, lambda x: x))
-
-
-def _mk_kleisli_from_bind(inst):
-    def sides(f, g, a):
-        ff, gf = table_fn(f), table_fn(g)
-        return inst.kleisli(ff, gf)(a), inst.bind(ff(a), gf)
-
-    return sides
-
-
-def _mk_map_join_lemma(inst):
-    def sides(g, f, ma):
-        gf, ff = table_fn(g), table_fn(f)
-        lhs = inst.map(ff, inst.join(inst.map(gf, ma)))
-        return lhs, inst.join(inst.map(lambda a: inst.map(ff, gf(a)), ma))
-
-    return sides
-
-
-def _mk_map_kleisli_lemma(inst):
-    entries = _kleisli_entries(inst)
-
-    def sides(f, g, h, a):
-        hf, gf = table_fn(h), table_fn(g)
-        lhs = inst.map(hf, entries(f, g)[a.index])
-        return lhs, inst.kleisli(table_fn(f), lambda b: inst.map(hf, gf(b)))(a)
-
-    return sides
+# the compiler
+
+# Cache bounds of the memo rule. Table-reading subterms must hold D3's
+# 16,807 (g, h, f a) keys; table-free ones see few inputs that recur,
+# and a larger bound only keeps large values alive longer.
+MEMO_TABLE_READING = 1 << 15
+MEMO_TABLE_FREE = 1 << 10
+
+
+def _compile(law: Law, inst: Instance) -> Callable[..., tuple[Value, Value]]:
+    """sides(*binding) -> (lhs, rhs) for law on inst, with fresh caches.
+
+    The terms are compiled to source, not to a closure per node, so that
+    a binding crosses one frame for both sides and one per cached
+    subterm it misses."""
+    order = [v.name for v in law.variables]
+    every_table = frozenset(v.name for v in law.variables if v.kind == "fn")
+    defs: list[str] = []
+    fresh = itertools.count()
+
+    def code(t: Arrow, x: str, scope: frozenset[str], on_input: bool, root: bool = False) -> str:
+        """Python for t applied to x, inside a term keyed on the tables in
+        scope: t is that term's root, or applied to its input if on_input."""
+        reads = t.reads()
+        if not (root or (on_input and reads == scope)
+                or all(n.op not in ("map", "join", "bind") for n in t.nodes())):
+            body = code(t, "x", reads, True, root=True)
+            name = f"m{len(defs)}"
+            args = [n for n in order if n in reads]
+            bound = MEMO_TABLE_READING if reads else MEMO_TABLE_FREE
+            defs.append(f"    @lru_cache({bound})\n"
+                        f"    def {name}({', '.join(args + ['x'])}):\n"
+                        f"        return {body}\n")
+            return f"{name}({', '.join(args + [x])})"
+        if t.table:
+            return f"{t.table}.entries[{x}.index]"
+        if t.op == "id":
+            return x
+        if t.op in ("pure", "join"):
+            return f"{t.op}({x})"
+        if t.op == "comp":
+            outer, inner = t.args
+            return code(outer, code(inner, x, scope, on_input), scope, False)
+        v = f"v{next(fresh)}"
+        body = code(t.args[0], v, scope, False)
+        called = body.removesuffix(f"({v})")  # map(join, x), not map(lambda v: join(v), x)
+        fn = called if called != body and called.isidentifier() else f"lambda {v}: {body}"
+        return f"map({fn}, {x})" if t.op == "map" else f"bind({x}, {fn})"
+
+    lhs, rhs = (code(side.arrow, side.var, every_table, True, root=True)
+                for side in (law.lhs, law.rhs))
+    source = (f"def make({', '.join(_INSTANCE_OPS)}, lru_cache):\n{''.join(defs)}"
+              f"    def sides({', '.join(order)}):\n"
+              f"        return {lhs}, {rhs}\n"
+              f"    return sides\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    ops = (getattr(inst, op, None) for op in _INSTANCE_OPS)
+    return namespace["make"](*ops, functools.lru_cache)
 
 
 # ---------------------------------------------------------------------------
 # the catalog
 
-_MONAD_OPS = ("map", "pure", "join", "bind", "kleisli")
-
 
 def law_catalog() -> tuple[Law, ...]:
     """All 25 laws, in stable catalog order."""
-    V = VarSpec
-    laws = (
-        Law("F1", "mapPresId", "map id ≐ id",
-            (V("carrier", "ma", cod="M A"),), _mk_map_pres_id),
-        Law("F2", "mapPresComp", "map (g ∘ f) ≐ map g ∘ map f",
-            (V("fn", "f", dom="A", cod="B"), V("fn", "g", dom="B", cod="C"),
-             V("carrier", "ma", cod="M A")), _mk_map_pres_comp),
-        Law("F3", "mapPresEE", "f ≐ g -> map f ≐ map g",
-            (V("fn", "f", dom="A", cod="B"), V("carrier", "ma", cod="M A")),
-            _mk_map_pres_ee),
-        Law("T1", "triangleLeft", "join ∘ pure ≐ id",
-            (V("carrier", "ma", cod="M A"),), _mk_triangle_left,
-            needs=("map", "pure", "join")),
-        Law("T2", "triangleRight", "join ∘ map pure ≐ id",
-            (V("carrier", "ma", cod="M A"),), _mk_triangle_right,
-            needs=("map", "pure", "join")),
-        Law("T3", "square", "join ∘ join ≐ join ∘ map join",
-            (V("carrier", "mmma", cod="M M M A"),), _mk_square,
-            needs=("map", "join")),
-        Law("T4", "pureNatTrans", "map f ∘ pure ≐ pure ∘ f",
-            (V("fn", "f", dom="A", cod="B"), V("atom", "a", dom="A")),
-            _mk_pure_nat_trans, needs=("map", "pure")),
-        Law("T5", "joinNatTrans", "map f ∘ join ≐ join ∘ map (map f)",
-            (V("fn", "f", dom="A", cod="B"), V("carrier", "mma", cod="M M A")),
-            _mk_join_nat_trans, needs=("map", "join")),
-        Law("KJ", "kleisliJoinMapSpec", "(f >=> g) ≐ join ∘ map g ∘ f",
-            (V("fn", "f", dom="A", cod="M B"), V("fn", "g", dom="B", cod="M C"),
-             V("atom", "a", dom="A")), _mk_kleisli_join_map_spec,
-            needs=_MONAD_OPS, views=("fat",)),
-        Law("BJ", "bindJoinMapSpec", "(>>= f) ≐ join ∘ map f",
-            (V("fn", "f", dom="A", cod="M B"), V("carrier", "ma", cod="M A")),
-            _mk_bind_join_map_spec, needs=("map", "join", "bind"), views=("fat",)),
-        Law("D1", "pureLeftIdKleisli", "(pure >=> f) ≐ f",
-            (V("fn", "f", dom="A", cod="M B"), V("atom", "a", dom="A")),
-            _mk_pure_left_id_kleisli, needs=_MONAD_OPS),
-        Law("D2", "pureRightIdKleisli", "(f >=> pure) ≐ f",
-            (V("fn", "f", dom="A", cod="M B"), V("atom", "a", dom="A")),
-            _mk_pure_right_id_kleisli, needs=_MONAD_OPS),
+    V, fat = VarSpec, ("fat",)
+    f, g, h, f_, g_ = (Arrow(n) for n in ("f", "g", "h", "f'", "g'"))
+    a, ma = V("atom", "a", dom="A"), V("carrier", "ma", cod="M A")
+    mma, mmma = V("carrier", "mma", cod="M M A"), V("carrier", "mmma", cod="M M M A")
+    f_ab, f_amb = V("fn", "f", dom="A", cod="B"), V("fn", "f", dom="A", cod="M B")
+    g_bc, g_bmc = V("fn", "g", dom="B", cod="C"), V("fn", "g", dom="B", cod="M C")
+    return (
+        Law("F1", "mapPresId", "map id ≐ id", (ma,), Map(ID)("ma"), ID("ma")),
+        Law("F2", "mapPresComp", "map (g ∘ f) ≐ map g ∘ map f", (f_ab, g_bc, ma),
+            Map(g @ f)("ma"), (Map(g) @ Map(f))("ma")),
+        Law("F3", "mapPresEE", "f ≐ g -> map f ≐ map g", (f_ab, ma),
+            Map(f)("ma"), Map(f_)("ma")),
+        Law("T1", "triangleLeft", "join ∘ pure ≐ id", (ma,), (JOIN @ PURE)("ma"), ID("ma")),
+        Law("T2", "triangleRight", "join ∘ map pure ≐ id", (ma,),
+            (JOIN @ Map(PURE))("ma"), ID("ma")),
+        Law("T3", "square", "join ∘ join ≐ join ∘ map join", (mmma,),
+            (JOIN @ JOIN)("mmma"), (JOIN @ Map(JOIN))("mmma")),
+        Law("T4", "pureNatTrans", "map f ∘ pure ≐ pure ∘ f", (f_ab, a),
+            (Map(f) @ PURE)("a"), (PURE @ f)("a")),
+        Law("T5", "joinNatTrans", "map f ∘ join ≐ join ∘ map (map f)", (f_ab, mma),
+            (Map(f) @ JOIN)("mma"), (JOIN @ Map(Map(f)))("mma")),
+        Law("KJ", "kleisliJoinMapSpec", "(f >=> g) ≐ join ∘ map g ∘ f", (f_amb, g_bmc, a),
+            (f >> g)("a"), (JOIN @ Map(g) @ f)("a"), fat),
+        Law("BJ", "bindJoinMapSpec", "(>>= f) ≐ join ∘ map f", (f_amb, ma),
+            Bind(f)("ma"), (JOIN @ Map(f))("ma"), fat),
+        Law("D1", "pureLeftIdKleisli", "(pure >=> f) ≐ f", (f_amb, a), (PURE >> f)("a"), f("a")),
+        Law("D2", "pureRightIdKleisli", "(f >=> pure) ≐ f", (f_amb, a),
+            (f >> PURE)("a"), f("a")),
         Law("D3", "kleisliAssoc", "((f >=> g) >=> h) ≐ (f >=> (g >=> h))",
-            (V("fn", "f", dom="A", cod="M B"), V("fn", "g", dom="B", cod="M C"),
-             V("fn", "h", dom="C", cod="M D"), V("atom", "a", dom="A")),
-            _mk_kleisli_assoc, needs=_MONAD_OPS),
+            (f_amb, g_bmc, V("fn", "h", dom="C", cod="M D"), a),
+            ((f >> g) >> h)("a"), (f >> (g >> h))("a")),
         Law("D4", "kleisliPresEE", "f ≐ f', g ≐ g' -> (f >=> g) ≐ (f' >=> g')",
-            (V("fn", "f", dom="A", cod="M B"), V("fn", "g", dom="B", cod="M C"),
-             V("atom", "a", dom="A")), _mk_kleisli_pres_ee, needs=_MONAD_OPS),
-        Law("D5", "kleisliLeapfrog", "(f >=> g) ≐ (id >=> g) ∘ f",
-            (V("fn", "f", dom="A", cod="M B"), V("fn", "g", dom="B", cod="M C"),
-             V("atom", "a", dom="A")), _mk_kleisli_leapfrog, needs=_MONAD_OPS),
-        Law("W1", "pureLeftIdBind", "(λ a => pure a >>= f) ≐ f",
-            (V("fn", "f", dom="A", cod="M B"), V("atom", "a", dom="A")),
-            _mk_pure_left_id_bind, needs=("pure", "bind")),
-        Law("W2", "pureRightIdBind", "(>>= pure) ≐ id",
-            (V("carrier", "ma", cod="M A"),), _mk_pure_right_id_bind,
-            needs=("pure", "bind")),
+            (f_amb, g_bmc, a), (f >> g)("a"), (f_ >> g_)("a")),
+        Law("D5", "kleisliLeapfrog", "(f >=> g) ≐ (id >=> g) ∘ f", (f_amb, g_bmc, a),
+            (f >> g)("a"), ((ID >> g) @ f)("a")),
+        Law("W1", "pureLeftIdBind", "(λ a => pure a >>= f) ≐ f", (f_amb, a),
+            (Bind(f) @ PURE)("a"), f("a")),
+        Law("W2", "pureRightIdBind", "(>>= pure) ≐ id", (ma,), Bind(PURE)("ma"), ID("ma")),
         Law("W3", "bindAssoc", "(ma >>= f) >>= g ≐ ma >>= (λ a => f a >>= g)",
-            (V("fn", "f", dom="A", cod="M B"), V("fn", "g", dom="B", cod="M C"),
-             V("carrier", "ma", cod="M A")), _mk_bind_assoc, needs=("bind",)),
-        Law("W4", "liftPresEE", "f ≐ g -> (>>= f) ≐ (>>= g)",
-            (V("fn", "f", dom="A", cod="M B"), V("carrier", "ma", cod="M A")),
-            _mk_lift_pres_ee, needs=("bind",)),
+            (f_amb, g_bmc, ma), (Bind(g) @ Bind(f))("ma"), Bind(Bind(g) @ f)("ma")),
+        Law("W4", "liftPresEE", "f ≐ g -> (>>= f) ≐ (>>= g)", (f_amb, ma),
+            Bind(f)("ma"), Bind(f_)("ma")),
         Law("W5", "triangleRightFromBind", "(λ ma => (ma >>= pure ∘ pure) >>= id) ≐ id",
-            (V("carrier", "ma", cod="M A"),), _mk_triangle_right_from_bind,
-            needs=("pure", "bind")),
-        Law("E1", "mapFromBindAgrees", "map f ≐ (>>= pure ∘ f)",
-            (V("fn", "f", dom="A", cod="B"), V("carrier", "ma", cod="M A")),
-            _mk_map_from_bind, needs=("map", "pure", "bind"), views=("fat",)),
-        Law("E2", "joinFromBindAgrees", "join ≐ (>>= id)",
-            (V("carrier", "mma", cod="M M A"),), _mk_join_from_bind,
-            needs=("join", "bind"), views=("fat",)),
+            (ma,), (Bind(ID) @ Bind(PURE @ PURE))("ma"), ID("ma")),
+        Law("E1", "mapFromBindAgrees", "map f ≐ (>>= pure ∘ f)", (f_ab, ma),
+            Map(f)("ma"), Bind(PURE @ f)("ma"), fat),
+        Law("E2", "joinFromBindAgrees", "join ≐ (>>= id)", (mma,),
+            JOIN("mma"), Bind(ID)("mma"), fat),
         Law("E3", "kleisliFromBindAgrees", "(f >=> g) ≐ (λ a => f a >>= g)",
-            (V("fn", "f", dom="A", cod="M B"), V("fn", "g", dom="B", cod="M C"),
-             V("atom", "a", dom="A")), _mk_kleisli_from_bind,
-            needs=_MONAD_OPS, views=("fat",)),
+            (f_amb, g_bmc, a), (f >> g)("a"), (Bind(g) @ f)("a"), fat),
         Law("L1", "mapJoinLemma", "(map f ∘ join ∘ map g) ≐ (join ∘ map (map f ∘ g))",
-            (V("fn", "g", dom="A", cod="M B"), V("fn", "f", dom="B", cod="C"),
-             V("carrier", "ma", cod="M A")), _mk_map_join_lemma,
-            needs=("map", "join")),
+            (V("fn", "g", dom="A", cod="M B"), V("fn", "f", dom="B", cod="C"), ma),
+            (Map(f) @ JOIN @ Map(g))("ma"), (JOIN @ Map(Map(f) @ g))("ma")),
         Law("L2", "mapKleisliLemma", "(map h ∘ (f >=> g)) ≐ (f >=> map h ∘ g)",
-            (V("fn", "f", dom="A", cod="M B"), V("fn", "g", dom="B", cod="M C"),
-             V("fn", "h", dom="C", cod="D"), V("atom", "a", dom="A")),
-            _mk_map_kleisli_lemma, needs=_MONAD_OPS),
+            (f_amb, g_bmc, V("fn", "h", dom="C", cod="D"), a),
+            (Map(h) @ (f >> g))("a"), (f >> (Map(h) @ g))("a")),
     )
-    return laws
 
 
 LAW_IDS = tuple(law.id for law in law_catalog())
@@ -462,7 +342,7 @@ def check_law(
     q: Quantifier,
     cap: int = DEFAULT_CARRIER_CAP,
 ) -> LawReport:
-    """Quantify per the law's shape and evaluate its checker, recording
+    """Quantify per the law's shape and evaluate its two terms, recording
     the first (least, when exhaustive) counterexample."""
     report = LawReport(
         law_id=law.id,
@@ -478,7 +358,7 @@ def check_law(
     return scan(
         report,
         lambda: [_variable(vs, inst, domains, cap) for vs in law.variables],
-        law.make_checker(inst),
+        _compile(law, inst),
         q,
     )
 

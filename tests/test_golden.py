@@ -1,10 +1,13 @@
-"""Golden reports: the deterministic section of five runs, byte for byte.
+"""Golden reports: the deterministic section of five runs, and the
+catalog listing, byte for byte.
 
-Each golden file under tests/golden/ is the deterministic section of one
-run's JSON report, dumped with sorted keys. A change that alters a
-verdict, a witness, a `checked` count or a quantifier stat shows up as a
-diff of these files. To rewrite them after an intended change, run
-`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+Each golden JSON file under tests/golden/ is the deterministic section
+of one run's JSON report, dumped with sorted keys. A change that alters
+a verdict, a witness, a `checked` count or a quantifier stat shows up as
+a diff of these files. list.txt is the output of `--list`, which pins
+every law's id, name, views and statement. To rewrite them after an
+intended change, run `PYTHONPATH=src python tests/test_golden.py` and
+review the diff.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from finmon.cli import main
+from finmon.cli import list_catalog, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -42,6 +45,10 @@ def test_deterministic_section_matches_golden(name, tmp_path):
     assert got == want
 
 
+def test_catalog_listing_matches_golden():
+    assert list_catalog() == (GOLDEN / "list.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -51,3 +58,5 @@ if __name__ == "__main__":
             text = deterministic_section(args, Path(tmp) / "report.json")
             (GOLDEN / f"{name}.json").write_text(text)
             print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
+    (GOLDEN / "list.txt").write_text(list_catalog(), encoding="utf-8")
+    print(f"wrote {GOLDEN / 'list.txt'}", file=sys.stderr)

@@ -231,14 +231,6 @@ def test_bind_pure_is_identity_on_whole_carrier(name):
         assert inst.bind(mv, inst.pure) == mv
 
 
-def test_kleisli_is_join_map():
-    m = nondet_monad()
-    f = lambda a: Seq((a, Atom(1 - a.index)))
-    g = lambda b: Seq((b,)) if b.index == 0 else Seq(())
-    kl = m.kleisli(f, g)
-    assert kl(Atom(0)) == m.join(m.map(g, f(Atom(0))))
-
-
 def test_mutant_a_breaks_triangle_right_at_the_op_level():
     m = mutant_a_monad()
     ma = parse_value("[#0, #1]")

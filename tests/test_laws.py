@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import inspect
+import itertools
+import math
 
 import pytest
 
 from finmon.instances import INSTANCE_NAMES, get_instance, reader_functor
 from finmon.laws import (
+    ID,
     LAW_IDS,
     SuiteProfile,
     VarSpec,
+    _compile,
     _variable,
     check_law,
     law_by_id,
@@ -18,7 +24,7 @@ from finmon.laws import (
     reader_pres_ee2_report,
     run_suite,
 )
-from finmon.values import CarrierTooLarge, FiniteType, Quantifier
+from finmon.values import DEFAULT_CARRIER_CAP, CarrierTooLarge, FiniteType, Quantifier
 
 DOMS2 = {r: FiniteType(r, 2) for r in "ABCD"}
 
@@ -43,15 +49,28 @@ def test_thin_view_drops_derived_op_checks():
 
 @pytest.mark.parametrize("law", law_catalog(), ids=LAW_IDS)
 def test_checker_parameters_are_the_law_variables_in_order(law):
-    # the scan binds checker arguments by position, in the order of the
-    # law's variables; this pins that order by name
+    # the scan binds the compiled checker's arguments by position, in
+    # the order of the law's variables; this pins that order by name
     instances = [get_instance(name) for name in INSTANCE_NAMES]
     instances.append(reader_functor(FiniteType("E", 2)))
     fitting = [i for i in instances if all(hasattr(i, op) for op in law.needs)]
     assert len(fitting) >= len(INSTANCE_NAMES)
     want = [v.name for v in law.variables]
     for inst in fitting:
-        assert list(inspect.signature(law.make_checker(inst)).parameters) == want, inst.name
+        assert list(inspect.signature(_compile(law, inst)).parameters) == want, inst.name
+
+
+@pytest.mark.parametrize("law", law_catalog(), ids=LAW_IDS)
+def test_terms_apply_leaves_to_the_one_bound_variable(law):
+    tables = {v.name for v in law.variables if v.kind == "fn"}
+    (bound,) = [v.name for v in law.variables if v.kind != "fn"]
+    assert law.lhs.var == law.rhs.var == bound
+    leaves = [n for side in (law.lhs, law.rhs) for n in side.arrow.nodes() if n.table]
+    assert {n.table for n in leaves} <= tables
+    # every declared variable is read by some side
+    assert {n.table for n in leaves} | {bound} == {v.name for v in law.variables}
+    primed = [n.op for n in leaves if n.op != n.table]
+    assert bool(primed) == (law.id in ("F3", "D4", "W4")), primed
 
 
 def test_checker_parameters_reach_reader_and_l1_order():
@@ -212,3 +231,53 @@ def test_reports_are_deterministic():
     one = [r.to_deterministic_dict() for r in run_suite(get_instance("mutant-a"), prof)]
     two = [r.to_deterministic_dict() for r in run_suite(get_instance("mutant-a"), prof)]
     assert one == two
+
+
+def _bindings(law, inst):
+    """Every binding of the law at sizes 2, in scan order, and their count."""
+    spaces = [_variable(vs, inst, DOMS2, DEFAULT_CARRIER_CAP).candidates
+              for vs in law.variables]
+    return itertools.product(*spaces), math.prod(len(s) for s in spaces)
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_memo_never_changes_a_side(name):
+    # a checker that has evaluated every earlier binding gives the same
+    # sides as a fresh one, at the first and the last ten bindings
+    inst = get_instance(name)
+    for law in law_catalog():
+        bindings, total = _bindings(law, inst)
+        warm = _compile(law, inst)
+        for i, binding in enumerate(bindings):
+            sides = warm(*binding)
+            if i < 10 or i >= total - 10:
+                assert sides == _compile(law, inst)(*binding), (law.id, i)
+
+
+def test_primed_side_makes_its_own_operation_calls():
+    calls = collections.Counter()
+    nondet = get_instance("nondet")
+
+    def counted(op):
+        def call(*args):
+            calls[op] += 1
+            return getattr(nondet, op)(*args)
+        return call
+
+    inst = dataclasses.replace(nondet, map=counted("map"), bind=counted("bind"))
+
+    def calls_over_all_bindings(law):
+        calls.clear()
+        bindings, _ = _bindings(law, inst)
+        sides = _compile(law, inst)
+        for binding in bindings:
+            sides(*binding)
+        return sum(calls.values())
+
+    for law_id in ("F3", "W4", "D4"):
+        law = law_by_id(law_id)
+        unprimed = calls_over_all_bindings(dataclasses.replace(law, rhs=ID(law.rhs.var)))
+        primed = calls_over_all_bindings(dataclasses.replace(law, lhs=ID(law.lhs.var)))
+        assert primed == unprimed > 0, law_id
+        # next to the unprimed side, the primed one hits no cache of it
+        assert calls_over_all_bindings(law) == unprimed + primed, law_id
