@@ -8,15 +8,16 @@ actually tell a lawful instance from a subtly broken one.
 from __future__ import annotations
 
 from finmon.instances import get_instance
-from finmon.laws import SuiteProfile, run_suite
+from finmon.laws import run_suite, suite_checks
+from finmon.values import FiniteType, Quantifier
 
 
 def hunt(name: str) -> list[str]:
     inst = get_instance(name)
-    profile = SuiteProfile(name=f"hunt-{name}", instance=name, view="fat")
+    domains = {role: FiniteType(role, 2) for role in "ABCD"}
     broken = []
     print(f"== {name} ==")
-    for rep in run_suite(inst, profile):
+    for rep in run_suite(inst, suite_checks(inst), domains, Quantifier(budget=100_000)):
         mark = "ok  " if rep.passed else "FAIL"
         print(f"  {mark} {rep.law_id:4s} checked={rep.checked}")
         if not rep.passed:

@@ -47,10 +47,15 @@ every atom below the state count. Lengths and supports are not bounded,
 since flows and binds leave the bounded carrier anyway. A value outside
 the carrier is a configuration error (exit 2), and so are a measure that
 cannot measure the instance's structures, an empty next list under max,
-and max_len or max_support below 1. The reader functor is addressed as
-instance "reader" in suites; its environment size comes from sizes["E"]
-(default 2). Its level-2 check F3L2 runs with F3, alone when "laws" is
-["F3L2"], and is a configuration error on any other instance.
+and max_len or max_support below 1.
+
+Each suite, like each system and sdp, is built once at load: its
+instance, its domains and the checks laws.suite_checks chooses. The
+reader functor is addressed as instance "reader" in suites; its
+environment size comes from sizes["E"] (default 2). Its level-2 check
+F3L2 runs with F3, alone when "laws" is ["F3L2"], and is a
+configuration error (exit 2) on any other instance, and so is a reader
+suite whose "laws" name a monad law.
 
 Exit codes: 0 when every check passes, 1 when any check fails, and 2
 for configuration problems, which are reported with the offending
@@ -60,7 +65,6 @@ field's path.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -71,7 +75,7 @@ from pathlib import Path
 from . import __version__
 from .dp import MEASURES, Sdp, check_val_equiv, get_measure
 from .instances import INSTANCE_NAMES, get_instance, reader_functor
-from .laws import LAW_IDS, SuiteProfile, law_catalog, run_suite
+from .laws import Instance, law_catalog, run_suite, suite_checks
 from .reports import LawReport
 from .systems import SYSTEM_CHECKS, MonSys, run_system_check
 from .values import (
@@ -105,8 +109,9 @@ class RunConfig:
     seed: int
     budget: int
     carrier_cap: int = DEFAULT_CARRIER_CAP
-    suites: list[SuiteProfile] = field(default_factory=list)
-    # each system with its echo, whose checks and n_max it runs
+    # each suite's instance, checks and domains with its echo; each system
+    # with its echo, whose checks and n_max it runs
+    suites: list[tuple[Instance, tuple[str, ...], dict, dict]] = field(default_factory=list)
     systems: list[tuple[MonSys, dict]] = field(default_factory=list)
     sdps: list[tuple[Sdp, dict]] = field(default_factory=list)
 
@@ -116,15 +121,7 @@ class RunConfig:
             "seed": self.seed,
             "budget": self.budget,
             "carrier_cap": self.carrier_cap,
-            "suites": [
-                {
-                    "name": p.name, "instance": p.instance,
-                    "laws": list(p.laws), "view": p.view,
-                    "sizes": {k: v for k, v in p.sizes},
-                    "max_len": p.max_len, "max_support": p.max_support,
-                }
-                for p in self.suites
-            ],
+            "suites": [echo for *_, echo in self.suites],
             "systems": [echo for _, echo in self.systems],
             "sdps": [echo for _, echo in self.sdps],
         }
@@ -163,23 +160,14 @@ def _instance(entry: dict, where: str, known: tuple[str, ...] = INSTANCE_NAMES) 
     return instance
 
 
-def _parse_suite(entry: dict, i: int) -> SuiteProfile:
+def _parse_suite(entry: dict, i: int) -> tuple[Instance, tuple[str, ...], dict, dict]:
     where = f"suites[{i}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
     name = _need(entry, "name", str, where)
     instance = _instance(entry, where, INSTANCE_NAMES + ("reader",))
-    laws = tuple(_opt(entry, "laws", list, [], where))
-    for law_id in laws:
-        if law_id not in LAW_IDS and law_id != "F3L2":
-            raise ConfigError(
-                f"{where}.laws: unknown law id {law_id!r} (known: {', '.join(LAW_IDS)})"
-            )
-    if "F3L2" in laws and instance != "reader":
-        raise ConfigError(f"{where}.laws: F3L2 applies only to instance 'reader'")
+    laws = _opt(entry, "laws", list, [], where)
     view = _opt(entry, "view", str, "fat", where)
-    if view not in ("thin", "fat"):
-        raise ConfigError(f"{where}.view: expected 'thin' or 'fat', got {view!r}")
     sizes_in = _opt(entry, "sizes", dict, {}, where)
     sizes = {"A": 2, "B": 2, "C": 2, "D": 2}
     if instance == "reader":
@@ -191,15 +179,18 @@ def _parse_suite(entry: dict, i: int) -> SuiteProfile:
             raise ConfigError(f"{where}.sizes.{role}: expected a non-negative integer")
         sizes[role] = n
     max_len, max_support = _bounds(entry, where)
-    return SuiteProfile(
-        name=name,
-        instance=instance,
-        laws=laws,
-        view=view,
-        sizes=tuple(sorted(sizes.items())),
-        max_len=max_len,
-        max_support=max_support,
-    )
+    inst = (reader_functor(FiniteType("E", sizes["E"])) if instance == "reader"
+            else get_instance(instance, max_len=max_len, max_support=max_support))
+    try:
+        checks = suite_checks(inst, laws, view)
+    except ValueError as exc:  # led by the field at fault
+        raise ConfigError(f"{where}.{exc}")
+    echo = {
+        "name": name, "instance": instance, "laws": laws, "view": view,
+        "sizes": sizes, "max_len": max_len, "max_support": max_support,
+    }
+    domains = {role: FiniteType(role, n) for role, n in sizes.items()}
+    return inst, checks, domains, echo
 
 
 def _parse_step_values(
@@ -394,32 +385,19 @@ BUILTIN_SUITES: dict[str, dict] = {
 # running
 
 
-def _build_suite_instance(profile: SuiteProfile):
-    if profile.instance == "reader":
-        env_size = dict(profile.sizes).get("E", 2)
-        return reader_functor(FiniteType("E", env_size))
-    return get_instance(
-        profile.instance, max_len=profile.max_len, max_support=profile.max_support
-    )
-
-
 def _execute(cfg: RunConfig) -> tuple[list[tuple[str, LawReport]], float]:
     """Run every check in declaration order on the calling thread;
     returns (group, report) pairs plus wall seconds."""
     t0 = time.perf_counter()
     out: list[tuple[str, LawReport]] = []
-    for profile in cfg.suites:
-        effective = dataclasses.replace(
-            profile, budget=cfg.budget, seed=cfg.seed, carrier_cap=cfg.carrier_cap
-        )
-        inst = _build_suite_instance(effective)
-        out.extend((f"suite:{profile.name}", rep) for rep in run_suite(inst, effective))
-    cap = cfg.carrier_cap
+    q, cap = Quantifier(budget=cfg.budget, seed=cfg.seed), cfg.carrier_cap
+    for inst, checks, domains, echo in cfg.suites:
+        out.extend((f"suite:{echo['name']}", rep)
+                   for rep in run_suite(inst, checks, domains, q, cap))
     for sys_obj, echo in cfg.systems:
         for check in echo["checks"]:
             out.append((f"system:{sys_obj.name}",
                         run_system_check(check, sys_obj, echo["n_max"], cap)))
-    q = Quantifier(budget=cfg.budget, seed=cfg.seed)
     for sdp, _ in cfg.sdps:
         out.append((f"sdp:{sdp.name}", check_val_equiv(sdp, q, cap)))
     return out, time.perf_counter() - t0
@@ -567,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
                     built.carrier_cap = cfg.carrier_cap
                     cfg = built
                 else:
-                    wanted = [p for p in cfg.suites if p.name == args.suite]
+                    wanted = [s for s in cfg.suites if s[-1]["name"] == args.suite]
                     if not wanted:
                         raise ConfigError(
                             f"--suite: {args.suite!r} is neither a builtin suite "

@@ -185,9 +185,7 @@ def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0) -> Fraction:
     m = sdp.monad
     mnext = sdp.next(t, x, y)
     rewards = m.map(
-        lambda x1: Rat(
-            Fraction(sdp.reward(t, x, y, x1)) + val(sdp, tail, x1, t + 1)
-        ),
+        lambda x1: Rat(sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1)),
         mnext,
     )
     return sdp.measure.apply(rewards)
@@ -204,7 +202,7 @@ def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0) -> Value:
     return m.bind(
         sdp.next(t, x, y),
         lambda x1: m.map(
-            lambda r: Rat(Fraction(sdp.reward(t, x, y, x1)) + r.value),
+            lambda r: Rat(sdp.reward(t, x, y, x1) + r.value),
             rews(sdp, tail, x1, t + 1),
         ),
     )

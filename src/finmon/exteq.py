@@ -22,7 +22,7 @@ is function composition.
 from __future__ import annotations
 
 from .reports import EqReport
-from .values import Atom, Seq, Value, Vec, canonical_compare
+from .values import Atom, Seq, Value, Vec
 
 __all__ = ["extify_eq"]
 
@@ -38,7 +38,7 @@ def extify_eq(level: int, f: Value, g: Value) -> EqReport:
     if level < 0:
         raise ValueError("extify level must be non-negative")
     if level == 0:
-        if canonical_compare(f, g) != 0:
+        if f != g:
             return EqReport(False, (Seq(()), f, g), 1)
         return EqReport(True, None, 1)
     if not isinstance(f, Vec) or not isinstance(g, Vec):

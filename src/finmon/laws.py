@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .exteq import extify_eq
 from .instances import FunctorInstance, MonadInstance, reader_functor
@@ -66,8 +66,8 @@ from .values import (
 )
 
 __all__ = [
-    "Arrow", "Term", "VarSpec", "Law", "SuiteProfile", "law_catalog", "law_by_id",
-    "check_law", "run_suite", "reader_pres_ee2_report", "LAW_IDS",
+    "Arrow", "Term", "VarSpec", "Law", "law_catalog", "law_by_id",
+    "check_law", "suite_checks", "run_suite", "reader_pres_ee2_report", "LAW_IDS",
 ]
 
 Instance = Union[MonadInstance, FunctorInstance]
@@ -367,63 +367,50 @@ def check_law(
 # suites
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteProfile:
-    """Declarative description of one suite run: which laws against which
-    instance at which sizes, under which quantifier."""
+def suite_checks(inst: Instance, ids: Sequence[str] = (), view: str = "fat") -> tuple[str, ...]:
+    """The ids of the checks a suite runs on inst, in catalog order: the
+    laws that ids names or, when ids is empty, every law of the view that
+    inst can run. The reader's level-2 check F3L2 follows when F3 runs or
+    ids names it. This is the one place that chooses a suite's checks.
 
-    name: str
-    instance: str
-    laws: tuple[str, ...] = ()  # empty means: every law the view admits
-    view: str = "fat"
-    sizes: tuple[tuple[str, int], ...] = (("A", 2), ("B", 2), ("C", 2), ("D", 2))
-    max_len: int = 2
-    max_support: int = 2
-    budget: int = 100_000
-    seed: int = 0
-    carrier_cap: int = DEFAULT_CARRIER_CAP
-
-    def domain_map(self) -> dict[str, FiniteType]:
-        return {role: FiniteType(role, n) for role, n in self.sizes}
-
-    def selected_laws(self) -> tuple[Law, ...]:
-        if self.view not in ("thin", "fat"):
-            raise ValueError(f"unknown suite view {self.view!r}")
-        bad = [i for i in self.laws if i not in _CATALOG_BY_ID and i != "F3L2"]
-        if bad:
-            raise KeyError(f"unknown law ids in suite {self.name!r}: {bad}")
-        if self.laws:
-            return tuple(law for law in law_catalog() if law.id in self.laws)
-        return tuple(law for law in law_catalog() if self.view in law.views)
-
-
-def run_suite(inst: Instance, profile: SuiteProfile) -> list[LawReport]:
-    """Run every law the profile selects, in catalog order. Functor-only
-    instances (reader) are limited to the functor laws; selecting F3 (or
-    F3L2 alone) for the reader also appends the level-2 tower check, since
-    pointwise equality of function-valued outputs has a second layer
-    there."""
-    domains = profile.domain_map()
-    q = Quantifier(budget=profile.budget, seed=profile.seed)
-    reports = []
-    for law in profile.selected_laws():
-        if any(not hasattr(inst, op) for op in law.needs):
-            if profile.laws:
-                raise ValueError(
-                    f"suite {profile.name!r} selects law {law.id} but instance "
-                    f"{getattr(inst, 'name', '?')!r} lacks an operation it needs"
-                )
-            continue  # "all laws" on a functor instance: run what applies
-        reports.append(check_law(law, inst, domains, q, cap=profile.carrier_cap))
+    A ValueError, its message led by the argument at fault ("laws" or
+    "view"), rejects an unknown view or id, F3L2 on any instance but the
+    reader, and a named law whose operations inst lacks."""
+    if view not in ("thin", "fat"):
+        raise ValueError(f"view: unknown suite view {view!r}")
     is_reader = isinstance(inst, FunctorInstance) and inst.name == "reader"
-    if "F3L2" in profile.laws and not is_reader:
-        raise ValueError(f"suite {profile.name!r} selects F3L2, a reader-only check")
-    if is_reader and (not profile.laws or {"F3", "F3L2"} & set(profile.laws)):
-        env = domains.get("E") or FiniteType("E", 2)
-        reports.append(reader_pres_ee2_report(
-            env, domains["A"], domains["B"], q, profile.carrier_cap,
-        ))
-    return reports
+    for law_id in ids:
+        if law_id not in LAW_IDS and law_id != "F3L2":
+            raise ValueError(f"laws: unknown law id {law_id!r} (known: {', '.join(LAW_IDS)})")
+        if law_id == "F3L2" and not is_reader:
+            raise ValueError("laws: F3L2 applies only to instance 'reader'")
+    checks = []
+    for law in _CATALOG_BY_ID.values():
+        if law.id in ids if ids else view in law.views:
+            if all(hasattr(inst, op) for op in law.needs):
+                checks.append(law.id)
+            elif ids:
+                raise ValueError(f"laws: instance {inst.name!r} lacks an operation "
+                                 f"that law {law.id} needs")
+    if is_reader and ("F3" in checks or "F3L2" in ids):
+        checks.append("F3L2")
+    return tuple(checks)
+
+
+def run_suite(
+    inst: Instance,
+    checks: tuple[str, ...],
+    domains: dict[str, FiniteType],
+    q: Quantifier,
+    cap: int = DEFAULT_CARRIER_CAP,
+) -> list[LawReport]:
+    """Run the checks suite_checks chose, in order. F3L2 reads the
+    reader's environment from domains["E"]."""
+    return [
+        reader_pres_ee2_report(domains["E"], domains["A"], domains["B"], q, cap)
+        if c == "F3L2" else check_law(_CATALOG_BY_ID[c], inst, domains, q, cap)
+        for c in checks
+    ]
 
 
 def reader_pres_ee2_report(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -171,8 +172,9 @@ def scan(
     its cap stops the check before its first evaluation. sides(*binding)
     returns (lhs, rhs), optionally with a dict of extra witness entries,
     or None for a binding outside the property's domain, which is not
-    counted. A carrier past its cap or an overflowing operation fails
-    the report with a diagnostic instead of a witness."""
+    counted. A carrier past its cap, an overflowing operation or an
+    evaluation nested past the interpreter's recursion limit fails the
+    report with a diagnostic instead of a witness."""
     t0 = time.perf_counter()
     checked = 0
     try:
@@ -204,6 +206,10 @@ def scan(
     except (CarrierTooLarge, CarrierOverflow) as exc:
         report.passed = False
         report.diagnostic = str(exc)
+    except RecursionError:
+        report.passed = False
+        report.diagnostic = (f"recursion too deep: evaluation passed the interpreter's "
+                             f"limit of {sys.getrecursionlimit()} frames")
     report.checked = checked
     report.elapsed_ms = (time.perf_counter() - t0) * 1000
     return report

@@ -48,7 +48,7 @@ __all__ = [
     "CarrierDesc", "FnTable", "Quantifier", "Product", "sub_seed",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
-    "canonical_key", "canonical_compare", "dist_of_terms", "mk_dist", "check_member",
+    "canonical_key", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size",
     "function_space_size", "enumerate_functions",
     "tabulate", "identity_table", "table_fn", "table_to_value",
@@ -183,15 +183,6 @@ def canonical_key(v: Value):
     if t is Vec:
         return (5, v.length, tuple(canonical_key(x) for x in v.items))
     raise TypeError(f"not a Value: {v!r}")
-
-
-def canonical_compare(a: Value, b: Value) -> int:
-    """-1, 0 or 1. Values must come from the same carrier (same top-level
-    shape); comparing across carriers is a usage bug."""
-    if type(a) is not type(b):
-        raise ValueError(f"values from different carriers: {a!r} vs {b!r}")
-    ka, kb = canonical_key(a), canonical_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
 
 
 class _Weights(dict):

@@ -16,7 +16,7 @@ from finmon.cli import TIMING_MARKER, main
 from finmon.dp import Sdp, check_measure_shift, check_val_equiv, get_measure
 from finmon.exteq import __doc__ as exteq_doc
 from finmon.instances import get_instance
-from finmon.laws import LAW_IDS, SuiteProfile, reader_pres_ee2_report, run_suite
+from finmon.laws import LAW_IDS, reader_pres_ee2_report, run_suite, suite_checks
 from finmon.systems import (
     MonSys,
     check_flow_lr,
@@ -34,6 +34,7 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 X3 = FiniteType("X", 3)
+DOMS2 = {role: FiniteType(role, 2) for role in "ABCD"}
 LAWFUL = ("identity", "maybe", "nondet", "simpleprob")
 
 
@@ -92,8 +93,9 @@ def test_criterion_01_law_suite_soundness():
     t0 = time.perf_counter()
     all_reports = {}
     for name in LAWFUL:
-        profile = SuiteProfile(name=f"acc-{name}", instance=name, view="fat")
-        all_reports[name] = run_suite(get_instance(name), profile)
+        inst = get_instance(name)
+        all_reports[name] = run_suite(inst, suite_checks(inst), DOMS2,
+                                      Quantifier(budget=100_000))
     elapsed = time.perf_counter() - t0
     ok = True
     for name, reports in all_reports.items():

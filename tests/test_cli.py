@@ -43,7 +43,9 @@ def write_config(tmp_path, data, name="cfg.json"):
 def test_parse_minimal_config():
     cfg = parse_config(GOOD)
     assert cfg.seed == 0 and cfg.budget == 1000
-    assert cfg.suites[0].laws == ("F1", "T1")
+    inst, checks, domains, echo = cfg.suites[0]
+    assert inst.name == "maybe" and checks == ("F1", "T1")
+    assert sorted(domains) == ["A", "B", "C", "D"] and echo["laws"] == ["F1", "T1"]
 
 
 def test_seed_and_budget_are_mandatory():
@@ -204,6 +206,22 @@ def test_f3l2_on_a_non_reader_instance_is_a_config_error(tmp_path, capsys):
     assert "suites[0].laws" in capsys.readouterr().err
 
 
+def test_reader_suite_naming_a_monad_law_is_a_config_error(tmp_path, capsys):
+    cfg = {"seed": 0, "budget": 1000,
+           "suites": [{"name": "r", "instance": "reader", "laws": ["F1", "T1"]}]}
+    assert main(["--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "suites[0].laws: instance 'reader' lacks an operation that law T1 needs" in err
+    assert "Traceback" not in err
+
+
+def test_bad_view_is_reported_at_the_view_even_with_laws(tmp_path, capsys):
+    cfg = {"seed": 0, "budget": 1000,
+           "suites": [{"name": "m", "instance": "maybe", "laws": ["F1"], "view": "wide"}]}
+    assert main(["--config", write_config(tmp_path, cfg)]) == 2
+    assert "suites[0].view: unknown suite view 'wide'" in capsys.readouterr().err
+
+
 def test_f3l2_alone_runs_only_the_level2_check(tmp_path):
     cfg = {"seed": 0, "budget": 100_000,
            "suites": [{"name": "reader:functor", "instance": "reader",
@@ -279,6 +297,21 @@ def test_refused_sdp_measure_fails_the_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "not shift compatible" in out
     assert "mv = none" in out
+
+
+def test_deep_horizon_fails_with_a_diagnostic(tmp_path, capsys):
+    # val recurses about three frames per step, past the interpreter's limit
+    cfg = {"seed": 0, "budget": 10,
+           "sdps": [{"name": "deep", "instance": "identity", "measure": "point",
+                     "horizon": 400, "states": 1, "controls": 1, "next": [["#0"]]}]}
+    out = tmp_path / "out.json"
+    assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (row,) = json.loads(out.read_text())["deterministic"]["results"]
+    assert not row["pass"] and row["checked"] == 1 and "witness" not in row
+    assert row["diagnostic"].startswith("recursion too deep: ")
+    assert "limit of" in row["diagnostic"]
 
 
 _WALK = ["{#0: 1/2, #1: 1/2}", "{#1: 1/2, #2: 1/2}", "{#0: 1/2, #2: 1/2}"]

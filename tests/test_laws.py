@@ -14,7 +14,6 @@ from finmon.instances import INSTANCE_NAMES, get_instance, reader_functor
 from finmon.laws import (
     ID,
     LAW_IDS,
-    SuiteProfile,
     VarSpec,
     _compile,
     _variable,
@@ -23,6 +22,7 @@ from finmon.laws import (
     law_catalog,
     reader_pres_ee2_report,
     run_suite,
+    suite_checks,
 )
 from finmon.values import DEFAULT_CARRIER_CAP, CarrierTooLarge, FiniteType, Quantifier
 
@@ -183,53 +183,66 @@ def test_functor_instance_rejects_monad_law():
         check_law(law_by_id("T1"), reader, DOMS2, Quantifier(budget=100))
 
 
+READER = reader_functor(FiniteType("E", 2))
+READER_DOMS = dict(DOMS2, E=FiniteType("E", 2))
+
+
 def test_run_suite_reader_appends_level2_check():
-    reader = reader_functor(FiniteType("E", 2))
-    prof = SuiteProfile(name="r", instance="reader", laws=("F1", "F2", "F3"))
-    reps = run_suite(reader, prof)
+    checks = suite_checks(READER, ("F1", "F2", "F3"))
+    assert checks == ("F1", "F2", "F3", "F3L2")
+    reps = run_suite(READER, checks, READER_DOMS, Quantifier(budget=100_000))
     assert [r.law_id for r in reps] == ["F1", "F2", "F3", "F3L2"]
     assert all(r.passed for r in reps)
 
 
 def test_run_suite_reader_all_laws_runs_what_applies():
-    reader = reader_functor(FiniteType("E", 2))
-    reps = run_suite(reader, SuiteProfile(name="r", instance="reader"))
-    assert [r.law_id for r in reps] == ["F1", "F2", "F3", "F3L2"]
+    assert suite_checks(READER) == ("F1", "F2", "F3", "F3L2")
+    assert suite_checks(READER, view="thin") == ("F1", "F2", "F3", "F3L2")
 
 
 def test_run_suite_level2_check_selected_alone():
-    reader = reader_functor(FiniteType("E", 2))
-    prof = SuiteProfile(name="r", instance="reader", laws=("F1", "F3L2"))
-    assert [r.law_id for r in run_suite(reader, prof)] == ["F1", "F3L2"]
-    with pytest.raises(ValueError, match="reader-only"):
-        run_suite(get_instance("maybe"), SuiteProfile(name="m", instance="maybe",
-                                                      laws=("F3L2",)))
+    checks = suite_checks(READER, ("F1", "F3L2"))
+    assert checks == ("F1", "F3L2")
+    reps = run_suite(READER, checks, READER_DOMS, Quantifier(budget=100_000))
+    assert [r.law_id for r in reps] == ["F1", "F3L2"]
+    with pytest.raises(ValueError, match="laws: F3L2 applies only to instance 'reader'"):
+        suite_checks(get_instance("maybe"), ("F3L2",))
 
 
 def test_run_suite_reader_explicit_monad_law_is_an_error():
-    reader = reader_functor(FiniteType("E", 2))
-    prof = SuiteProfile(name="r", instance="reader", laws=("F1", "T1"))
-    with pytest.raises(ValueError):
-        run_suite(reader, prof)
+    with pytest.raises(ValueError, match="laws: instance 'reader' lacks an operation "
+                                         "that law T1 needs"):
+        suite_checks(READER, ("F1", "T1"))
 
 
-def test_suite_profile_validation():
-    with pytest.raises(KeyError):
-        SuiteProfile(name="x", instance="maybe", laws=("F1", "NOPE")).selected_laws()
-    with pytest.raises(ValueError):
-        SuiteProfile(name="x", instance="maybe", view="wide").selected_laws()
+def test_suite_checks_validation():
+    with pytest.raises(ValueError, match="laws: unknown law id 'NOPE'"):
+        suite_checks(get_instance("maybe"), ("F1", "NOPE"))
+    with pytest.raises(ValueError, match="view: unknown suite view 'wide'"):
+        suite_checks(get_instance("maybe"), view="wide")
+    with pytest.raises(ValueError, match="view: "):
+        suite_checks(get_instance("maybe"), ("F1",), view="wide")
+
+
+def test_named_laws_run_in_catalog_order_under_either_view():
+    maybe = get_instance("maybe")
+    assert suite_checks(maybe, ("T1", "KJ", "F1"), view="thin") == ("F1", "T1", "KJ")
 
 
 def test_thin_suite_runs_20_laws():
-    reps = run_suite(get_instance("maybe"), SuiteProfile(name="t", instance="maybe", view="thin"))
+    maybe = get_instance("maybe")
+    reps = run_suite(maybe, suite_checks(maybe, view="thin"), DOMS2,
+                     Quantifier(budget=100_000))
     assert len(reps) == 20
     assert "KJ" not in {r.law_id for r in reps}
 
 
 def test_reports_are_deterministic():
-    prof = SuiteProfile(name="m", instance="mutant-a")
-    one = [r.to_deterministic_dict() for r in run_suite(get_instance("mutant-a"), prof)]
-    two = [r.to_deterministic_dict() for r in run_suite(get_instance("mutant-a"), prof)]
+    inst = get_instance("mutant-a")
+    checks, q = suite_checks(inst), Quantifier(budget=100_000)
+    one = [r.to_deterministic_dict() for r in run_suite(inst, checks, DOMS2, q)]
+    two = [r.to_deterministic_dict() for r in run_suite(get_instance("mutant-a"), checks,
+                                                         DOMS2, q)]
     assert one == two
 
 
