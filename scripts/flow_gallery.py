@@ -15,12 +15,21 @@ from finmon.systems import (
     mon_sys,
     run_system_check,
     trj,
-    trajectory_count,
-    trajectory_weight,
 )
 from finmon.values import Atom, FiniteType, parse_value, render_value
 
 X3 = FiniteType("X", 3)
+
+
+def trajectory_count(sys_, n: int, x: Atom) -> int:
+    """Number of recorded trajectories for sequence-shaped monads."""
+    return len(trj(sys_, n, x).items)
+
+
+def trajectory_weight(sys_, n: int, x: Atom) -> Fraction:
+    """Total probability mass of the trajectory distribution."""
+    return sum((w for _, w in trj(sys_, n, x).entries), Fraction(0))
+
 
 SYSTEMS = [
     ("branch", "nondet", ["[#0, #1]", "[#1, #2]", "[#2, #0]"]),

@@ -209,6 +209,8 @@ def _parse_step_values(
             check_member(value, carrier)
         except ValueError as exc:
             raise ConfigError(f"{where}[{j}]: {exc}")
+        except RecursionError:  # parsing and rendering recurse once per level
+            raise ConfigError(f"{where}[{j}]: value nests too deeply")
         out.append(value)
     return tuple(out)
 

@@ -5,14 +5,15 @@ exact rational rewards. The monad shapes the uncertainty of each step;
 a measure turns a monadic structure of rewards into one number.
 
 Two value functions are implemented. `val` is the textbook backward
-recursion: it applies the measure at every recursion node, so the
-number of measure applications grows with the tree of reachable
-futures. `val_spec` first builds the full monadic structure of
-accumulated reward sums and applies the measure exactly once at the
-root. The two agree exactly when the measure is compatible with
-shifting rewards by a constant, and `check_val_equiv` refuses to
-compare them under a measure that fails that precondition, reporting
-the shift witness instead.
+recursion: it applies the measure at every node it evaluates. `val_spec`
+first builds the full monadic structure of accumulated reward sums and
+applies the measure exactly once at the root. The two agree exactly
+when the measure is compatible with shifting rewards by a constant, and
+`check_val_equiv` refuses to compare them under a measure that fails
+that precondition, reporting the shift witness instead. Within one check
+each function memoizes its nodes below the root on (t, x, remaining
+policy tail), so a tail that many policy sequences share is evaluated
+once; no root is stored, since the scan meets every (ps, x) once.
 
 Rewards ride inside monadic values as Rat leaves. Rat is a value
 constructor that never appears in enumerated carriers; it exists so
@@ -176,41 +177,51 @@ def render_policy_seq(ps: PolicySeq, n_states: int) -> str:
 # value functions
 
 
-def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0) -> Fraction:
-    """Backward-recursive value: measure at every node."""
+def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Fraction:
+    """Backward-recursive value: measure at every node. A memo dict, if
+    given, keeps the nodes below the root for later calls."""
     if not ps:
         return Fraction(0)
+    key = (t, x.index, ps) if t and memo is not None else None
+    if key is not None and key in memo:
+        return memo[key]
     y = ps[0][x.index]
     tail = ps[1:]
-    m = sdp.monad
-    mnext = sdp.next(t, x, y)
-    rewards = m.map(
-        lambda x1: Rat(sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1)),
-        mnext,
-    )
-    return sdp.measure.apply(rewards)
+    out = sdp.measure.apply(sdp.monad.map(
+        lambda x1: Rat(sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1, memo)),
+        sdp.next(t, x, y),
+    ))
+    if key is not None:
+        memo[key] = out
+    return out
 
 
-def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0) -> Value:
+def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Value:
     """The monadic structure of total rewards along every future the
-    policy sequence admits, with no measuring at all."""
+    policy sequence admits, with no measuring at all; memo as in val."""
     m = sdp.monad
     if not ps:
         return m.pure(Rat(Fraction(0)))
+    key = (t, x.index, ps) if t and memo is not None else None
+    if key is not None and key in memo:
+        return memo[key]
     y = ps[0][x.index]
     tail = ps[1:]
-    return m.bind(
+    out = m.bind(
         sdp.next(t, x, y),
         lambda x1: m.map(
             lambda r: Rat(sdp.reward(t, x, y, x1) + r.value),
-            rews(sdp, tail, x1, t + 1),
+            rews(sdp, tail, x1, t + 1, memo),
         ),
     )
+    if key is not None:
+        memo[key] = out
+    return out
 
 
-def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0) -> Fraction:
+def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Fraction:
     """Measure the whole reward structure once, at the root."""
-    return sdp.measure.apply(rews(sdp, ps, x, t))
+    return sdp.measure.apply(rews(sdp, ps, x, t, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +324,7 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
             Var("x", "X", enumerate_domain(sdp.states), n),
         ]
 
-    scan(report, variables, lambda ps, x: (val(sdp, ps, x), val_spec(sdp, ps, x)), q)
+    vm, rm = {}, {}  # the memos of val and rews, for this check only
+    scan(report, variables, lambda ps, x: (val(sdp, ps, x, 0, vm), val_spec(sdp, ps, x, 0, rm)), q)
     report.elapsed_ms += shift.elapsed_ms
     return report

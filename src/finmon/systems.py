@@ -12,21 +12,19 @@ Conventions, fixed once:
 * the left flow binds the flow so far through one more step,
   `flow (n+1) x = flow n x >>= step`; the right flow takes the step
   first, `step x >>= flow n`. `flow` with no suffix means the left one.
-* `check_repr_lemma` binds every value of the enumerated bounded
-  carrier through the step, but the results are not constrained to
-  that carrier: iterated stochastic steps leave the weight grid (half
-  of a third is a sixth) and iterated nondeterminism outgrows any
-  length bound. It therefore evaluates the deterministic flow of the
-  Kleisli lift by functional iteration instead of by composing index
-  tables over the carrier, which would force exactly that constraint.
+* flows and trajectories are grown as levels, one tuple over all
+  states per step count: the left flow as `level >>= step`, the right
+  one as `step >=> level`, the trajectories as `map (prepend y) (step y
+  >>= level)`. Every flow check scans n ascending as its outermost
+  variable, so it grows each level once from the one before: linear
+  work in n_max, where rebuilding each level from pure was quadratic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .instances import MonadInstance
 from .reports import LawReport, Var, scan
@@ -40,6 +38,7 @@ from .values import (
     VecOf,
     enumerate_carrier,
     enumerate_domain,
+    render_value,
     table_fn,
     tabulate,
     DEFAULT_CARRIER_CAP,
@@ -85,35 +84,44 @@ def mon_sys(
 
 
 # ---------------------------------------------------------------------------
-# monadic flows
+# levels: flows and trajectories grown one step at a time
 
 
-def _pure_table(sys: MonSys) -> FnTable:
-    return tabulate(sys.domain, sys.step.codomain, sys.monad.pure)
+def _prepend(x: Atom):
+    return lambda vec: Vec((x,) + vec.items, vec.length + 1)
+
+
+def _levels(sys: MonSys, kind: str) -> Iterator[tuple[Value, ...]]:
+    """Level n = 0, 1, 2, ... of the "left" or "right" flow or of the
+    trajectories ("trj"), as a tuple indexed by state; each level is
+    grown from the one before only when the consumer asks for it."""
+    m = sys.monad
+    states = enumerate_domain(sys.domain)
+    level = tuple(m.pure(Vec((), 0) if kind == "trj" else y) for y in states)
+    step_fn = sys.step_fn()
+    while True:
+        if kind == "trj":
+            level = tuple(m.map(_prepend(y), mv) for y, mv in zip(states, level))
+        yield level
+        prev = level
+        if kind == "left":
+            level = tuple(m.bind(mv, step_fn) for mv in prev)
+        else:
+            level = tuple(m.bind(mv, lambda z: prev[z.index]) for mv in sys.step.entries)
+
+
+def _level(sys: MonSys, kind: str, n: int) -> tuple[Value, ...]:
+    return next(itertools.islice(_levels(sys, kind), n, None))
 
 
 def flow_mon_left(sys: MonSys, n: int) -> FnTable:
     """Iterate by taking the flow so far, then one more step."""
-    m = sys.monad
-    step_fn = sys.step_fn()
-    entries = _pure_table(sys).entries
-    for _ in range(n):
-        entries = tuple(m.bind(mv, step_fn) for mv in entries)
-    return FnTable(sys.domain, sys.step.codomain, entries)
+    return FnTable(sys.domain, sys.step.codomain, _level(sys, "left", n))
 
 
 def flow_mon_right(sys: MonSys, n: int) -> FnTable:
     """Iterate by taking one step, then the flow of the rest."""
-    m = sys.monad
-    table = _pure_table(sys)
-    for _ in range(n):
-        prev_fn = table_fn(table)
-        table = FnTable(
-            sys.domain,
-            sys.step.codomain,
-            tuple(m.bind(mv, prev_fn) for mv in sys.step.entries),
-        )
-    return table
+    return FnTable(sys.domain, sys.step.codomain, _level(sys, "right", n))
 
 
 def flow(sys: MonSys, n: int) -> FnTable:
@@ -130,11 +138,11 @@ def _base_report(law_id: str, sys: MonSys) -> LawReport:
     )
 
 
-def _n_var(n_max: int, per_n: Callable[[int], tuple]) -> Var:
-    """The step count as the outermost variable. per_n(n) runs once per
-    n, when the scan reaches it, and its results ride along with n."""
-    return Var("n", f"0..{n_max}", ((n, *per_n(n)) for n in range(n_max + 1)),
-               n_max + 1, render=lambda nb: str(nb[0]))
+def _n_var(n_max: int, *levels: Iterable) -> Var:
+    """The step count as the outermost variable, ascending, with the
+    levels the scan needs at n riding along, grown when it reaches n."""
+    return Var("n", f"0..{n_max}", zip(range(n_max + 1), *levels), n_max + 1,
+               render=lambda nb: str(nb[0]))
 
 
 def _x_var(domain: FiniteType) -> Var:
@@ -147,14 +155,11 @@ def check_flow_lr(sys: MonSys, n_max: int) -> LawReport:
 
     def sides(nb, a):
         _, left, right = nb
-        return left.entries[a.index], right.entries[a.index]
+        return left[a.index], right[a.index]
 
     return scan(
         _base_report("flowLR", sys),
-        lambda: [
-            _n_var(n_max, lambda n: (flow_mon_left(sys, n), flow_mon_right(sys, n))),
-            _x_var(sys.domain),
-        ],
+        lambda: [_n_var(n_max, _levels(sys, "left"), _levels(sys, "right")), _x_var(sys.domain)],
         sides,
     )
 
@@ -165,18 +170,14 @@ def check_flow_mon_r_lem(sys: MonSys, n_max: int) -> LawReport:
     m = sys.monad
     step_fn = sys.step_fn()
 
-    def per_n(n):
-        flow_n = flow_mon_right(sys, n)
-        return flow_n, table_fn(flow_n)
-
     def sides(nb, a):
-        _, flow_n, flow_fn = nb
-        lhs = m.bind(flow_n.entries[a.index], step_fn)
-        return lhs, m.bind(sys.step.entries[a.index], flow_fn)
+        _, flow_n = nb
+        lhs = m.bind(flow_n[a.index], step_fn)
+        return lhs, m.bind(sys.step.entries[a.index], lambda z: flow_n[z.index])
 
     return scan(
         _base_report("flowMonRLem", sys),
-        lambda: [_n_var(n_max, per_n), _x_var(sys.domain)],
+        lambda: [_n_var(n_max, _levels(sys, "right")), _x_var(sys.domain)],
         sides,
     )
 
@@ -189,18 +190,18 @@ def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
     The split variable visits the unit first, then every split (m, n)
     by increasing total."""
     m = sys.monad
-    flows: list[FnTable] = []
-    fns: list[Callable[[Value], Value]] = []
+    flows: list[tuple[Value, ...]] = []
 
     def variables():
-        flows.extend(flow(sys, n) for n in range(total_max + 1))
-        fns.extend(table_fn(f) for f in flows)
-        splits = [(0, 0, True)] + [
+        flows.extend(itertools.islice(_levels(sys, "left"), total_max + 1))
+        # quadratically many splits, so yielded one at a time
+        splits = itertools.chain([(0, 0, True)], (
             (mm, total - mm, False)
             for total in range(total_max + 1) for mm in range(total + 1)
-        ]
+        ))
         return [
-            Var("(m, n)", f"unit, m+n<={total_max}", splits, len(splits),
+            Var("(m, n)", f"unit, m+n<={total_max}", splits,
+                1 + (total_max + 1) * (total_max + 2) // 2,
                 render=lambda sp: {"m": str(sp[0]), "n": str(sp[1])}),
             _x_var(sys.domain),
         ]
@@ -208,8 +209,9 @@ def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
     def sides(split, a):
         mm, nn, unit = split
         if unit:
-            return flows[0].entries[a.index], m.pure(a)
-        return flows[mm + nn].entries[a.index], m.bind(flows[mm].entries[a.index], fns[nn])
+            return flows[0][a.index], m.pure(a)
+        flow_n = flows[nn]
+        return flows[mm + nn][a.index], m.bind(flows[mm][a.index], lambda z: flow_n[z.index])
 
     return scan(_base_report("flowMonoid", sys), variables, sides)
 
@@ -226,24 +228,28 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
     applies the lift n times by functional iteration; materializing it
     as an index-table composition would require every intermediate bind
     to land back inside the bounded carrier, which fails for stochastic
-    weights and growing sequences."""
+    weights and growing sequences. The scan visits every mx at each n,
+    n ascending, so the right side keeps each value's latest iterate and
+    applies the lift once more per binding."""
     m = sys.monad
     step_fn = sys.step_fn()
+    iterates: list[Value] = []
 
     def variables():
         carrier_vals = enumerate_carrier(m.carrier_of(Base(sys.domain)), cap)
+        iterates.extend(carrier_vals)
         return [
-            _n_var(n_max, lambda n: (table_fn(flow(sys, n)),)),
-            Var("mx", "M X", carrier_vals, len(carrier_vals)),
+            _n_var(n_max, _levels(sys, "left")),
+            Var("mx", "M X", tuple(enumerate(carrier_vals)), len(carrier_vals),
+                render=lambda im: render_value(im[1])),
         ]
 
-    def sides(nb, mx):
-        n, flow_fn = nb
-        lhs = m.bind(mx, flow_fn)
-        rhs = mx
-        for _ in range(n):
-            rhs = m.bind(rhs, step_fn)
-        return lhs, rhs
+    def sides(nb, im):
+        (n, flow_n), (i, mx) = nb, im
+        lhs = m.bind(mx, lambda z: flow_n[z.index])
+        if n:
+            iterates[i] = m.bind(iterates[i], step_fn)
+        return lhs, iterates[i]
 
     return scan(_base_report("reprLemma", sys), variables, sides)
 
@@ -252,26 +258,11 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
 # trajectories
 
 
-def _prepend(x: Atom):
-    return lambda vec: Vec((x,) + vec.items, vec.length + 1)
-
-
 def trj(sys: MonSys, n: int, x: Atom) -> Value:
     """All n-step trajectories from x: an M-structure of state vectors
-    of length n + 1, heads first. Built bottom-up, one level over all
-    states at a time: level k at y is map (prepend y) (step y >>= level
-    k - 1)."""
-    m = sys.monad
-    step_fn = sys.step_fn()
-    states = enumerate_domain(sys.domain)
-    level = tuple(m.map(_prepend(y), m.pure(Vec((), 0))) for y in states)
-    for _ in range(n):
-        prev = level
-        level = tuple(
-            m.map(_prepend(y), m.bind(step_fn(y), lambda z: prev[z.index]))
-            for y in states
-        )
-    return level[x.index]
+    of length n + 1, heads first, built bottom-up one level over all
+    states at a time."""
+    return _level(sys, "trj", n)[x.index]
 
 
 def _last(vec: Value) -> Value:
@@ -310,25 +301,16 @@ def check_map_last_lemma(
 def check_flow_trj(sys: MonSys, n_max: int) -> LawReport:
     """The flow is the trajectory structure with everything but the
     final state forgotten: flow f n x equals map last (trj f n x)."""
+
+    def sides(nb, x):
+        _, flow_n, trj_n = nb
+        return flow_n[x.index], map_last(sys, trj_n[x.index])
+
     return scan(
         _base_report("flowTrjLemma", sys),
-        lambda: [_n_var(n_max, lambda n: (flow(sys, n),)), _x_var(sys.domain)],
-        lambda nb, x: (nb[1].entries[x.index], map_last(sys, trj(sys, nb[0], x))),
+        lambda: [_n_var(n_max, _levels(sys, "left"), _levels(sys, "trj")), _x_var(sys.domain)],
+        sides,
     )
-
-
-# ---------------------------------------------------------------------------
-# trajectory mass cross-checks, used by tests and examples
-
-
-def trajectory_count(sys: MonSys, n: int, x: Atom) -> int:
-    """Number of recorded trajectories for sequence-shaped monads."""
-    return len(trj(sys, n, x).items)
-
-
-def trajectory_weight(sys: MonSys, n: int, x: Atom) -> Fraction:
-    """Total probability mass of the trajectory distribution."""
-    return sum((w for _, w in trj(sys, n, x).entries), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

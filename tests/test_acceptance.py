@@ -24,8 +24,7 @@ from finmon.systems import (
     check_flow_trj,
     check_repr_lemma,
     mon_sys,
-    trajectory_count,
-    trajectory_weight,
+    trj,
 )
 from finmon.values import Atom, Base, FiniteType, Quantifier, enumerate_functions, parse_value
 
@@ -166,9 +165,9 @@ def test_criterion_07_flow_trajectory_theorem():
     branch, walk = branch_sys(), walk_sys()
     reports = [check_flow_trj(branch, 3), check_flow_trj(walk, 3)]
     ok = all(r.passed for r in reports)
-    ok = ok and trajectory_count(branch, 3, Atom(0)) == 8
+    ok = ok and len(trj(branch, 3, Atom(0)).items) == 8
     weights_ok = all(
-        trajectory_weight(walk, n, Atom(i)) == Fraction(1)
+        sum(w for _, w in trj(walk, n, Atom(i)).entries) == Fraction(1)
         for n in range(4) for i in range(3)
     )
     verdict(7, "flow equals map last of the trajectory bundle",

@@ -314,6 +314,40 @@ def test_deep_horizon_fails_with_a_diagnostic(tmp_path, capsys):
     assert "limit of" in row["diagnostic"]
 
 
+@pytest.mark.parametrize("depth", [500, 2000])
+@pytest.mark.parametrize("kind", ["systems", "sdps"])
+def test_deeply_nested_value_text_is_a_config_error(tmp_path, capsys, kind, depth):
+    # parsing recurses once per level, and rendering the rejected value
+    # twice; both pass the interpreter's limit here
+    deep = "[" * depth + "#0" + "]" * depth
+    entry = ({"name": "deep", "instance": "nondet", "size": 1, "step": [deep]}
+             if kind == "systems" else
+             {"name": "deep", "instance": "nondet", "measure": "max", "horizon": 1,
+              "states": 1, "controls": 1, "next": [[deep]]})
+    cfg = {"seed": 0, "budget": 10, kind: [entry]}
+    assert main(["--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    field = "systems[0].step[0]" if kind == "systems" else "sdps[0].next[0][0]"
+    assert f"{field}: value nests too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_long_cyclic_flows_run_to_a_passing_report(tmp_path):
+    # 1,200 steps of a 2-state cycle: every level is grown once, so the
+    # flow checks take linear work (bind counts in test_systems.py)
+    checks = ["flowLR", "flowMonRLem", "reprLemma", "flowTrjLemma"]
+    cfg = {"seed": 0, "budget": 10,
+           "systems": [{"name": "swap", "instance": "maybe", "size": 2,
+                        "step": ["some #1", "some #0"], "checks": checks, "n_max": 1200}]}
+    out = tmp_path / "out.json"
+    assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["deterministic"]["results"]
+    assert [(r["law"], r["pass"], r["checked"]) for r in rows] == [
+        ("flowLR", True, 1201 * 2), ("flowMonRLem", True, 1201 * 2),
+        ("reprLemma", True, 1201 * 3), ("flowTrjLemma", True, 1201 * 2)]
+
+
 _WALK = ["{#0: 1/2, #1: 1/2}", "{#1: 1/2, #2: 1/2}", "{#0: 1/2, #2: 1/2}"]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from finmon.dp import (
 )
 from finmon.instances import get_instance
 from finmon.reports import LawReport, Var, scan
-from finmon.values import Atom, FiniteType, Quantifier, Rat, parse_value, render_value
+from finmon.values import (
+    Atom, FiniteType, Quantifier, Rat, enumerate_domain, parse_value, render_value,
+)
 
 X3 = FiniteType("X", 3)
 Y2 = FiniteType("Y", 2)
@@ -151,6 +154,26 @@ def test_measure_application_counts():
     cm.count = 0
     val_spec(sdp, ps, Atom(0))
     assert cm.count == 1
+
+
+@pytest.mark.parametrize("mk,horizon,inst,measure", [
+    (greedy_walk, 3, "nondet", "max"),
+    (coin_walk, 6, "simpleprob", "expected"),
+    (greedy_walk, 3, "mutant-a", "max"),
+    (coin_walk, 6, "mutant-b", "expected"),
+])
+def test_memo_never_changes_a_value(mk, horizon, inst, measure):
+    # one warm memo per value function, shared over every (ps, x) as in
+    # check_val_equiv, gives what a fresh uncached call gives
+    sdp = dataclasses.replace(mk(horizon=horizon), monad=get_instance(inst),
+                              measure=get_measure(measure))
+    val_memo, rews_memo = {}, {}
+    for ps in enumerate_policy_seqs(sdp, horizon):
+        for x in enumerate_domain(sdp.states):
+            assert val(sdp, ps, x, 0, val_memo) == val(sdp, ps, x)
+            assert rews(sdp, ps, x, 0, rews_memo) == rews(sdp, ps, x)
+    assert val_memo.keys() == rews_memo.keys()
+    assert {t for t, _, _ in val_memo} == set(range(1, horizon))  # never the root
 
 
 @pytest.mark.parametrize(

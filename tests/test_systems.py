@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from finmon.instances import get_instance
@@ -19,8 +21,6 @@ from finmon.systems import (
     mon_sys,
     map_last,
     run_system_check,
-    trajectory_count,
-    trajectory_weight,
     trj,
 )
 from finmon.values import (
@@ -143,6 +143,31 @@ def test_deep_trajectory_is_one_vector():
     assert [a.index for a in vec.items[:4]] == [0, 1, 0, 1]
 
 
+@pytest.mark.parametrize("check", [check_flow_lr, check_flow_mon_r_lem, check_repr_lemma,
+                                   check_flow_trj])
+@pytest.mark.parametrize("mk", [swap_sys, rotate], ids=["maybe", "identity"])
+def test_flow_checks_make_linearly_many_binds(check, mk):
+    # each level is grown once from the one before, so doubling n_max at
+    # most doubles the binds; rebuilding every level from pure quadruples
+    # them
+    sys = mk()
+    calls = [0]
+
+    def counted(mv, fn):
+        calls[0] += 1
+        return sys.monad.bind(mv, fn)
+
+    counting = MonSys(sys.name, dataclasses.replace(sys.monad, bind=counted), sys.domain,
+                      sys.step)
+
+    def binds(n_max):
+        calls[0] = 0
+        assert check(counting, n_max).passed
+        return calls[0]
+
+    assert 0 < binds(80) <= 2.1 * binds(40)
+
+
 @pytest.mark.parametrize("mk", [branch_sys, walk_sys, drop_sys], ids=["nondet", "simpleprob", "maybe"])
 def test_flow_checks_green(mk):
     sys = mk()
@@ -176,7 +201,7 @@ def test_trj_oracles():
     sys = branch_sys()
     assert render_value(trj(sys, 0, Atom(0))) == "[<#0>]"
     assert render_value(trj(sys, 1, Atom(0))) == "[<#0, #0>, <#0, #1>]"
-    assert trajectory_count(sys, 3, Atom(0)) == 8
+    assert len(trj(sys, 3, Atom(0)).items) == 8
 
 
 def test_coin_trajectories_quarter_weights():
@@ -187,7 +212,7 @@ def test_coin_trajectories_quarter_weights():
         "<#0, #1, #1>: 1/4, <#0, #1, #2>: 1/4}"
     )
     for n in range(4):
-        assert trajectory_weight(sys, n, Atom(0)) == 1
+        assert sum(w for _, w in trj(sys, n, Atom(0)).entries) == 1
 
 
 def test_map_last_extracts_final_states():
