@@ -10,10 +10,11 @@ first builds the full monadic structure of accumulated reward sums and
 applies the measure exactly once at the root. The two agree exactly
 when the measure is compatible with shifting rewards by a constant, and
 `check_val_equiv` refuses to compare them under a measure that fails
-that precondition, reporting the shift witness instead. Within one check
-each function memoizes its nodes below the root on (t, x, remaining
-policy tail), so a tail that many policy sequences share is evaluated
-once; no root is stored, since the scan meets every (ps, x) once.
+that precondition, reporting the shift witness instead. An exhaustive
+check memoizes each function's nodes below the root on (t, x, policy
+tail), so a tail that many policy sequences share is evaluated once; no
+root, since the scan meets every (ps, x) once. A sampled check keeps no
+memo, as its long tails seldom recur.
 
 Rewards ride inside monadic values as Rat leaves. Rat is a value
 constructor that never appears in enumerated carriers; it exists so
@@ -185,8 +186,7 @@ def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) 
     key = (t, x.index, ps) if t and memo is not None else None
     if key is not None and key in memo:
         return memo[key]
-    y = ps[0][x.index]
-    tail = ps[1:]
+    y, tail = ps[0][x.index], ps[1:]
     out = sdp.measure.apply(sdp.monad.map(
         lambda x1: Rat(sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1, memo)),
         sdp.next(t, x, y),
@@ -205,15 +205,9 @@ def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None)
     key = (t, x.index, ps) if t and memo is not None else None
     if key is not None and key in memo:
         return memo[key]
-    y = ps[0][x.index]
-    tail = ps[1:]
-    out = m.bind(
-        sdp.next(t, x, y),
-        lambda x1: m.map(
-            lambda r: Rat(sdp.reward(t, x, y, x1) + r.value),
-            rews(sdp, tail, x1, t + 1, memo),
-        ),
-    )
+    y, tail = ps[0][x.index], ps[1:]
+    out = m.bind(sdp.next(t, x, y), lambda x1: m.map(
+        lambda r: Rat(sdp.reward(t, x, y, x1) + r.value), rews(sdp, tail, x1, t + 1, memo)))
     if key is not None:
         memo[key] = out
     return out
@@ -315,16 +309,15 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
         report.elapsed_ms = shift.elapsed_ms
         return report
 
-    def variables():
-        seqs = enumerate_policy_seqs(sdp, sdp.horizon)
-        n = sdp.states.size
-        return [
-            Var("ps", f"policy sequences (h={sdp.horizon})", seqs, seqs.size,
-                render=lambda ps: render_policy_seq(ps, n)),
-            Var("x", "X", enumerate_domain(sdp.states), n),
-        ]
-
-    vm, rm = {}, {}  # the memos of val and rews, for this check only
-    scan(report, variables, lambda ps, x: (val(sdp, ps, x, 0, vm), val_spec(sdp, ps, x, 0, rm)), q)
+    seqs = enumerate_policy_seqs(sdp, sdp.horizon)
+    n = sdp.states.size
+    vm, rm = ({}, {}) if q is None or max(seqs.size, n) <= q.budget else (None, None)
+    variables = [
+        Var("ps", f"policy sequences (h={sdp.horizon})", seqs, seqs.size,
+            render=lambda ps: render_policy_seq(ps, n)),
+        Var("x", "X", enumerate_domain(sdp.states), n),
+    ]
+    scan(report, lambda: variables,
+         lambda ps, x: (val(sdp, ps, x, 0, vm), val_spec(sdp, ps, x, 0, rm)), q)
     report.elapsed_ms += shift.elapsed_ms
     return report

@@ -12,19 +12,19 @@ Conventions, fixed once:
 * the left flow binds the flow so far through one more step,
   `flow (n+1) x = flow n x >>= step`; the right flow takes the step
   first, `step x >>= flow n`. `flow` with no suffix means the left one.
-* flows and trajectories are grown as levels, one tuple over all
-  states per step count: the left flow as `level >>= step`, the right
-  one as `step >=> level`, the trajectories as `map (prepend y) (step y
-  >>= level)`. Every flow check scans n ascending as its outermost
-  variable, so it grows each level once from the one before: linear
-  work in n_max, where rebuilding each level from pure was quadratic.
+* `flow`, `flow_mon_left`, `flow_mon_right` and `trj` take their level
+  at n - 1, over all states, as an optional `prev` and then grow only
+  level n. Every flow check scans n ascending as its outermost variable
+  and hands each level to the next: linear work in n_max, where
+  rebuilding each level from pure was quadratic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Callable
 
 from .instances import MonadInstance
 from .reports import LawReport, Var, scan
@@ -84,49 +84,36 @@ def mon_sys(
 
 
 # ---------------------------------------------------------------------------
-# levels: flows and trajectories grown one step at a time
+# monadic flows
 
 
-def _prepend(x: Atom):
-    return lambda vec: Vec((x,) + vec.items, vec.length + 1)
+def _flow(sys: MonSys, n: int, prev: FnTable | None, grow) -> FnTable:
+    """The flow at n, grown one step by grow from prev, the flow at
+    n - 1, when the caller holds it, else n steps from pure."""
+    level, done = ((prev.entries, n - 1) if prev is not None else
+                   (tuple(sys.monad.pure(y) for y in enumerate_domain(sys.domain)), 0))
+    for _ in range(done, n):
+        level = grow(level)
+    return FnTable(sys.domain, sys.step.codomain, level)
 
 
-def _levels(sys: MonSys, kind: str) -> Iterator[tuple[Value, ...]]:
-    """Level n = 0, 1, 2, ... of the "left" or "right" flow or of the
-    trajectories ("trj"), as a tuple indexed by state; each level is
-    grown from the one before only when the consumer asks for it."""
+def flow_mon_left(sys: MonSys, n: int, prev: FnTable | None = None) -> FnTable:
+    """Iterate by taking the flow so far, then one more step; prev, the
+    flow at n - 1, saves all steps but the last."""
+    m, step_fn = sys.monad, sys.step_fn()
+    return _flow(sys, n, prev, lambda level: tuple(m.bind(mv, step_fn) for mv in level))
+
+
+def flow_mon_right(sys: MonSys, n: int, prev: FnTable | None = None) -> FnTable:
+    """Iterate by taking one step, then the flow of the rest; prev as above."""
     m = sys.monad
-    states = enumerate_domain(sys.domain)
-    level = tuple(m.pure(Vec((), 0) if kind == "trj" else y) for y in states)
-    step_fn = sys.step_fn()
-    while True:
-        if kind == "trj":
-            level = tuple(m.map(_prepend(y), mv) for y, mv in zip(states, level))
-        yield level
-        prev = level
-        if kind == "left":
-            level = tuple(m.bind(mv, step_fn) for mv in prev)
-        else:
-            level = tuple(m.bind(mv, lambda z: prev[z.index]) for mv in sys.step.entries)
+    return _flow(sys, n, prev, lambda level: tuple(
+        m.bind(mv, lambda z: level[z.index]) for mv in sys.step.entries))
 
 
-def _level(sys: MonSys, kind: str, n: int) -> tuple[Value, ...]:
-    return next(itertools.islice(_levels(sys, kind), n, None))
-
-
-def flow_mon_left(sys: MonSys, n: int) -> FnTable:
-    """Iterate by taking the flow so far, then one more step."""
-    return FnTable(sys.domain, sys.step.codomain, _level(sys, "left", n))
-
-
-def flow_mon_right(sys: MonSys, n: int) -> FnTable:
-    """Iterate by taking one step, then the flow of the rest."""
-    return FnTable(sys.domain, sys.step.codomain, _level(sys, "right", n))
-
-
-def flow(sys: MonSys, n: int) -> FnTable:
+def flow(sys: MonSys, n: int, prev: FnTable | None = None) -> FnTable:
     """The flow of a monadic system; the left recursion is canonical."""
-    return flow_mon_left(sys, n)
+    return flow_mon_left(sys, n, prev)
 
 
 def _base_report(law_id: str, sys: MonSys) -> LawReport:
@@ -138,11 +125,18 @@ def _base_report(law_id: str, sys: MonSys) -> LawReport:
     )
 
 
-def _n_var(n_max: int, *levels: Iterable) -> Var:
-    """The step count as the outermost variable, ascending, with the
-    levels the scan needs at n riding along, grown when it reaches n."""
-    return Var("n", f"0..{n_max}", zip(range(n_max + 1), *levels), n_max + 1,
-               render=lambda nb: str(nb[0]))
+def _n_var(n_max: int, *builds: Callable) -> Var:
+    """The step count as the outermost variable, ascending. Riding along
+    with n is build(n, prev) of each build, grown from its level at
+    n - 1 (None at 0) when the scan reaches n."""
+
+    def levels():
+        prev = (None,) * len(builds)
+        for n in range(n_max + 1):
+            prev = tuple(build(n, p) for build, p in zip(builds, prev))
+            yield (n, *prev)
+
+    return Var("n", f"0..{n_max}", levels(), n_max + 1, render=lambda nb: str(nb[0]))
 
 
 def _x_var(domain: FiniteType) -> Var:
@@ -155,11 +149,12 @@ def check_flow_lr(sys: MonSys, n_max: int) -> LawReport:
 
     def sides(nb, a):
         _, left, right = nb
-        return left[a.index], right[a.index]
+        return left.entries[a.index], right.entries[a.index]
 
     return scan(
         _base_report("flowLR", sys),
-        lambda: [_n_var(n_max, _levels(sys, "left"), _levels(sys, "right")), _x_var(sys.domain)],
+        lambda: [_n_var(n_max, partial(flow_mon_left, sys), partial(flow_mon_right, sys)),
+                 _x_var(sys.domain)],
         sides,
     )
 
@@ -172,12 +167,12 @@ def check_flow_mon_r_lem(sys: MonSys, n_max: int) -> LawReport:
 
     def sides(nb, a):
         _, flow_n = nb
-        lhs = m.bind(flow_n[a.index], step_fn)
-        return lhs, m.bind(sys.step.entries[a.index], lambda z: flow_n[z.index])
+        lhs = m.bind(flow_n.entries[a.index], step_fn)
+        return lhs, m.bind(sys.step.entries[a.index], table_fn(flow_n))
 
     return scan(
         _base_report("flowMonRLem", sys),
-        lambda: [_n_var(n_max, _levels(sys, "right")), _x_var(sys.domain)],
+        lambda: [_n_var(n_max, partial(flow_mon_right, sys)), _x_var(sys.domain)],
         sides,
     )
 
@@ -190,10 +185,11 @@ def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
     The split variable visits the unit first, then every split (m, n)
     by increasing total."""
     m = sys.monad
-    flows: list[tuple[Value, ...]] = []
+    flows: list[FnTable] = []
 
     def variables():
-        flows.extend(itertools.islice(_levels(sys, "left"), total_max + 1))
+        for n in range(total_max + 1):
+            flows.append(flow(sys, n, flows[-1] if n else None))
         # quadratically many splits, so yielded one at a time
         splits = itertools.chain([(0, 0, True)], (
             (mm, total - mm, False)
@@ -209,9 +205,8 @@ def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
     def sides(split, a):
         mm, nn, unit = split
         if unit:
-            return flows[0][a.index], m.pure(a)
-        flow_n = flows[nn]
-        return flows[mm + nn][a.index], m.bind(flows[mm][a.index], lambda z: flow_n[z.index])
+            return flows[0].entries[a.index], m.pure(a)
+        return flows[mm + nn].entries[a.index], m.bind(flows[mm].entries[a.index], table_fn(flows[nn]))
 
     return scan(_base_report("flowMonoid", sys), variables, sides)
 
@@ -228,9 +223,8 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
     applies the lift n times by functional iteration; materializing it
     as an index-table composition would require every intermediate bind
     to land back inside the bounded carrier, which fails for stochastic
-    weights and growing sequences. The scan visits every mx at each n,
-    n ascending, so the right side keeps each value's latest iterate and
-    applies the lift once more per binding."""
+    weights and growing sequences. As n ascends, the right side keeps
+    each mx's latest iterate and lifts it once more."""
     m = sys.monad
     step_fn = sys.step_fn()
     iterates: list[Value] = []
@@ -239,14 +233,14 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
         carrier_vals = enumerate_carrier(m.carrier_of(Base(sys.domain)), cap)
         iterates.extend(carrier_vals)
         return [
-            _n_var(n_max, _levels(sys, "left")),
+            _n_var(n_max, partial(flow, sys)),
             Var("mx", "M X", tuple(enumerate(carrier_vals)), len(carrier_vals),
                 render=lambda im: render_value(im[1])),
         ]
 
     def sides(nb, im):
         (n, flow_n), (i, mx) = nb, im
-        lhs = m.bind(mx, lambda z: flow_n[z.index])
+        lhs = m.bind(mx, table_fn(flow_n))
         if n:
             iterates[i] = m.bind(iterates[i], step_fn)
         return lhs, iterates[i]
@@ -258,11 +252,24 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
 # trajectories
 
 
-def trj(sys: MonSys, n: int, x: Atom) -> Value:
+def _prepend(x: Atom):
+    return lambda vec: Vec((x,) + vec.items, vec.length + 1)
+
+
+def trj(sys: MonSys, n: int, x: Atom, prev: tuple[Value, ...] | None = None) -> Value:
     """All n-step trajectories from x: an M-structure of state vectors
-    of length n + 1, heads first, built bottom-up one level over all
-    states at a time."""
-    return _level(sys, "trj", n)[x.index]
+    of length n + 1, heads first. Level k at y, built over all states at
+    once from level k - 1, is map (prepend y) (step y >>= level k - 1)."""
+    m = sys.monad
+
+    def at(y, below):
+        return m.map(_prepend(y), m.pure(Vec((), 0)) if below is None else
+                     m.bind(sys.step.entries[y.index], lambda z: below[z.index]))
+
+    if prev is None:
+        for _ in range(n):
+            prev = tuple(at(y, prev) for y in enumerate_domain(sys.domain))
+    return at(x, prev)
 
 
 def _last(vec: Value) -> Value:
@@ -304,11 +311,14 @@ def check_flow_trj(sys: MonSys, n_max: int) -> LawReport:
 
     def sides(nb, x):
         _, flow_n, trj_n = nb
-        return flow_n[x.index], map_last(sys, trj_n[x.index])
+        return flow_n.entries[x.index], map_last(sys, trj_n[x.index])
+
+    def trj_level(n, prev):
+        return tuple(trj(sys, n, y, prev) for y in enumerate_domain(sys.domain))
 
     return scan(
         _base_report("flowTrjLemma", sys),
-        lambda: [_n_var(n_max, _levels(sys, "left"), _levels(sys, "trj")), _x_var(sys.domain)],
+        lambda: [_n_var(n_max, partial(flow, sys), trj_level), _x_var(sys.domain)],
         sides,
     )
 

@@ -258,6 +258,31 @@ def test_val_equiv_sampled_mode():
     assert rep.checked == 100  # budget joint draws of (ps, x)
 
 
+@pytest.mark.parametrize("budget,memoized", [(64, True), (63, False)])
+def test_only_an_exhaustive_val_equiv_keeps_memos(monkeypatch, budget, memoized):
+    # 64 policy sequences: a budget of 63 samples them, and a sampled
+    # scan seldom meets a long tail twice, so it keeps no memo
+    import finmon.dp as dp
+
+    memos = []
+    real_val, real_rews = dp.val, dp.rews
+
+    def seen(real):
+        def wrapped(sdp, ps, x, t=0, memo=None):
+            if t == 0:
+                memos.append(memo)
+            return real(sdp, ps, x, t, memo)
+        return wrapped
+
+    monkeypatch.setattr(dp, "val", seen(real_val))
+    monkeypatch.setattr(dp, "rews", seen(real_rews))
+    rep = check_val_equiv(greedy_walk(horizon=2), Quantifier(budget=budget, seed=0))
+    assert rep.passed
+    assert rep.quantifiers[0].mode == ("exhaustive" if memoized else "sampled")
+    assert len(memos) == 2 * rep.checked
+    assert {type(m) for m in memos} == ({dict} if memoized else {type(None)})
+
+
 def test_val_equiv_samples_more_policy_sequences_than_sys_maxsize():
     def shift_next(t, x, y):
         return Atom((x.index + y.index) % 3)

@@ -143,6 +143,52 @@ def test_deep_trajectory_is_one_vector():
     assert [a.index for a in vec.items[:4]] == [0, 1, 0, 1]
 
 
+@pytest.mark.parametrize("mk", [branch_sys, walk_sys, drop_sys])
+def test_a_level_grown_from_the_last_equals_one_built_from_pure(mk):
+    sys = mk()
+    for build in (flow, flow_mon_left, flow_mon_right):
+        prev = build(sys, 0)
+        for n in range(1, 6):
+            prev = build(sys, n, prev)
+            assert prev == build(sys, n)
+    states = [Atom(i) for i in range(3)]
+    prev = tuple(trj(sys, 0, y) for y in states)
+    for n in range(1, 6):
+        prev = tuple(trj(sys, n, y, prev) for y in states)
+        assert prev == tuple(trj(sys, n, y) for y in states)
+
+
+def test_flow_checks_grow_levels_through_the_public_names(monkeypatch):
+    # the checks look flow, flow_mon_left, flow_mon_right and trj up by
+    # name when they run, so a wrapper around them (as a tracer installs)
+    # sees every level a check builds; each after level 0 is grown from
+    # the one before
+    import finmon.systems as systems
+
+    calls = []
+
+    def seen(name):
+        real = getattr(systems, name)
+
+        def wrapped(sys, n, *args):
+            prev = args[-1] if len(args) == (2 if name == "trj" else 1) else None
+            calls.append((name, n, prev is not None))
+            return real(sys, n, *args)
+        return wrapped
+
+    for name in ("flow", "flow_mon_left", "flow_mon_right", "trj"):
+        monkeypatch.setattr(systems, name, seen(name))
+    left = {"flow", "flow_mon_left"}
+    expected = {"flowLR": {"flow_mon_left", "flow_mon_right"}, "flowMonRLem": {"flow_mon_right"},
+                "flowMonoid": left, "reprLemma": left, "flowTrjLemma": left | {"trj"}}
+    for check, names in expected.items():
+        calls.clear()
+        assert run_system_check(check, branch_sys(), 4).passed
+        assert {name for name, _, _ in calls} == names, check
+        assert all(grown == (n > 0) for _, n, grown in calls), check
+    assert sum(name == "trj" for name, _, _ in calls) == 5 * 3  # one per (n, x)
+
+
 @pytest.mark.parametrize("check", [check_flow_lr, check_flow_mon_r_lem, check_repr_lemma,
                                    check_flow_trj])
 @pytest.mark.parametrize("mk", [swap_sys, rotate], ids=["maybe", "identity"])
