@@ -11,10 +11,10 @@ applies the measure exactly once at the root. The two agree exactly
 when the measure is compatible with shifting rewards by a constant, and
 `check_val_equiv` refuses to compare them under a measure that fails
 that precondition, reporting the shift witness instead. An exhaustive
-check memoizes each function's nodes below the root on (t, x, policy
-tail), so a tail that many policy sequences share is evaluated once; no
-root, since the scan meets every (ps, x) once. A sampled check keeps no
-memo, as its long tails seldom recur.
+check memoizes each node on all it reads, as ints: t, x, the control
+ps[0][x] and the later controls ps[1:]. val keeps every node, rews the
+nodes below the root and val_spec each root's measured value. A sampled
+check keeps no memo, as its long tails seldom recur.
 
 Rewards ride inside monadic values as Rat leaves. Rat is a value
 constructor that never appears in enumerated carriers; it exists so
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Callable
 
 from .instances import MonadInstance
@@ -156,18 +157,11 @@ def enumerate_policy_seqs(sdp: Sdp, steps: int, t0: int = 0) -> Product:
     """All policy sequences of the given length, lexicographically over
     admissible-control positions (the last state of the last step
     varies fastest); its size is their number."""
-    choice_lists: list[tuple[Atom, ...]] = []
-    for t in range(t0, t0 + steps):
-        for x in enumerate_domain(sdp.states):
-            choice_lists.append(sdp.controls_at(t, x))
-    n_states = sdp.states.size
-
-    def assemble(flat) -> PolicySeq:
-        return tuple(
-            tuple(flat[k * n_states : (k + 1) * n_states]) for k in range(steps)
-        )
-
-    return Product(choice_lists, assemble)
+    choice_lists = [sdp.controls_at(t, x) for t in range(t0, t0 + steps)
+                    for x in enumerate_domain(sdp.states)]
+    n = sdp.states.size
+    return Product(choice_lists, lambda flat: tuple(
+        tuple(flat[k * n : (k + 1) * n]) for k in range(steps)))
 
 
 def render_policy_seq(ps: PolicySeq, n_states: int) -> str:
@@ -178,43 +172,52 @@ def render_policy_seq(ps: PolicySeq, n_states: int) -> str:
 # value functions
 
 
+def _memoized(keep: Callable[[int], bool]):
+    """Keep a value function's results in its memo at the times keep
+    passes, keyed on all that a node reads, as ints: the time, the state,
+    the control ps chooses there and every later control."""
+    def wrap(fn):
+        @wraps(fn)
+        def memoized(sdp, ps, x, t=0, memo=None):
+            if memo is None or not ps or not keep(t):
+                return fn(sdp, ps, x, t, memo)
+            key = (t, x.index, ps[0][x.index].index, *[y.index for p in ps[1:] for y in p])
+            if key not in memo:
+                memo[key] = fn(sdp, ps, x, t, memo)
+            return memo[key]
+        return memoized
+    return wrap
+
+
+@_memoized(lambda t: True)
 def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Fraction:
     """Backward-recursive value: measure at every node. A memo dict, if
-    given, keeps the nodes below the root for later calls."""
+    given, keeps every node's value, the root included, for later calls."""
     if not ps:
         return Fraction(0)
-    key = (t, x.index, ps) if t and memo is not None else None
-    if key is not None and key in memo:
-        return memo[key]
     y, tail = ps[0][x.index], ps[1:]
-    out = sdp.measure.apply(sdp.monad.map(
+    return sdp.measure.apply(sdp.monad.map(
         lambda x1: Rat(sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1, memo)),
         sdp.next(t, x, y),
     ))
-    if key is not None:
-        memo[key] = out
-    return out
 
 
+@_memoized(lambda t: t > 0)
 def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Value:
     """The monadic structure of total rewards along every future the
-    policy sequence admits, with no measuring at all; memo as in val."""
+    policy sequence admits, with no measuring at all; memo below the root."""
     m = sdp.monad
     if not ps:
         return m.pure(Rat(Fraction(0)))
-    key = (t, x.index, ps) if t and memo is not None else None
-    if key is not None and key in memo:
-        return memo[key]
     y, tail = ps[0][x.index], ps[1:]
-    out = m.bind(sdp.next(t, x, y), lambda x1: m.map(
+    return m.bind(sdp.next(t, x, y), lambda x1: m.map(
         lambda r: Rat(sdp.reward(t, x, y, x1) + r.value), rews(sdp, tail, x1, t + 1, memo)))
-    if key is not None:
-        memo[key] = out
-    return out
 
 
+@_memoized(lambda t: t == 0)
 def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Fraction:
-    """Measure the whole reward structure once, at the root."""
+    """Measure the whole reward structure once, at the root; a memo keeps
+    the measured value at t = 0, where rews keeps no structure."""
     return sdp.measure.apply(rews(sdp, ps, x, t, memo))
 
 

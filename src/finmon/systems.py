@@ -287,22 +287,20 @@ def check_map_last_lemma(
 ) -> LawReport:
     """Mapping last after mapping a prepend is just mapping last, over
     every monadic structure of nonempty vectors up to max_len, shortest
-    vectors first, each carrier enumerated once."""
+    vectors first, each carrier enumerated once and each structure's
+    right side, which does not read x, computed once."""
     m = sys.monad
 
     def variables():
-        values = tuple(itertools.chain.from_iterable(
-            enumerate_carrier(m.carrier_of(VecOf(Base(sys.domain), ln)), cap)
-            for ln in range(1, max_len + 1)
-        ))
+        values = tuple(
+            (mvx, map_last(sys, mvx)) for ln in range(1, max_len + 1)
+            for mvx in enumerate_carrier(m.carrier_of(VecOf(Base(sys.domain), ln)), cap))
         return [_x_var(sys.domain),
-                Var("mvx", f"M Vec[X;len=1..{max_len}]", values, len(values))]
+                Var("mvx", f"M Vec[X;len=1..{max_len}]", values, len(values),
+                    render=lambda mp: render_value(mp[0]))]
 
-    return scan(
-        _base_report("mapLastLemma", sys),
-        variables,
-        lambda x, mvx: (m.map(_last, m.map(_prepend(x), mvx)), m.map(_last, mvx)),
-    )
+    return scan(_base_report("mapLastLemma", sys), variables,
+                lambda x, mp: (map_last(sys, m.map(_prepend(x), mp[0])), mp[1]))
 
 
 def check_flow_trj(sys: MonSys, n_max: int) -> LawReport:

@@ -51,7 +51,7 @@ __all__ = [
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size",
     "function_space_size", "enumerate_functions",
-    "tabulate", "identity_table", "table_fn", "table_to_value",
+    "tabulate", "table_fn", "table_to_value",
     "render_value", "render_table", "parse_value",
     "DEFAULT_CARRIER_CAP",
 ]
@@ -470,10 +470,6 @@ class FnTable:
 
 def tabulate(dom: FiniteType, cod: CarrierDesc, fn: Callable[[Atom], Value]) -> FnTable:
     return FnTable(dom, cod, tuple(fn(a) for a in enumerate_domain(dom)))
-
-
-def identity_table(d: FiniteType) -> FnTable:
-    return FnTable(d, Base(d), enumerate_domain(d))
 
 
 def table_fn(t: FnTable) -> Callable[[Value], Value]:

@@ -167,13 +167,18 @@ def test_memo_never_changes_a_value(mk, horizon, inst, measure):
     # check_val_equiv, gives what a fresh uncached call gives
     sdp = dataclasses.replace(mk(horizon=horizon), monad=get_instance(inst),
                               measure=get_measure(measure))
-    val_memo, rews_memo = {}, {}
+    val_memo, rews_memo, spec_memo = {}, {}, {}
     for ps in enumerate_policy_seqs(sdp, horizon):
         for x in enumerate_domain(sdp.states):
             assert val(sdp, ps, x, 0, val_memo) == val(sdp, ps, x)
             assert rews(sdp, ps, x, 0, rews_memo) == rews(sdp, ps, x)
-    assert val_memo.keys() == rews_memo.keys()
-    assert {t for t, _, _ in val_memo} == set(range(1, horizon))  # never the root
+            assert val_spec(sdp, ps, x, 0, spec_memo) == val_spec(sdp, ps, x)
+    # val keeps every node, the root included; rews only the nodes below
+    # the root; val_spec adds each root's measured value to rews's nodes
+    assert {key[0] for key in val_memo} == set(range(horizon))
+    assert rews_memo.keys() == {key for key in val_memo if key[0]}
+    assert spec_memo.keys() == val_memo.keys()
+    assert all(isinstance(v, Fraction) == (key[0] == 0) for key, v in spec_memo.items())
 
 
 @pytest.mark.parametrize(
@@ -258,14 +263,11 @@ def test_val_equiv_sampled_mode():
     assert rep.checked == 100  # budget joint draws of (ps, x)
 
 
-@pytest.mark.parametrize("budget,memoized", [(64, True), (63, False)])
-def test_only_an_exhaustive_val_equiv_keeps_memos(monkeypatch, budget, memoized):
-    # 64 policy sequences: a budget of 63 samples them, and a sampled
-    # scan seldom meets a long tail twice, so it keeps no memo
+def _root_memos(monkeypatch) -> list:
+    """Record the memo of every root call of val and val_spec, in order."""
     import finmon.dp as dp
 
     memos = []
-    real_val, real_rews = dp.val, dp.rews
 
     def seen(real):
         def wrapped(sdp, ps, x, t=0, memo=None):
@@ -274,13 +276,78 @@ def test_only_an_exhaustive_val_equiv_keeps_memos(monkeypatch, budget, memoized)
             return real(sdp, ps, x, t, memo)
         return wrapped
 
-    monkeypatch.setattr(dp, "val", seen(real_val))
-    monkeypatch.setattr(dp, "rews", seen(real_rews))
+    monkeypatch.setattr(dp, "val", seen(dp.val))
+    monkeypatch.setattr(dp, "val_spec", seen(dp.val_spec))
+    return memos
+
+
+@pytest.mark.parametrize("budget,memoized", [(64, True), (63, False)])
+def test_only_an_exhaustive_val_equiv_keeps_memos(monkeypatch, budget, memoized):
+    # 64 policy sequences: a budget of 63 samples them, and a sampled
+    # scan seldom meets a long tail twice, so it keeps no memo
+    memos = _root_memos(monkeypatch)
     rep = check_val_equiv(greedy_walk(horizon=2), Quantifier(budget=budget, seed=0))
     assert rep.passed
     assert rep.quantifiers[0].mode == ("exhaustive" if memoized else "sampled")
     assert len(memos) == 2 * rep.checked
     assert {type(m) for m in memos} == ({dict} if memoized else {type(None)})
+    if memoized:
+        # one dict for val, one for val_spec, each with a value at every
+        # root: 3 states, 2 controls there, 2^3 later policies
+        val_memo, spec_memo = {id(m): m for m in memos}.values()
+        roots = {key for key in val_memo if key[0] == 0}
+        assert roots == {key for key in spec_memo if key[0] == 0}
+        assert len(roots) == 3 * 2 * 2 ** 3
+        assert all(isinstance(spec_memo[key], Fraction) for key in roots)
+
+
+def test_sequences_that_differ_only_at_other_states_share_a_root():
+    # the root at #0 reads only ps[0][#0] and ps[1:], so the second
+    # sequence is answered from the memo without a single measure
+    cm = CountingMeasure(get_measure("max"))
+    sdp = dataclasses.replace(greedy_walk(horizon=2), measure=cm)
+    y0, y1 = enumerate_domain(Y2)
+    first = ((y1, y0, y0), (y1, y1, y0))
+    other = ((y1, y1, y1), (y1, y1, y0))
+    for fn in (val, val_spec):
+        memo = {}
+        fn(sdp, first, Atom(0), 0, memo)
+        cm.count, entries = 0, len(memo)
+        got = fn(sdp, other, Atom(0), 0, memo)
+        assert cm.count == 0 and len(memo) == entries
+        assert got == fn(sdp, other, Atom(0))
+
+
+@pytest.mark.parametrize("mk,horizon", [(greedy_walk, 3), (coin_walk, 6)])
+def test_memo_keys_hold_only_ints(monkeypatch, mk, horizon):
+    memos = _root_memos(monkeypatch)
+    assert check_val_equiv(mk(horizon=horizon), Q).passed
+    keys = [key for memo in {id(m): m for m in memos}.values() for key in memo]
+    assert keys and all(type(i) is int for key in keys for i in key)
+
+
+def test_memo_entries_are_the_distinct_nodes():
+    # brute force: every (ps, x) walked down to its reachable nodes, each
+    # counted once as (t, x, ps[0][x], ps[1:])
+    sdp = greedy_walk(horizon=2)
+    nodes = set()
+
+    def walk(ps, x, t):
+        if ps:
+            nodes.add((t, x, ps[0][x.index], ps[1:]))
+            for x1 in sdp.next(t, x, ps[0][x.index]).items:
+                walk(ps[1:], x1, t + 1)
+
+    val_memo, rews_memo, spec_memo = {}, {}, {}
+    for ps in enumerate_policy_seqs(sdp, 2):
+        for x in enumerate_domain(sdp.states):
+            walk(ps, x, 0)
+            val(sdp, ps, x, 0, val_memo)
+            rews(sdp, ps, x, 0, rews_memo)
+            val_spec(sdp, ps, x, 0, spec_memo)
+    assert len(nodes) == 3 * 2 * 2 ** 3 + 3 * 2  # the roots, then t = 1
+    assert len(val_memo) == len(spec_memo) == len(nodes)
+    assert len(rews_memo) == len({node for node in nodes if node[0]})
 
 
 def test_val_equiv_samples_more_policy_sequences_than_sys_maxsize():

@@ -14,11 +14,11 @@ from finmon.values import (
     Atom,
     Base,
     FiniteType,
+    FnTable,
     Quantifier,
     Seq,
     Vec,
     enumerate_functions,
-    identity_table,
     table_to_value,
     tabulate,
 )
@@ -26,6 +26,11 @@ from finmon.values import (
 A2 = FiniteType("A", 2)
 B2 = FiniteType("B", 2)
 C2 = FiniteType("C", 2)
+
+
+def identity_table(d: FiniteType) -> FnTable:
+    return tabulate(d, Base(d), lambda a: a)
+
 
 ALL_TABLES_22 = list(enumerate_functions(A2, Base(A2)))
 

@@ -27,13 +27,18 @@ from finmon.values import (
     Atom,
     Base,
     FiniteType,
+    FnTable,
     enumerate_functions,
-    identity_table,
     parse_value,
     render_value,
+    tabulate,
 )
 
 X3 = FiniteType("X", 3)
+
+
+def identity_table(d: FiniteType) -> FnTable:
+    return tabulate(d, Base(d), lambda a: a)
 
 
 def rot(a: Atom) -> Atom:

@@ -38,7 +38,6 @@ from finmon.values import (
     enumerate_domain,
     enumerate_functions,
     function_space_size,
-    identity_table,
     mk_dist,
     parse_value,
     render_carrier,
@@ -53,6 +52,10 @@ from finmon.values import (
 
 A2 = FiniteType("A", 2)
 A3 = FiniteType("A", 3)
+
+
+def identity_table(d: FiniteType) -> FnTable:
+    return tabulate(d, Base(d), lambda a: a)
 
 
 def brute_weight_tuples(k):
