@@ -160,9 +160,10 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
     def pbind(mv: Value, fn: MapFn) -> Value:
         terms: list[tuple[Value, int, int]] = []
         for x, w in mv.entries:
-            wn, wd = w.numerator, w.denominator
+            wn, wd = w.as_integer_ratio()
             for y, p in fn(x).entries:
-                terms.append((y, wn * p.numerator, wd * p.denominator))
+                pn, pd = p.as_integer_ratio()
+                terms.append((y, wn * pn, wd * pd))
         return dist_of_terms(terms, merge)
 
     return MonadInstance(

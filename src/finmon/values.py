@@ -27,8 +27,12 @@ Function-valued carriers (FnOf) have no constructor of their own: a table
 over a domain of size n is encoded as a Vec of n entries, slot i holding
 the output at atom #i.
 
-Value identity is cheap: Opt, Seq, Dist, Vec and FnTable compute their hash
-once, on first use, and keep it in a slot that equality and repr ignore.
+Value identity is one scheme. Atoms and tables are hash-consed (Filliâtre
+and Conchon, 2006): equal ones are one object, so equality and hash are
+identity and memo lookups on them run in C. Opt, Seq, Dist and Vec hash
+once, on first use, into a slot that equality and repr ignore; a Dist
+hashes and canonical_key sorts its weights by integers, never running
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import threading
+import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
@@ -74,57 +80,79 @@ class CarrierOverflow(Exception):
 
 
 def _cached_identity(cls):
-    """Give a frozen slotted dataclass with a `_hash` slot a hash computed
-    once: the dataclass's own hash of its compared fields, so dict and set
-    behaviour is unchanged. The slot stays empty until the first hash, so
-    construction costs nothing more; copies and pickles carry only the
-    compared fields and re-hash on first use."""
+    """Give a frozen slotted dataclass with a `_hash` slot, None until the
+    first hash, a hash computed once by the class's own __hash__. Copies
+    and pickles are built again from the compared fields."""
     compute = cls.__hash__
     names = tuple(f.name for f in fields(cls) if f.compare)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = compute(self)
             object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in names)
-
-    def __setstate__(self, state):
-        for name, value in zip(names, state):
-            object.__setattr__(self, name, value)
+        return h
 
     cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    cls.__setstate__ = __setstate__
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in names))
     return cls
 
 
 def _hash_slot():
-    # no default: the slot is filled by the first hash, not by __init__
-    return field(init=False, repr=False, compare=False)
+    return field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    index: int
+class _Interned:
+    """Base of hash-consed values: immutable, compared and hashed by
+    identity, and copied or unpickled by building again, which returns
+    the interned object."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    @classmethod
+    def _build(cls, values):
+        obj = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(obj, name, value)
+        return obj
+
+
+_ATOMS: dict[int, "Atom"] = {}
+
+
+class Atom(_Interned):
+    """The domain element #index, one object per index."""
+
+    __slots__ = _fields = ("index",)
+
+    def __new__(cls, index: int) -> "Atom":
+        return _ATOMS.get(index) or _ATOMS.setdefault(index, cls._build((index,)))
 
 
 @_cached_identity
 @dataclass(frozen=True, slots=True)
 class Opt:
     content: Union["Value", None]
-    _hash: int = _hash_slot()
+    _hash: int | None = _hash_slot()
 
 
 @_cached_identity
 @dataclass(frozen=True, slots=True)
 class Seq:
     items: tuple["Value", ...]
-    _hash: int = _hash_slot()
+    _hash: int | None = _hash_slot()
 
 
 @_cached_identity
@@ -135,7 +163,11 @@ class Dist:
     to exactly 1. Built or enumerated weights are interned Fractions."""
 
     entries: tuple[tuple["Value", Fraction], ...]
-    _hash: int = _hash_slot()
+    _hash: int | None = _hash_slot()
+
+    def __hash__(self):
+        # over integer pairs: Fraction.__hash__ takes a modular inverse
+        return hash(tuple([(x, w.as_integer_ratio()) for x, w in self.entries]))
 
 
 @_cached_identity
@@ -143,7 +175,7 @@ class Dist:
 class Vec:
     items: tuple["Value", ...]
     length: int
-    _hash: int = _hash_slot()
+    _hash: int | None = _hash_slot()
 
     def __post_init__(self) -> None:
         if self.length != len(self.items):
@@ -165,7 +197,10 @@ Value = Union[Atom, Opt, Seq, Dist, Vec, Rat]
 
 def canonical_key(v: Value):
     """Total-order sort key. Shorter sequences sort before longer ones,
-    then lexicographically; dist entries compare as (value, weight) pairs."""
+    then lexicographically; dist entries compare as (value, weight) pairs,
+    each weight keyed by floor(weight * 2**64) before itself: the floor is
+    monotone, so the order is the Fractions' own and a tie falls back to
+    them."""
     t = type(v)
     if t is Atom:
         return (0, v.index)
@@ -178,8 +213,11 @@ def canonical_key(v: Value):
     if t is Seq:
         return (3, len(v.items), tuple(canonical_key(x) for x in v.items))
     if t is Dist:
-        return (4, len(v.entries),
-                tuple((canonical_key(x), w) for x, w in v.entries))
+        key = []
+        for x, w in v.entries:
+            n, d = w.as_integer_ratio()
+            key.append((canonical_key(x), (n << 64) // d, w))
+        return (4, len(key), tuple(key))
     if t is Vec:
         return (5, v.length, tuple(canonical_key(x) for x in v.items))
     raise TypeError(f"not a Value: {v!r}")
@@ -201,7 +239,8 @@ def dist_of_terms(terms: list[tuple[Value, int, int]], merge: bool = True) -> Di
     """The canonical Dist of terms (value, numerator, denominator > 0) over
     one common denominator: numerators positive and summing to it, equal
     values merged (merge=False is mutant-b's hook), sorted once, interned."""
-    den = math.lcm(*[d for _, _, d in terms])
+    dens = {d for _, _, d in terms}
+    den = dens.pop() if len(dens) == 1 else math.lcm(*dens)
     scaled = []
     total = 0
     for v, n, d in terms:
@@ -217,7 +256,8 @@ def dist_of_terms(terms: list[tuple[Value, int, int]], merge: bool = True) -> Di
         for v, n in scaled:
             acc[v] = acc.get(v, 0) + n
         scaled = acc.items()
-    scaled = sorted(scaled, key=lambda e: canonical_key(e[0]))
+    if len(scaled) > 1:
+        scaled = sorted(scaled, key=lambda e: canonical_key(e[0]))
     return Dist(tuple([(v, _WEIGHTS[n, den]) for v, n in scaled]))
 
 
@@ -225,7 +265,7 @@ def mk_dist(pairs, merge: bool = True) -> Dist:
     """The canonical Dist of (value, weight) pairs: weights that are not
     Fractions are converted, then dist_of_terms validates and sorts."""
     pairs = [(v, w if type(w) is Fraction else Fraction(w)) for v, w in pairs]
-    return dist_of_terms([(v, w.numerator, w.denominator) for v, w in pairs], merge)
+    return dist_of_terms([(v, *w.as_integer_ratio()) for v, w in pairs], merge)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +386,7 @@ def weight_tuples(k: int) -> tuple[tuple[Fraction, ...], ...]:
     Empty for k > 4 since the smallest grid weight is 1/4."""
     if k < 1 or k * min(WEIGHT_GRID) > 1:
         return ()
-    out = []
-    for combo in itertools.product(WEIGHT_GRID, repeat=k):
-        if sum(combo) == 1:
-            out.append(combo)
-    return tuple(out)
+    return tuple(c for c in itertools.product(WEIGHT_GRID, repeat=k) if sum(c) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,37 +438,21 @@ def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
         )
     if isinstance(c, Base):
         return enumerate_domain(c.domain)
+    if isinstance(c, (VecOf, FnOf)):
+        inner, n = (c.inner, c.length) if isinstance(c, VecOf) else (c.codomain, c.domain.size)
+        inner = _enumerate_carrier_cached(inner, cap)
+        return tuple(Vec(combo, n) for combo in itertools.product(inner, repeat=n))
+    inner = _enumerate_carrier_cached(c.inner, cap)
     if isinstance(c, MaybeOf):
-        inner = _enumerate_carrier_cached(c.inner, cap)
         return (Opt(None),) + tuple(Opt(v) for v in inner)
     if isinstance(c, SeqOf):
-        inner = _enumerate_carrier_cached(c.inner, cap)
-        out: list[Value] = []
-        for k in range(c.max_len + 1):
-            for combo in itertools.product(inner, repeat=k):
-                out.append(Seq(combo))
-        return tuple(out)
+        return tuple(Seq(combo) for k in range(c.max_len + 1)
+                     for combo in itertools.product(inner, repeat=k))
     if isinstance(c, DistOf):
-        inner = _enumerate_carrier_cached(c.inner, cap)
-        out = []
-        for k in range(1, min(c.max_support, len(inner)) + 1):
-            wts = weight_tuples(k)
-            for support in itertools.combinations(inner, k):
-                for wt in wts:
-                    out.append(Dist(tuple(zip(support, wt))))
-        return tuple(out)
-    if isinstance(c, VecOf):
-        inner = _enumerate_carrier_cached(c.inner, cap)
-        return tuple(
-            Vec(combo, c.length)
-            for combo in itertools.product(inner, repeat=c.length)
-        )
-    if isinstance(c, FnOf):
-        cod = _enumerate_carrier_cached(c.codomain, cap)
-        n = c.domain.size
-        return tuple(
-            Vec(combo, n) for combo in itertools.product(cod, repeat=n)
-        )
+        return tuple(Dist(tuple(zip(support, wt)))
+                     for k in range(1, min(c.max_support, len(inner)) + 1)
+                     for support in itertools.combinations(inner, k)
+                     for wt in weight_tuples(k))
     raise TypeError(f"not a carrier descriptor: {c!r}")
 
 
@@ -449,23 +469,30 @@ def enumerate_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> tuple[V
 # function tables
 
 
-@_cached_identity
-@dataclass(frozen=True, slots=True)
-class FnTable:
+_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLES_LOCK = threading.Lock()
+
+
+class FnTable(_Interned):
     """A function represented extensionally: entry i is the output at
-    atom #i of the domain. The unit of every pointwise-equality check."""
+    atom #i of the domain. The unit of every pointwise-equality check.
+    Interned in a weak pool: equal tables are one object while any is
+    alive, and a table no one holds leaves the pool."""
 
-    domain: FiniteType
-    codomain: CarrierDesc
-    entries: tuple[Value, ...]
-    _hash: int = _hash_slot()
+    _fields = ("domain", "codomain", "entries")
+    __slots__ = _fields + ("__weakref__",)
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.domain.size:
-            raise ValueError(
-                f"table over {self.domain.name} needs {self.domain.size} entries, "
-                f"got {len(self.entries)}"
-            )
+    def __new__(cls, domain: FiniteType, codomain: CarrierDesc,
+                entries: tuple[Value, ...]) -> "FnTable":
+        key = (domain, codomain, entries)
+        with _TABLES_LOCK:
+            table = _TABLES.get(key)
+            if table is None:
+                if len(entries) != domain.size:
+                    raise ValueError(f"table over {domain.name} needs {domain.size} "
+                                     f"entries, got {len(entries)}")
+                table = _TABLES[key] = cls._build(key)
+        return table
 
 
 def tabulate(dom: FiniteType, cod: CarrierDesc, fn: Callable[[Atom], Value]) -> FnTable:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import itertools
 import pickle
 from fractions import Fraction
@@ -417,11 +418,6 @@ IDENTITY_CARRIERS = [
 ]
 
 
-def compared_fields(v) -> tuple:
-    """What the dataclass-generated hash hashed: the compared fields."""
-    return tuple(getattr(v, f.name) for f in dataclasses.fields(v) if f.compare)
-
-
 def rebuild(v):
     """A structurally equal value built from scratch, sharing no object
     with v except atoms and carrier descriptors."""
@@ -468,13 +464,27 @@ def test_identity_values_cover_every_cached_type():
     assert {type(v) for v in VALUES} == {Opt, Seq, Dist, Vec, FnTable}
 
 
-def test_hash_is_the_hash_of_the_compared_fields():
+def test_a_value_hashes_alike_before_and_after_its_first_hash():
     for v in VALUES:
-        fresh = rebuild(v)
-        want = hash(compared_fields(fresh))
-        assert hash(fresh) == want  # fills the slot
-        assert hash(fresh) == want  # reads it
-        assert "_hash" not in [f.name for f in dataclasses.fields(v) if f.compare]
+        fresh, other = rebuild(v), rebuild(v)
+        first = hash(fresh)  # fills the slot
+        assert hash(fresh) == first  # reads it
+        assert hash(other) == first  # built apart, hashed afresh
+        if type(v) is not FnTable:
+            assert "_hash" not in [f.name for f in dataclasses.fields(v) if f.compare]
+
+
+def test_a_dist_hashes_no_weight(monkeypatch):
+    # a Dist hashes its weights as integer pairs, so the modular inverse
+    # of Fraction.__hash__ never runs, and plain and interned weights agree
+    dists = [v for v in VALUES if type(v) is Dist]
+    interned = [hash(v) for v in dists]
+
+    def refuse(w):
+        raise AssertionError(f"hashed the weight {w}")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert [hash(rebuild(v)) for v in dists] == interned
 
 
 def test_equal_values_built_apart_agree_whichever_is_hashed_first():
@@ -496,6 +506,8 @@ def test_repr_eq_and_replace_ignore_the_slot():
         hash(fresh)
         assert repr(fresh) == before and "_hash" not in before
         assert fresh == rebuild(v)
+        if type(v) is FnTable:
+            continue  # interned, not a dataclass: see the interning tests
         replaced = dataclasses.replace(fresh)
         assert replaced == fresh and repr(replaced) == before
         with pytest.raises(ValueError, match="init=False"):
@@ -505,16 +517,98 @@ def test_repr_eq_and_replace_ignore_the_slot():
 def test_replaced_and_copied_values_rehash():
     for v in VALUES:
         hash(v)
-        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v)),
-                     dataclasses.replace(v)):
+        twins = [copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))]
+        if type(v) is FnTable:
+            assert all(twin is v for twin in twins)
+            assert FnTable(v.domain, v.codomain, v.entries) is v
+            continue
+        for twin in twins + [dataclasses.replace(v)]:
             assert twin == v and hash(twin) == hash(v)
-            assert hash(twin) == hash(compared_fields(twin))
+            assert hash(twin) == hash(rebuild(twin))
     for v in VALUES:
         if type(v) is Seq and len(v.items) == 2 and v.items[0] != v.items[1]:
             swapped = dataclasses.replace(v, items=v.items[::-1])
             assert swapped != v
-            assert hash(swapped) == hash(compared_fields(swapped))
+            assert hash(swapped) == hash(rebuild(swapped))
     table = identity_table(A2)
     hash(table)
-    other = dataclasses.replace(table, entries=(Atom(1), Atom(0)))
-    assert other != table and hash(other) == hash(compared_fields(other))
+    other = FnTable(table.domain, table.codomain, (Atom(1), Atom(0)))
+    assert other is not table and other != table
+    assert other is rebuild(other) and hash(other) == hash(rebuild(other))
+
+
+def test_atoms_and_tables_built_apart_are_one_object():
+    for i in range(4):
+        assert Atom(i) is Atom(i) and Atom(i).index == i
+        assert repr(Atom(i)) == f"Atom(index={i})"
+        for twin in (copy.copy(Atom(i)), copy.deepcopy(Atom(i)),
+                     pickle.loads(pickle.dumps(Atom(i)))):
+            assert twin is Atom(i)
+    assert Atom(0) != Atom(1) and {Atom(0): 1}[Atom(0)] == 1
+    for v in VALUES:
+        if type(v) is FnTable:
+            assert rebuild(v) is v and copy.deepcopy(v) is v
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Atom(0).index = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        identity_table(A2).entries = ()
+
+
+def test_a_table_no_one_holds_leaves_the_pool():
+    from finmon.values import _TABLES
+    probe = FiniteType("Probe", 3)
+    table = tabulate(probe, Base(probe), lambda a: a)
+    key = (probe, Base(probe), table.entries)
+    assert _TABLES.get(key) is table
+    del table
+    gc.collect()
+    assert _TABLES.get(key) is None
+
+
+def test_a_table_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="needs 2 entries, got 1"):
+        FnTable(A2, Base(A2), (Atom(0),))
+    with pytest.raises(ValueError, match="needs 2 entries, got 3"):
+        FnTable(A2, Base(A2), (Atom(0),) * 3)
+
+
+# ---------------------------------------------------------------------------
+# canonical order
+
+
+def fraction_key(v):
+    """The Fraction-only canonical_key: each dist weight compares as its
+    Fraction alone, with no integer before it."""
+    t = type(v)
+    if t is Atom:
+        return (0, v.index)
+    if t is Rat:
+        return (1, v.value)
+    if t is Opt:
+        return (2, 0) if v.content is None else (2, 1, fraction_key(v.content))
+    if t is Seq:
+        return (3, len(v.items), tuple(fraction_key(x) for x in v.items))
+    if t is Dist:
+        return (4, len(v.entries), tuple((fraction_key(x), w) for x, w in v.entries))
+    if t is Vec:
+        return (5, v.length, tuple(fraction_key(x) for x in v.items))
+    raise TypeError(t)
+
+
+def test_integer_weight_keys_keep_the_fraction_order():
+    mma = PROB.carrier_of(PROB.carrier_of(Base(A2)))
+    mmma = PROB.carrier_of(mma)
+    values = enumerate_carrier(mma) + enumerate_carrier(mmma)
+    joined = {PROB.join(v) for v in values}
+    weights = {w for v in joined for _, w in v.entries}
+    assert {Fraction(1, 6), Fraction(1, 12)} <= weights
+    # two weights whose integer keys tie, so the Fraction decides
+    a, b = Fraction(1, 2 ** 40 + 1), Fraction(1, 2 ** 40 + 2)
+    assert (1 << 64) // (2 ** 40 + 1) == (1 << 64) // (2 ** 40 + 2)
+    ties = [Dist(((x, w), (y, 1 - w))) for w in (a, b)
+            for x, y in ((Atom(0), Atom(1)), (PROB.pure(Atom(0)), PROB.pure(Atom(1))))]
+    # distinct values sorted by the new key are strictly increasing under
+    # the old one, so sorting by either gives this one order
+    ordered = sorted(joined.union(values, ties), key=canonical_key)
+    old = [fraction_key(v) for v in ordered]
+    assert all(x < y for x, y in zip(old, old[1:]))
