@@ -424,7 +424,7 @@ def build_report(cfg: RunConfig, results: list[tuple[str, LawReport]],
         "total_ms": round(elapsed_s * 1000, 3),
         "checks": [
             {"group": group, "law": rep.law_id,
-             "elapsed_ms": round(rep.elapsed_ms, 3)}
+             "elapsed_ms": round(rep.elapsed_ms, 3), "evaluated": rep.evaluated}
             for group, rep in results
         ],
     }

@@ -64,12 +64,17 @@ MapFn = Callable[[Value], Value]
 
 @dataclass(frozen=True, eq=False)
 class MonadInstance:
+    """parametric declares that the operations never look at which atom
+    they hold, inside the carrier bounds or past them. Law scans then
+    skip renamed bindings, so a false declaration can hide a witness."""
+
     name: str
     carrier_of: Callable[[CarrierDesc], CarrierDesc]
     pure: Callable[[Value], Value]
     map: Callable[[MapFn, Value], Value]
     join: Callable[[Value], Value]
     bind: Callable[[Value, MapFn], Value]
+    parametric: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +97,7 @@ def identity_monad() -> MonadInstance:
         map=lambda fn, v: fn(v),
         join=ident,
         bind=lambda v, fn: fn(v),
+        parametric=True,
     )
 
 
@@ -118,6 +124,7 @@ def maybe_monad() -> MonadInstance:
         map=mmap,
         join=mjoin,
         bind=mbind,
+        parametric=True,
     )
 
 
@@ -147,6 +154,7 @@ def nondet_monad(
         map=nmap,
         join=lambda mmv: nbind(mmv, lambda s: s),
         bind=nbind,
+        parametric=True,
     )
 
 
@@ -173,6 +181,8 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
         map=pmap,
         join=lambda mmv: pbind(mmv, lambda d: d),
         bind=pbind,
+        # unmerged entries of one value keep an order set by the atoms' names
+        parametric=merge,
     )
 
 

@@ -1,17 +1,24 @@
 """Report records shared by the equality engine, the law suite, the
 dynamical-system checks and the DP checks, and the one scan engine that
-every quantified check runs through."""
+every quantified check runs through.
+
+An exhaustive scan whose variables all have images under a group of atom
+renamings evaluates the least binding of each orbit only (Ip and Dill,
+1996). Its caller vouches that renaming commutes with both sides, which
+never return None, so the witness is among them. checked counts logical
+bindings either way; evaluated counts the calls of sides."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .values import (
     CarrierOverflow,
@@ -60,7 +67,7 @@ class LawReport:
     lexicographic enumeration order of the bound-variable tuple. The
     witness maps variable names to canonically rendered values and always
     carries "lhs"/"rhs" renderings of the two disagreeing sides. elapsed_ms
-    is wall-clock and is kept out of deterministic report sections.
+    (wall-clock) and evaluated stay out of deterministic report sections.
     """
 
     law_id: str
@@ -73,6 +80,7 @@ class LawReport:
     diagnostic: str | None = None
     detail: str = ""
     elapsed_ms: float = 0.0
+    evaluated: int = 0
 
     def to_deterministic_dict(self) -> dict:
         out = {
@@ -112,13 +120,16 @@ class Var:
     binding (a dict when one variable binds several names). Exhaustive
     scans iterate the candidates, the outermost one value at a time, so
     per-binding set-up computed there runs once; sampled scans index
-    them, so they must then be a Sequence of length size."""
+    them, so they must then be a Sequence of length size. images holds
+    the candidates' index permutation under each non-identity element
+    of one renaming group, in the same order for every variable."""
 
     name: str
     space: str
     candidates: Iterable
     size: int
     render: Callable[[Any], str | dict[str, str]] = render_any
+    images: Sequence[Sequence[int]] = ()
 
 
 def _product(variables: Sequence[Var]) -> Iterable[tuple]:
@@ -130,33 +141,60 @@ def _product(variables: Sequence[Var]) -> Iterable[tuple]:
     )
 
 
+def exhaustive(sizes: Sequence[int], q: Quantifier | None) -> bool:
+    """Whether a scan over spaces of these sizes visits their product."""
+    return q is None or max(sizes) <= q.budget
+
+
+def _orbit_least(variables: Sequence[Var]) -> Iterator[tuple[int, tuple]]:
+    """(rank in the full product, binding) of each binding that no group
+    element maps lower, in order. Elements that fix the prefix stay live;
+    a candidate that a live one maps lower is skipped with its subtree."""
+    spaces = [tuple(v.candidates) for v in variables]
+
+    def visit(i, live, rank, prefix):
+        if i == len(spaces):
+            yield rank, prefix
+            return
+        for c, value in enumerate(spaces[i]):
+            moved = [(variables[i].images[g][c], g) for g in live]
+            if all(d >= c for d, _ in moved):
+                fixing = [g for d, g in moved if d == c]
+                yield from visit(i + 1, fixing, rank * len(spaces[i]) + c, prefix + (value,))
+
+    return visit(0, range(len(variables[0].images)), 0, ())
+
+
 def _plan(
     variables: Sequence[Var], q: Quantifier | None
-) -> tuple[Iterable[tuple], list[QuantifierStat]]:
-    """The bindings a scan visits, with the stat of each variable.
+) -> tuple[Iterable[tuple[int, tuple]], int, list[QuantifierStat]]:
+    """The bindings a scan visits with their ranks, how many bindings
+    the scan stands for, and the stat of each variable.
 
-    Exhaustive, in lexicographic order, without a quantifier or when
-    every space fits its budget; vacuous, visiting nothing of any
-    space, when a space is empty. Otherwise q.budget joint bindings
-    drawn up front: variable i draws uniformly with replacement from its
-    own stream, seeded with sub_seed(q.seed, i), so every variable
-    varies and the first k draws are the same under any budget of at
-    least k. A sampled variable reports how many distinct values it
-    drew."""
+    Exhaustive, in lexicographic order, when exhaustive() says so, one
+    binding per orbit when every variable has images, and vacuous,
+    visiting nothing of any space, when a space is empty. Otherwise
+    q.budget joint bindings drawn up front: variable i draws uniformly
+    with replacement from its own stream, seeded with sub_seed(q.seed,
+    i), so every variable varies and the first k draws are the same
+    under any budget of at least k. A sampled variable reports how many
+    distinct values it drew."""
     sizes = [v.size for v in variables]
     vacuous = 0 in sizes
-    if vacuous or q is None or max(sizes) <= q.budget:
+    if vacuous or exhaustive(sizes, q):
         stats = [QuantifierStat(v.name, v.space, v.size, "exhaustive",
                                 0 if vacuous else v.size) for v in variables]
-        return (() if vacuous else _product(variables)), stats
+        bindings = (() if vacuous else _orbit_least(variables)
+                    if all(v.images for v in variables) else enumerate(_product(variables)))
+        return bindings, math.prod(sizes), stats
     picks = []
     for i, n in enumerate(sizes):
         rng = random.Random(sub_seed(q.seed, i))
         picks.append([rng.randrange(n) for _ in range(q.budget)])
     stats = [QuantifierStat(v.name, v.space, v.size, "sampled", len(set(p)))
              for v, p in zip(variables, picks)]
-    return (tuple(v.candidates[k] for v, k in zip(variables, ks))
-            for ks in zip(*picks)), stats
+    return enumerate(tuple(v.candidates[k] for v, k in zip(variables, ks))
+                     for ks in zip(*picks)), q.budget, stats
 
 
 def scan(
@@ -176,15 +214,15 @@ def scan(
     evaluation nested past the interpreter's recursion limit fails the
     report with a diagnostic instead of a witness."""
     t0 = time.perf_counter()
-    checked = 0
+    rank, skipped, evaluated = -1, 0, 0
     try:
         bound = variables()
-        bindings, report.quantifiers = _plan(bound, q)
-        for binding in bindings:
-            checked += 1
+        bindings, total, report.quantifiers = _plan(bound, q)
+        for rank, binding in bindings:
+            evaluated += 1
             out = sides(*binding)
             if out is None:
-                checked -= 1
+                skipped += 1
                 continue
             if out[0] != out[1]:
                 lhs, rhs, *extra = out
@@ -203,6 +241,8 @@ def scan(
                 report.witness["lhs"] = render_any(lhs)
                 report.witness["rhs"] = render_any(rhs)
                 break
+        else:
+            rank = total - 1
     except (CarrierTooLarge, CarrierOverflow) as exc:
         report.passed = False
         report.diagnostic = str(exc)
@@ -210,6 +250,7 @@ def scan(
         report.passed = False
         report.diagnostic = (f"recursion too deep: evaluation passed the interpreter's "
                              f"limit of {sys.getrecursionlimit()} frames")
-    report.checked = checked
+    # checked counts the bindings up to the one the scan stopped at
+    report.checked, report.evaluated = rank + 1 - skipped, evaluated
     report.elapsed_ms = (time.perf_counter() - t0) * 1000
     return report

@@ -42,6 +42,7 @@ import math
 import re
 import threading
 import weakref
+from array import array
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from fractions import Fraction
@@ -55,7 +56,7 @@ __all__ = [
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
-    "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size",
+    "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size", "relabeling",
     "function_space_size", "enumerate_functions",
     "tabulate", "table_fn", "table_to_value",
     "render_value", "render_table", "parse_value",
@@ -463,6 +464,47 @@ def enumerate_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> tuple[V
     then grid tuple order; VecOf/FnOf lexicographically with the last
     slot varying fastest. Re-running yields the identical sequence."""
     return _enumerate_carrier_cached(c, cap)
+
+
+def relabeling(c: CarrierDesc, perms: dict[FiniteType, Sequence[int]]) -> array:
+    """The index permutation of enumerate_carrier(c) renaming atom #j of
+    each domain d to #perms[d][j], and an FnOf's slot k to perms[domain][k].
+    Built on indices: nested distributions do not enumerate in canonical
+    order, so a value renamed by map need not be an enumerated one."""
+    if isinstance(c, Base):
+        return array("q", perms.get(c.domain, range(c.domain.size)))
+    inner = relabeling(c.codomain if isinstance(c, FnOf) else c.inner, perms)
+    n = len(inner)
+
+    def radix(weights):  # slot j of a tuple of inner indices weighs weights[j]
+        block = [0]
+        for w in weights:
+            block = [x + p * w for x in block for p in inner]
+        return block
+
+    out = array("q")  # MaybeOf, SeqOf and DistOf: one block after another
+    if isinstance(c, (MaybeOf, SeqOf)):  # none and some v enumerate as [] and [v]
+        for k in range(getattr(c, "max_len", 1) + 1):
+            offset = len(out)
+            out.extend(offset + x for x in radix([n ** (k - 1 - j) for j in range(k)]))
+        return out
+    if isinstance(c, (VecOf, FnOf)):
+        d = c.length if isinstance(c, VecOf) else c.domain.size
+        moved = perms.get(c.domain, range(d)) if isinstance(c, FnOf) else range(d)
+        return array("q", radix([n ** (d - 1 - moved[j]) for j in range(d)]))
+    if isinstance(c, DistOf):
+        for k in range(1, min(c.max_support, n) + 1):
+            grid, offset = weight_tuples(k), len(out)
+            supports = list(itertools.combinations(range(n), k))
+            support_rank = {s: r for r, s in enumerate(supports)}
+            grid_rank = {t: r for r, t in enumerate(grid)}
+            for support in supports:
+                renamed = [inner[x] for x in support]
+                order = sorted(range(k), key=renamed.__getitem__)
+                base = offset + support_rank[tuple(renamed[j] for j in order)] * len(grid)
+                out.extend(base + grid_rank[tuple(t[j] for j in order)] for t in grid)
+        return out
+    raise TypeError(f"not a carrier descriptor: {c!r}")
 
 
 # ---------------------------------------------------------------------------

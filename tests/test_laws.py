@@ -248,7 +248,7 @@ def test_reports_are_deterministic():
 
 def _bindings(law, inst):
     """Every binding of the law at sizes 2, in scan order, and their count."""
-    spaces = [_variable(vs, inst, DOMS2, DEFAULT_CARRIER_CAP).candidates
+    spaces = [_variable(vs, inst, DOMS2, DEFAULT_CARRIER_CAP)[0].candidates
               for vs in law.variables]
     return itertools.product(*spaces), math.prod(len(s) for s in spaces)
 
