@@ -56,7 +56,7 @@ def value_table(sdp: Sdp, top: int = 5) -> None:
     scored = []
     for ps in seqs:
         worth = {i: val(sdp, ps, Atom(i)) for i in range(sdp.states.size)}
-        scored.append((worth[0], render_policy_seq(ps, sdp.states.size), worth))
+        scored.append((worth[0], render_policy_seq(ps), worth))
     scored.sort(key=lambda t: t[0], reverse=True)
     for worth0, shown, worth in scored[:top]:
         cells = "  ".join(f"x{i}:{worth[i]}" for i in sorted(worth))

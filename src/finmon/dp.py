@@ -16,9 +16,8 @@ ps[0][x] and the later controls ps[1:]. val keeps every node, rews the
 nodes below the root and val_spec each root's measured value. A sampled
 check keeps no memo, as its long tails seldom recur.
 
-Rewards ride inside monadic values as Rat leaves. Rat is a value
-constructor that never appears in enumerated carriers; it exists so
-monadic operations can transport exact rationals.
+Rewards ride inside monadic values as bare Fraction leaves, values of no
+enumerated carrier, so monadic operations transport exact rationals.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import wraps
 from typing import Callable
 
 from .instances import MonadInstance
-from .reports import LawReport, Var, scan
+from .reports import LawReport, Var, exhaustive, scan
 from .values import (
     Atom,
     Base,
@@ -38,7 +37,6 @@ from .values import (
     Opt,
     Product,
     Quantifier,
-    Rat,
     Seq,
     Value,
     Vec,
@@ -62,7 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Measure:
-    """Collapses one monadic structure of Rat leaves to a Fraction; the
+    """Collapses one monadic structure of Fraction leaves to one; the
     instances are those whose structures it can measure."""
 
     name: str
@@ -73,7 +71,7 @@ class Measure:
 def _expected(mv: Value) -> Fraction:
     if not isinstance(mv, Dist):
         raise TypeError(f"expected-value measure needs a distribution, got {mv!r}")
-    return sum((w * r.value for r, w in mv.entries), Fraction(0))
+    return sum((w * r for r, w in mv.entries), Fraction(0))
 
 
 def _maximum(mv: Value) -> Fraction:
@@ -81,13 +79,13 @@ def _maximum(mv: Value) -> Fraction:
         raise TypeError(f"max measure needs a sequence, got {mv!r}")
     if not mv.items:
         raise ValueError("max measure is undefined on the empty sequence")
-    return max(r.value for r in mv.items)
+    return max(mv.items)
 
 
 def _point(mv: Value) -> Fraction:
-    if not isinstance(mv, Rat):
+    if not isinstance(mv, Fraction):
         raise TypeError(f"point measure needs a bare rational, got {mv!r}")
-    return mv.value
+    return mv
 
 
 def _default_zero(mv: Value) -> Fraction:
@@ -95,7 +93,7 @@ def _default_zero(mv: Value) -> Fraction:
         raise TypeError(f"default-zero measure needs an optional, got {mv!r}")
     if mv.content is None:
         return Fraction(0)
-    return mv.content.value
+    return mv.content
 
 
 MEASURES = {
@@ -153,19 +151,19 @@ Policy = tuple[Atom, ...]
 PolicySeq = tuple[Policy, ...]
 
 
-def enumerate_policy_seqs(sdp: Sdp, steps: int, t0: int = 0) -> Product:
+def enumerate_policy_seqs(sdp: Sdp, steps: int) -> Product:
     """All policy sequences of the given length, lexicographically over
     admissible-control positions (the last state of the last step
     varies fastest); its size is their number."""
-    choice_lists = [sdp.controls_at(t, x) for t in range(t0, t0 + steps)
+    choice_lists = [sdp.controls_at(t, x) for t in range(steps)
                     for x in enumerate_domain(sdp.states)]
     n = sdp.states.size
     return Product(choice_lists, lambda flat: tuple(
         tuple(flat[k * n : (k + 1) * n]) for k in range(steps)))
 
 
-def render_policy_seq(ps: PolicySeq, n_states: int) -> str:
-    return render_value(Seq(tuple(Vec(p, n_states) for p in ps)))
+def render_policy_seq(ps: PolicySeq) -> str:
+    return render_value(Seq(tuple(map(Vec, ps))))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) 
         return Fraction(0)
     y, tail = ps[0][x.index], ps[1:]
     return sdp.measure.apply(sdp.monad.map(
-        lambda x1: Rat(sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1, memo)),
+        lambda x1: sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1, memo),
         sdp.next(t, x, y),
     ))
 
@@ -208,10 +206,10 @@ def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None)
     policy sequence admits, with no measuring at all; memo below the root."""
     m = sdp.monad
     if not ps:
-        return m.pure(Rat(Fraction(0)))
+        return m.pure(Fraction(0))
     y, tail = ps[0][x.index], ps[1:]
     return m.bind(sdp.next(t, x, y), lambda x1: m.map(
-        lambda r: Rat(sdp.reward(t, x, y, x1) + r.value), rews(sdp, tail, x1, t + 1, memo)))
+        lambda r: sdp.reward(t, x, y, x1) + r, rews(sdp, tail, x1, t + 1, memo)))
 
 
 @_memoized(lambda t: t == 0)
@@ -263,7 +261,7 @@ def check_measure_shift(
     def variables():
         carrier = monad.carrier_of(Base(FiniteType("R", len(_SHIFT_RATES))))
         structures = [
-            monad.map(lambda a: Rat(_SHIFT_RATES[a.index]), mv)
+            monad.map(lambda a: _SHIFT_RATES[a.index], mv)
             for mv in enumerate_carrier(carrier, cap)
         ]
         return [
@@ -276,7 +274,7 @@ def check_measure_shift(
         mv, plain = mp
         if plain is None:
             return None
-        return measure.apply(monad.map(lambda r: Rat(c + r.value), mv)), plain + c
+        return measure.apply(monad.map(lambda r: c + r, mv)), plain + c
 
     scan(report, variables, sides)
     if skipped and report.passed:
@@ -314,10 +312,10 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
 
     seqs = enumerate_policy_seqs(sdp, sdp.horizon)
     n = sdp.states.size
-    vm, rm = ({}, {}) if q is None or max(seqs.size, n) <= q.budget else (None, None)
+    vm, rm = ({}, {}) if exhaustive([seqs.size, n], q) else (None, None)
     variables = [
         Var("ps", f"policy sequences (h={sdp.horizon})", seqs, seqs.size,
-            render=lambda ps: render_policy_seq(ps, n)),
+            render=render_policy_seq),
         Var("x", "X", enumerate_domain(sdp.states), n),
     ]
     scan(report, lambda: variables,

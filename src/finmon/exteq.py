@@ -46,10 +46,10 @@ def extify_eq(level: int, f: Value, g: Value) -> EqReport:
             f"extify_eq level {level} needs vector-encoded functions, "
             f"got {f!r} / {g!r}"
         )
-    if f.length != g.length:
+    if len(f.items) != len(g.items):
         raise ValueError("extify_eq over functions with different domains")
     checked = 0
-    for i in range(f.length):
+    for i in range(len(f.items)):
         sub = extify_eq(level - 1, f.items[i], g.items[i])
         checked += sub.checked
         if not sub.equal:

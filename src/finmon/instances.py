@@ -242,7 +242,7 @@ def reader_functor(env: FiniteType) -> FunctorInstance:
     #i), so map is slot-wise application."""
 
     def rmap(fn: MapFn, r: Value) -> Value:
-        return Vec(tuple(fn(x) for x in r.items), r.length)
+        return Vec(tuple(fn(x) for x in r.items))
 
     return FunctorInstance(
         name="reader",

@@ -59,10 +59,10 @@ from .values import (
     Quantifier,
     Value,
     Vec,
+    carrier_size,
     enumerate_carrier,
     enumerate_domain,
     enumerate_functions,
-    function_space_size,
     refuse_wide,
     relabeling,
     render_carrier,
@@ -339,7 +339,7 @@ def _variable(
         cod = resolve_carrier(vs.cod, inst, domains)
         fns = enumerate_functions(dom, cod, cap)
         return Var(vs.name, f"{vs.dom}->{render_carrier(cod)}", fns,
-                   function_space_size(dom, cod)), FnOf(dom, cod)
+                   carrier_size(FnOf(dom, cod))), FnOf(dom, cod)
     if vs.kind == "atom":
         desc = Base(domains[vs.dom])
         full = enumerate_domain(refuse_wide(desc.domain, cap))
@@ -474,10 +474,10 @@ def reader_pres_ee2_report(
     def variables():
         readers.extend(enumerate_carrier(FnOf(env, Base(dom_a)), cap))
         return [Var("f", "A->B", enumerate_functions(dom_a, Base(dom_b), cap),
-                    function_space_size(dom_a, Base(dom_b)))]
+                    carrier_size(FnOf(dom_a, Base(dom_b))))]
 
     def mapped(f: FnTable) -> Vec:
-        return Vec(tuple(reader.map(table_fn(f), r) for r in readers), len(readers))
+        return Vec(tuple(reader.map(table_fn(f), r) for r in readers))
 
     def sides(f):
         tab_f, tab_g = mapped(f), mapped(f)  # g is f's class representative

@@ -17,7 +17,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .values import (
@@ -108,7 +107,7 @@ def render_any(v) -> str:
     """Canonical text of a binding or a side: tables, values and numbers."""
     if isinstance(v, FnTable):
         return render_table(v)
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, int):
         return str(v)
     return render_value(v)
 

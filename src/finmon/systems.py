@@ -17,6 +17,8 @@ Conventions, fixed once:
   level n. Every flow check scans n ascending as its outermost variable
   and hands each level to the next: linear work in n_max, where
   rebuilding each level from pure was quadratic.
+* a trajectory is a function of time: n steps from x are a vector of
+  n + 1 states, a value of FnOf(T(n + 1), X) (values.Vec), heads first.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .values import (
     Atom,
     Base,
     FiniteType,
+    FnOf,
     FnTable,
     Value,
     Vec,
-    VecOf,
     enumerate_carrier,
     enumerate_domain,
     render_value,
@@ -253,7 +255,7 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
 
 
 def _prepend(x: Atom):
-    return lambda vec: Vec((x,) + vec.items, vec.length + 1)
+    return lambda vec: Vec((x,) + vec.items)
 
 
 def trj(sys: MonSys, n: int, x: Atom, prev: tuple[Value, ...] | None = None) -> Value:
@@ -263,7 +265,7 @@ def trj(sys: MonSys, n: int, x: Atom, prev: tuple[Value, ...] | None = None) -> 
     m = sys.monad
 
     def at(y, below):
-        return m.map(_prepend(y), m.pure(Vec((), 0)) if below is None else
+        return m.map(_prepend(y), m.pure(Vec(())) if below is None else
                      m.bind(sys.step.entries[y.index], lambda z: below[z.index]))
 
     if prev is None:
@@ -294,7 +296,8 @@ def check_map_last_lemma(
     def variables():
         values = tuple(
             (mvx, map_last(sys, mvx)) for ln in range(1, max_len + 1)
-            for mvx in enumerate_carrier(m.carrier_of(VecOf(Base(sys.domain), ln)), cap))
+            for mvx in enumerate_carrier(
+                m.carrier_of(FnOf(FiniteType("T", ln), Base(sys.domain))), cap))
         return [_x_var(sys.domain),
                 Var("mvx", f"M Vec[X;len=1..{max_len}]", values, len(values),
                     render=lambda mp: render_value(mp[0]))]

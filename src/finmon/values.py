@@ -2,7 +2,7 @@
 
 Everything the law checker quantifies over lives here: a small recursive
 universe of runtime values (atoms, optionals, sequences, finite
-distributions with exact rational weights, fixed-length vectors), carrier
+distributions with exact rational weights, vectors), carrier
 descriptors that make every monadic carrier finitely enumerable, and
 extensional function tables over enumerated domains.
 
@@ -21,11 +21,12 @@ reports, and the syntax accepted by parse_value):
     sequences      [] | [v, v, ...]
     distributions  {v: p/q, v: p/q, ...}   entries in canonical order
     vectors        <> | <v, v, ...>
-    rationals      p/q or p                (numeric leaves, reward sums)
+    rationals      p/q or p                (Fraction leaves, reward sums)
 
 Function-valued carriers (FnOf) have no constructor of their own: a table
 over a domain of size n is encoded as a Vec of n entries, slot i holding
-the output at atom #i.
+the output at atom #i; so a vector of length n is a value of FnOf(T(n), X).
+Rewards are bare Fractions, values of no enumerable carrier.
 
 Value identity is one scheme. Atoms and tables are hash-consed (Filliâtre
 and Conchon, 2006): equal ones are one object, so equality and hash are
@@ -50,14 +51,14 @@ from functools import lru_cache
 from typing import Callable, Union
 
 __all__ = [
-    "Atom", "Opt", "Seq", "Dist", "Vec", "Rat", "Value",
-    "FiniteType", "Base", "MaybeOf", "SeqOf", "DistOf", "VecOf", "FnOf",
+    "Atom", "Opt", "Seq", "Dist", "Vec", "Value",
+    "FiniteType", "Base", "MaybeOf", "SeqOf", "DistOf", "FnOf",
     "CarrierDesc", "FnTable", "Quantifier", "Product", "sub_seed",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size", "relabeling",
-    "function_space_size", "enumerate_functions",
+    "enumerate_functions",
     "tabulate", "table_fn", "table_to_value",
     "render_value", "render_table", "parse_value",
     "DEFAULT_CARRIER_CAP",
@@ -175,25 +176,10 @@ class Dist:
 @dataclass(frozen=True, slots=True)
 class Vec:
     items: tuple["Value", ...]
-    length: int
     _hash: int | None = _hash_slot()
 
-    def __post_init__(self) -> None:
-        if self.length != len(self.items):
-            raise ValueError(
-                f"Vec declared length {self.length} != item count {len(self.items)}"
-            )
 
-
-@dataclass(frozen=True, slots=True)
-class Rat:
-    """Numeric leaf. Not part of any enumerable carrier; exists so monadic
-    structures over reward sums (M of rationals) are ordinary values."""
-
-    value: Fraction
-
-
-Value = Union[Atom, Opt, Seq, Dist, Vec, Rat]
+Value = Union[Atom, Opt, Seq, Dist, Vec, Fraction]
 
 
 def canonical_key(v: Value):
@@ -205,8 +191,8 @@ def canonical_key(v: Value):
     t = type(v)
     if t is Atom:
         return (0, v.index)
-    if t is Rat:
-        return (1, v.value)
+    if t is Fraction:
+        return (1, v)
     if t is Opt:
         if v.content is None:
             return (2, 0)
@@ -220,7 +206,7 @@ def canonical_key(v: Value):
             key.append((canonical_key(x), (n << 64) // d, w))
         return (4, len(key), tuple(key))
     if t is Vec:
-        return (5, v.length, tuple(canonical_key(x) for x in v.items))
+        return (5, len(v.items), tuple(canonical_key(x) for x in v.items))
     raise TypeError(f"not a Value: {v!r}")
 
 
@@ -309,18 +295,12 @@ class DistOf:
 
 
 @dataclass(frozen=True, slots=True)
-class VecOf:
-    inner: "CarrierDesc"
-    length: int
-
-
-@dataclass(frozen=True, slots=True)
 class FnOf:
     domain: FiniteType
     codomain: "CarrierDesc"
 
 
-CarrierDesc = Union[Base, MaybeOf, SeqOf, DistOf, VecOf, FnOf]
+CarrierDesc = Union[Base, MaybeOf, SeqOf, DistOf, FnOf]
 
 
 def render_carrier(c: CarrierDesc) -> str:
@@ -332,8 +312,6 @@ def render_carrier(c: CarrierDesc) -> str:
         return f"Seq[{render_carrier(c.inner)};maxLen={c.max_len}]"
     if isinstance(c, DistOf):
         return f"Dist[{render_carrier(c.inner)};maxSupport={c.max_support}]"
-    if isinstance(c, VecOf):
-        return f"Vec[{render_carrier(c.inner)};len={c.length}]"
     if isinstance(c, FnOf):
         return f"Fn[{c.domain.name}({c.domain.size})->{render_carrier(c.codomain)}]"
     raise TypeError(f"not a carrier descriptor: {c!r}")
@@ -362,11 +340,10 @@ def check_member(v: Value, c: CarrierDesc) -> None:
             for x, _ in v.entries:
                 check_member(x, c.inner)
             return
-    elif isinstance(c, (VecOf, FnOf)):
-        inner, n = (c.inner, c.length) if isinstance(c, VecOf) else (c.codomain, c.domain.size)
-        if type(v) is Vec and v.length == n:
+    elif isinstance(c, FnOf):
+        if type(v) is Vec and len(v.items) == c.domain.size:
             for x in v.items:
-                check_member(x, inner)
+                check_member(x, c.codomain)
             return
     raise ValueError(f"{render_value(v)} is not a value of {render_carrier(c)}")
 
@@ -423,8 +400,6 @@ def carrier_size(c: CarrierDesc) -> int:
         for k in range(1, min(c.max_support, n) + 1):
             total += math.comb(n, k) * len(weight_tuples(k))
         return total
-    if isinstance(c, VecOf):
-        return carrier_size(c.inner) ** c.length
     if isinstance(c, FnOf):
         return carrier_size(c.codomain) ** c.domain.size
     raise TypeError(f"not a carrier descriptor: {c!r}")
@@ -439,10 +414,9 @@ def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
         )
     if isinstance(c, Base):
         return enumerate_domain(c.domain)
-    if isinstance(c, (VecOf, FnOf)):
-        inner, n = (c.inner, c.length) if isinstance(c, VecOf) else (c.codomain, c.domain.size)
-        inner = _enumerate_carrier_cached(inner, cap)
-        return tuple(Vec(combo, n) for combo in itertools.product(inner, repeat=n))
+    if isinstance(c, FnOf):
+        inner = _enumerate_carrier_cached(c.codomain, cap)
+        return tuple(map(Vec, itertools.product(inner, repeat=c.domain.size)))
     inner = _enumerate_carrier_cached(c.inner, cap)
     if isinstance(c, MaybeOf):
         return (Opt(None),) + tuple(Opt(v) for v in inner)
@@ -461,7 +435,7 @@ def enumerate_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> tuple[V
     """All canonical values of the carrier, in a fixed canonical order:
     Base by atom index; MaybeOf none first; SeqOf by length then
     lexicographically; DistOf by support size, then support combination,
-    then grid tuple order; VecOf/FnOf lexicographically with the last
+    then grid tuple order; FnOf lexicographically with the last
     slot varying fastest. Re-running yields the identical sequence."""
     return _enumerate_carrier_cached(c, cap)
 
@@ -488,21 +462,24 @@ def relabeling(c: CarrierDesc, perms: dict[FiniteType, Sequence[int]]) -> array:
             offset = len(out)
             out.extend(offset + x for x in radix([n ** (k - 1 - j) for j in range(k)]))
         return out
-    if isinstance(c, (VecOf, FnOf)):
-        d = c.length if isinstance(c, VecOf) else c.domain.size
-        moved = perms.get(c.domain, range(d)) if isinstance(c, FnOf) else range(d)
-        return array("q", radix([n ** (d - 1 - moved[j]) for j in range(d)]))
+    if isinstance(c, FnOf):
+        moved = perms.get(c.domain, range(c.domain.size))
+        return array("q", radix([n ** (len(moved) - 1 - m) for m in moved]))
     if isinstance(c, DistOf):
-        for k in range(1, min(c.max_support, n) + 1):
+        # only supports of up to 4 values have grid tuples: at most 4! sort orders
+        for k in filter(weight_tuples, range(1, min(c.max_support, n) + 1)):
             grid, offset = weight_tuples(k), len(out)
             supports = list(itertools.combinations(range(n), k))
             support_rank = {s: r for r, s in enumerate(supports)}
             grid_rank = {t: r for r, t in enumerate(grid)}
+            # each sort order's grid ranks, once, so the loop hashes no weights
+            ranks = {order: [grid_rank[tuple(t[j] for j in order)] for t in grid]
+                     for order in itertools.permutations(range(k))}
             for support in supports:
                 renamed = [inner[x] for x in support]
-                order = sorted(range(k), key=renamed.__getitem__)
+                order = tuple(sorted(range(k), key=renamed.__getitem__))
                 base = offset + support_rank[tuple(renamed[j] for j in order)] * len(grid)
-                out.extend(base + grid_rank[tuple(t[j] for j in order)] for t in grid)
+                out.extend(base + r for r in ranks[order])
         return out
     raise TypeError(f"not a carrier descriptor: {c!r}")
 
@@ -549,11 +526,7 @@ def table_fn(t: FnTable) -> Callable[[Value], Value]:
 def table_to_value(t: FnTable) -> Vec:
     """Vec encoding of a table (slot i = output at #i), the form FnOf
     carriers enumerate to and extify levels walk."""
-    return Vec(t.entries, t.domain.size)
-
-
-def function_space_size(dom: FiniteType, cod: CarrierDesc) -> int:
-    return carrier_size(cod) ** dom.size
+    return Vec(t.entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -626,8 +599,8 @@ def render_value(v: Value) -> str:
     t = type(v)
     if t is Atom:
         return f"#{v.index}"
-    if t is Rat:
-        return str(v.value)
+    if t is Fraction:
+        return str(v)
     if t is Opt:
         return "none" if v.content is None else f"some {render_value(v.content)}"
     if t is Seq:
@@ -700,7 +673,7 @@ def parse_value(text: str) -> Value:
                     take(",")
                     items.append(node())
             take(close)
-            return Seq(tuple(items)) if tok == "[" else Vec(tuple(items), len(items))
+            return Seq(tuple(items)) if tok == "[" else Vec(tuple(items))
         if tok == "{":
             pairs = []
             if peek() != "}":
@@ -716,7 +689,7 @@ def parse_value(text: str) -> Value:
             take("}")
             return mk_dist(pairs)
         if re.fullmatch(r"-?\d+(/\d+)?", tok):
-            return Rat(Fraction(tok))
+            return Fraction(tok)
         raise ValueError(f"unexpected token {tok!r}")
 
     result = node()

@@ -24,7 +24,7 @@ from finmon.dp import (
 from finmon.instances import get_instance
 from finmon.reports import LawReport, Var, scan
 from finmon.values import (
-    Atom, FiniteType, Quantifier, Rat, enumerate_domain, parse_value, render_value,
+    Atom, FiniteType, Quantifier, enumerate_domain, parse_value, render_value,
 )
 
 X3 = FiniteType("X", 3)
@@ -232,7 +232,7 @@ def test_policy_enumeration_counts_and_order():
     assert len(listing) == 8 == len(seqs)
     assert listing[0] == ((Atom(0), Atom(0), Atom(0)),)
     assert listing[1] == ((Atom(0), Atom(0), Atom(1)),)  # last slot fastest
-    assert render_policy_seq(listing[1], 3) == "[<#0, #0, #1>]"
+    assert render_policy_seq(listing[1]) == "[<#0, #0, #1>]"
 
 
 def test_policy_sampling_reproducible():

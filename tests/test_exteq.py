@@ -89,8 +89,8 @@ def test_extify_level2_witness_path():
     # function-valued tables: slot 1 maps to functions differing at #0
     inner_a = table_to_value(identity_table(A2))
     inner_b = table_to_value(tabulate(A2, Base(A2), lambda a: Atom(1 - a.index)))
-    f = Vec((inner_a, inner_a), 2)
-    g = Vec((inner_a, inner_b), 2)
+    f = Vec((inner_a, inner_a))
+    g = Vec((inner_a, inner_b))
     r = extify_eq(2, f, g)
     assert not r.equal
     assert r.witness[0] == Seq((Atom(1), Atom(0)))

@@ -261,9 +261,9 @@ def test_mutant_instance_names():
 def test_reader_map_is_slotwise():
     env = FiniteType("E", 2)
     r = reader_functor(env)
-    reader = Vec((Atom(0), Atom(1)), 2)
+    reader = Vec((Atom(0), Atom(1)))
     out = r.map(lambda v: Atom(1 - v.index), reader)
-    assert out == Vec((Atom(1), Atom(0)), 2)
+    assert out == Vec((Atom(1), Atom(0)))
     assert r.carrier_of(Base(A2)).domain == env
 
 
@@ -287,7 +287,7 @@ def test_reader_level2_witness_is_the_arrow_and_the_path(monkeypatch):
         def rmap(fn, r):
             out = good.map(fn, r)
             if next(calls) == 7:
-                out = Vec((out.items[0], Atom(1 - out.items[1].index)), 2)
+                out = Vec((out.items[0], Atom(1 - out.items[1].index)))
             return out
 
         return FunctorInstance("reader", good.carrier_of, rmap)

@@ -59,6 +59,13 @@ def test_carrier_cap_stops_before_the_first_evaluation():
     assert rep.diagnostic.startswith("carrier too large")
 
 
+def test_map_last_lemma_names_its_carrier_as_functions_of_time():
+    # vectors of length 2 over X(3) are the tables T(2) -> X(3)
+    rep = check_map_last_lemma(walk_sys(), 2, cap=100)
+    assert rep.diagnostic == (
+        "carrier too large: Dist[Fn[T(2)->X(3)];maxSupport=2] has 189 values, cap 100")
+
+
 def test_carrier_cap_from_the_command_line(tmp_path):
     # vectors of length 6 over 3 states: 1,327,509 distributions, past the
     # default cap; the check reports before scanning the shorter carriers

@@ -144,7 +144,7 @@ def test_deep_flows_iterate_without_recursion():
 def test_deep_trajectory_is_one_vector():
     out = trj(swap_sys(), 1000, Atom(0))
     vec = out.content
-    assert vec.length == len(vec.items) == 1001
+    assert len(vec.items) == 1001
     assert [a.index for a in vec.items[:4]] == [0, 1, 0, 1]
 
 

@@ -26,11 +26,9 @@ from finmon.values import (
     MaybeOf,
     Opt,
     Quantifier,
-    Rat,
     Seq,
     SeqOf,
     Vec,
-    VecOf,
     WEIGHT_GRID,
     canonical_key,
     carrier_size,
@@ -38,7 +36,6 @@ from finmon.values import (
     enumerate_carrier,
     enumerate_domain,
     enumerate_functions,
-    function_space_size,
     mk_dist,
     parse_value,
     render_carrier,
@@ -53,6 +50,7 @@ from finmon.values import (
 
 A2 = FiniteType("A", 2)
 A3 = FiniteType("A", 3)
+T2 = FiniteType("T", 2)
 
 
 def identity_table(d: FiniteType) -> FnTable:
@@ -94,7 +92,7 @@ def test_dist_carrier_count_matches_combinatorial_oracle():
 def test_closed_form_carrier_sizes():
     assert carrier_size(DistOf(Base(A2), 2)) == 7
     assert carrier_size(SeqOf(Base(A2), 2)) == 7
-    assert function_space_size(A2, SeqOf(Base(A2), 2)) == 49
+    assert carrier_size(FnOf(A2, SeqOf(Base(A2), 2))) == 49
 
 
 def test_seq_enumeration_order_frozen():
@@ -130,7 +128,7 @@ def test_maybe_enumeration_none_first():
 
 
 def test_vec_enumeration_last_slot_fastest():
-    vals = enumerate_carrier(VecOf(Base(A2), 2))
+    vals = enumerate_carrier(FnOf(T2, Base(A2)))
     assert [render_value(v) for v in vals] == [
         "<#0, #0>",
         "<#0, #1>",
@@ -145,11 +143,14 @@ def test_fn_carrier_enumerates_as_vectors():
     assert len(vals) == 4
 
 
+# vectors of length 2 over A(2) are functions of time T(2) -> A(2)
+VEC2 = pytest.param(FnOf(T2, Base(A2)), id="Vec[A(2);len=2]")
+
 ORDERED_CARRIERS = [
     Base(A3),
     MaybeOf(Base(A2)),
     SeqOf(Base(A2), 2),
-    VecOf(Base(A2), 2),
+    VEC2,
     MaybeOf(SeqOf(Base(A2), 2)),
     SeqOf(MaybeOf(Base(A2)), 2),
     FnOf(A2, MaybeOf(Base(A2))),
@@ -209,9 +210,9 @@ def test_parse_canonicalizes_dist_entry_order():
 
 
 def test_parse_rat():
-    assert parse_value("3/4") == Rat(Fraction(3, 4))
-    assert parse_value("2") == Rat(Fraction(2))
-    assert render_value(Rat(Fraction(-1, 3))) == "-1/3"
+    assert parse_value("3/4") == Fraction(3, 4)
+    assert type(parse_value("2")) is Fraction and parse_value("2") == 2
+    assert render_value(Fraction(-1, 3)) == "-1/3"
 
 
 @given(st.data())
@@ -286,8 +287,10 @@ def test_dist_weights_sum_to_one_exactly():
 
 
 def test_vec_length_validated():
-    with pytest.raises(ValueError):
-        Vec((Atom(0),), 2)
+    # a vector's length is its item count; one of the wrong length is not
+    # a value of its carrier
+    with pytest.raises(ValueError, match="is not a value of"):
+        check_member(Vec((Atom(0),)), FnOf(T2, Base(A2)))
 
 
 def test_carrier_too_large():
@@ -318,9 +321,9 @@ def test_enumerate_functions_counts_49():
 def test_enumerate_functions_sampling_reproducible():
     cod = SeqOf(Base(A3), 3)
     dom = FiniteType("A", 3)
-    assert function_space_size(dom, cod) > 50
     tables = enumerate_functions(dom, cod)
-    assert len(tables) == function_space_size(dom, cod)
+    assert tables.size == carrier_size(FnOf(dom, cod)) > 50
+    assert len(tables) == tables.size
     # sampling indexes the space: tables[i] is the i-th table in order
     listing = list(tables)
     assert all(tables[i] == listing[i] for i in (0, 1, 50, len(listing) - 1))
@@ -376,7 +379,7 @@ def test_domain_enumeration():
 
 @pytest.mark.parametrize("desc", [
     Base(A3), MaybeOf(Base(A2)), SeqOf(Base(A2), 2), DistOf(Base(A3), 2),
-    VecOf(Base(A2), 2), FnOf(A2, MaybeOf(Base(A2))), SeqOf(DistOf(Base(A2), 2), 1),
+    VEC2, FnOf(A2, MaybeOf(Base(A2))), SeqOf(DistOf(Base(A2), 2), 1),
 ], ids=render_carrier)
 def test_enumerated_values_are_members(desc):
     for v in enumerate_carrier(desc):
@@ -389,7 +392,7 @@ def test_enumerated_values_are_members(desc):
     ("some #0", Base(A2)),
     ("[#1]", DistOf(Base(A2), 2)),
     ("{#0: 1/2, #4: 1/2}", DistOf(Base(A3), 2)),
-    ("<#0>", VecOf(Base(A2), 2)),
+    pytest.param("<#0>", FnOf(T2, Base(A2)), id="<#0>-Vec[A(2);len=2]"),
     ("1/2", MaybeOf(Base(A2))),
     ("some [#0]", MaybeOf(Base(A2))),
 ], ids=lambda x: x if isinstance(x, str) else render_carrier(x))
@@ -432,7 +435,7 @@ def rebuild(v):
         return Dist(tuple((rebuild(x), Fraction(w.numerator, w.denominator))
                           for x, w in v.entries))
     if t is Vec:
-        return Vec(tuple(rebuild(x) for x in v.items), v.length)
+        return Vec(tuple(rebuild(x) for x in v.items))
     if t is FnTable:
         return FnTable(v.domain, v.codomain, tuple(rebuild(x) for x in v.entries))
     raise TypeError(t)
@@ -582,8 +585,8 @@ def fraction_key(v):
     t = type(v)
     if t is Atom:
         return (0, v.index)
-    if t is Rat:
-        return (1, v.value)
+    if t is Fraction:
+        return (1, v)
     if t is Opt:
         return (2, 0) if v.content is None else (2, 1, fraction_key(v.content))
     if t is Seq:
@@ -591,7 +594,7 @@ def fraction_key(v):
     if t is Dist:
         return (4, len(v.entries), tuple((fraction_key(x), w) for x, w in v.entries))
     if t is Vec:
-        return (5, v.length, tuple(fraction_key(x) for x in v.items))
+        return (5, len(v.items), tuple(fraction_key(x) for x in v.items))
     raise TypeError(t)
 
 
