@@ -22,7 +22,8 @@ first failing binding is the least counterexample, and otherwise
 samples (see reports._plan). On an instance declared parametric, whose
 operations must commute with every renaming of atoms past the carrier
 bounds too, an exhaustive scan evaluates only the least binding of each
-renaming orbit; checked still counts every binding up to the witness.
+renaming orbit (reports.orbit_images); checked still counts every binding
+up to the witness.
 
 One memo rule decides what is cached. A side's root is not, and neither
 is a subterm applied to the bound variable that reads every table: its
@@ -43,13 +44,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .exteq import extify_eq
 from .instances import FunctorInstance, MonadInstance, reader_functor
-from .reports import LawReport, Var, exhaustive, scan
+from .reports import LawReport, Var, orbit_images, scan
 from .values import (
     Base,
     CarrierDesc,
@@ -64,7 +64,6 @@ from .values import (
     enumerate_domain,
     enumerate_functions,
     refuse_wide,
-    relabeling,
     render_carrier,
     table_fn,
     DEFAULT_CARRIER_CAP,
@@ -320,13 +319,6 @@ def law_by_id(law_id: str) -> Law:
 # the runner
 
 
-# The cap on |group| x Σ|space| past which a check scans every binding:
-# 2 MiB of 8-byte image entries, under 10% of a full-suite run's 32 MB peak
-# RSS, and four times the widest check at the default sizes (simpleprob T3,
-# 2 x 31,192). A check past it is out of reach anyway (nondet W3 at sizes 3).
-SYMMETRY_CAP = 1 << 18
-
-
 def _variable(
     vs: VarSpec, inst: Instance, domains: dict[str, FiniteType], cap: int
 ) -> tuple[Var, CarrierDesc]:
@@ -353,23 +345,6 @@ def _variable(
     return Var(vs.name, space, full, len(full)), desc
 
 
-def _renamings(law: Law, inst: Instance, domains: dict[str, FiniteType], sizes: list[int],
-               q: Quantifier | None) -> list[dict[FiniteType, tuple[int, ...]]]:
-    """Each renaming of the atoms of the law's role domains but the
-    identity, as one permutation per domain, in a fixed order; none unless
-    inst is parametric and the scan exhaustive and within SYMMETRY_CAP."""
-    if not getattr(inst, "parametric", False) or 0 in sizes or not exhaustive(sizes, q):
-        return []
-    roles = sorted({vs.dom for vs in law.variables if vs.dom}
-                   | {vs.cod.split()[-1] for vs in law.variables if vs.cod})
-    types = list(dict.fromkeys(domains[r] for r in roles))
-    order = math.prod(math.factorial(min(d.size, 20)) for d in types)  # 20! passes any cap
-    if order * sum(sizes) > SYMMETRY_CAP:
-        return []
-    perms = itertools.product(*(itertools.permutations(range(d.size)) for d in types))
-    return [dict(zip(types, g)) for g in itertools.islice(perms, 1, None)]
-
-
 def check_law(
     law: Law,
     inst: Instance,
@@ -393,8 +368,11 @@ def check_law(
 
     def variables():
         bound = [_variable(vs, inst, domains, cap) for vs in law.variables]
-        group = _renamings(law, inst, domains, [v.size for v, _ in bound], q)
-        return [replace(v, images=[relabeling(desc, g) for g in group]) for v, desc in bound]
+        roles = sorted({vs.dom for vs in law.variables if vs.dom}
+                       | {vs.cod.split()[-1] for vs in law.variables if vs.cod})
+        return orbit_images([(v, (desc,)) for v, desc in bound],
+                            list(dict.fromkeys(domains[r] for r in roles)),
+                            getattr(inst, "parametric", False), q)
 
     return scan(report, variables, _compile(law, inst), q)
 

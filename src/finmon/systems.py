@@ -19,6 +19,10 @@ Conventions, fixed once:
   rebuilding each level from pure was quadratic.
 * a trajectory is a function of time: n steps from x are a vector of
   n + 1 states, a value of FnOf(T(n + 1), X) (values.Vec), heads first.
+* mapLastLemma, which never reads the step, evaluates one binding per
+  orbit under renaming the states on a parametric monad, as the laws do
+  (reports.orbit_images). A renaming moves the step table, so the flow
+  checks evaluate every binding.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import partial
 from typing import Callable
 
 from .instances import MonadInstance
-from .reports import LawReport, Var, scan
+from .reports import LawReport, Var, orbit_images, scan
 from .values import (
     Atom,
     Base,
@@ -289,21 +293,22 @@ def check_map_last_lemma(
 ) -> LawReport:
     """Mapping last after mapping a prepend is just mapping last, over
     every monadic structure of nonempty vectors up to max_len, shortest
-    vectors first, each carrier enumerated once and each structure's
-    right side, which does not read x, computed once."""
+    vectors first, each carrier enumerated once. Neither side reads the
+    step, so on a parametric monad every renaming of the states commutes
+    with both, and the scan evaluates one binding per orbit."""
     m = sys.monad
 
     def variables():
-        values = tuple(
-            (mvx, map_last(sys, mvx)) for ln in range(1, max_len + 1)
-            for mvx in enumerate_carrier(
-                m.carrier_of(FnOf(FiniteType("T", ln), Base(sys.domain))), cap))
-        return [_x_var(sys.domain),
-                Var("mvx", f"M Vec[X;len=1..{max_len}]", values, len(values),
-                    render=lambda mp: render_value(mp[0]))]
+        carriers = [m.carrier_of(FnOf(FiniteType("T", ln), Base(sys.domain)))
+                    for ln in range(1, max_len + 1)]
+        values = tuple(itertools.chain.from_iterable(enumerate_carrier(c, cap) for c in carriers))
+        mvx = Var("mvx", f"M Vec[X;len=1..{max_len}]", values, len(values))
+        # a state type named T would rename the time slots too
+        return orbit_images([(_x_var(sys.domain), (Base(sys.domain),)), (mvx, carriers)],
+                            [sys.domain], m.parametric and sys.domain.name != "T")
 
     return scan(_base_report("mapLastLemma", sys), variables,
-                lambda x, mp: (map_last(sys, m.map(_prepend(x), mp[0])), mp[1]))
+                lambda x, mvx: (map_last(sys, m.map(_prepend(x), mvx)), map_last(sys, mvx)))
 
 
 def check_flow_trj(sys: MonSys, n_max: int) -> LawReport:

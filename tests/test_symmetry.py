@@ -1,12 +1,13 @@
-"""Law scans that evaluate one binding per renaming orbit.
+"""Law and mapLastLemma scans that evaluate one binding per renaming orbit.
 
 An instance declared parametric has operations that never look at which
 atom they hold, so an exhaustive law scan on it evaluates only the least
-binding of each orbit under renaming the atoms of the law's roles. These
-tests pin the renaming tables against renamed values, the number of
-bindings evaluated against brute-force orbit counts, the declaration
-against a property test (with mutant-b as its negative control), and
-every report against the same run with the reduction off.
+binding of each orbit under renaming the atoms of the law's roles, and
+mapLastLemma, which never reads the step, one per orbit under renaming
+the states. These tests pin the renaming tables against renamed values,
+the number of bindings evaluated against brute-force orbit counts, the
+declaration against a property test (with mutant-b as its negative
+control), and every report against the same run with the reduction off.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from finmon import laws
+from finmon import laws, reports
 from finmon.cli import BUILTIN_SUITES, load_config, main, parse_config, run
 from finmon.instances import INSTANCE_NAMES, get_instance, reader_functor
 from finmon.laws import check_law, law_by_id, run_suite, suite_checks
+from finmon.systems import check_map_last_lemma, mon_sys
 from finmon.values import (
     Atom,
     Base,
@@ -40,6 +42,7 @@ from finmon.values import (
     Vec,
     canonical_key,
     enumerate_carrier,
+    enumerate_domain,
     mk_dist,
     parse_value,
     relabeling,
@@ -47,6 +50,7 @@ from finmon.values import (
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_FULL = (ROOT / "tests" / "golden" / "suite-full.json").read_text()
+GOLDEN_SYSTEMS = (ROOT / "tests" / "golden" / "config-systems.json").read_text()
 DOMS2 = {r: FiniteType(r, 2) for r in "ABCD"}
 Q = Quantifier(budget=100_000)
 
@@ -163,6 +167,37 @@ def test_a_non_parametric_instance_evaluates_every_checked_binding():
                          (dataclasses.replace(get_instance("nondet"), parametric=False), "D3")]:
         rep = check_law(law_by_id(law_id), inst, DOMS2, Q)
         assert rep.evaluated == rep.checked > 0
+
+
+X3 = FiniteType("X", 3)
+
+
+def _standing(inst, domain=X3):
+    """A system whose every state stays put: mapLastLemma never reads it."""
+    return mon_sys("stay", inst, domain, inst.pure)
+
+
+@pytest.mark.parametrize("name", ["nondet", "simpleprob", "maybe"])
+def test_map_last_lemma_evaluates_one_binding_per_orbit(name):
+    inst = get_instance(name)
+    carriers = [inst.carrier_of(FnOf(FiniteType("T", ln), Base(X3))) for ln in (1, 2, 3)]
+    # the empty list and none recur in every carrier, so values are keyed per carrier
+    values = [(v, c) for c in carriers for v in enumerate_carrier(c)]
+    index = {(c, _same(v)): i for i, (v, c) in enumerate(values)}
+    orbits = {min((g[0][1][x.index], index[c, _same(_renamed(v, c, g))]) for g in _group(X3))
+              for x in enumerate_domain(X3) for v, c in values}
+    rep = check_map_last_lemma(_standing(inst), 3)
+    assert (rep.passed, rep.checked, rep.evaluated) == (True, 3 * len(values), len(orbits))
+
+
+@pytest.mark.parametrize("inst, domain", [
+    (get_instance("mutant-a"), X3), (get_instance("mutant-b"), X3),
+    # renaming a state type named T would move the time slots of the vectors too
+    (get_instance("nondet"), FiniteType("T", 2)),
+], ids=["mutant-a", "mutant-b", "states-named-T"])
+def test_map_last_lemma_evaluates_every_binding_without_a_sound_group(inst, domain):
+    rep = check_map_last_lemma(_standing(inst, domain), 2)
+    assert rep.evaluated == rep.checked > 0
 
 
 def test_the_json_timing_section_counts_evaluated_bindings(tmp_path):
@@ -294,6 +329,8 @@ def _deterministic(cfg, tmp_path) -> str:
 def _reduction_off(cfg):
     cfg.suites = [(dataclasses.replace(inst, parametric=False), *rest)
                   for inst, *rest in cfg.suites]
+    cfg.systems = [(dataclasses.replace(sys, monad=dataclasses.replace(sys.monad, parametric=False)),
+                    echo) for sys, echo in cfg.systems]
     return cfg
 
 
@@ -303,6 +340,14 @@ def test_full_reports_match_with_the_reduction_off(tmp_path):
     cfg = parse_config(BUILTIN_SUITES["full"])
     assert load_config(ROOT / "configs" / "full.json").echo() == cfg.echo()
     assert _deterministic(_reduction_off(cfg), tmp_path) == GOLDEN_FULL
+
+
+def test_system_reports_match_with_the_reduction_off(tmp_path):
+    """test_golden.py pins the report of configs/systems.json with the
+    reduction on."""
+    cfg = _reduction_off(load_config(ROOT / "configs" / "systems.json"))
+    assert not any(sys.monad.parametric for sys, _ in cfg.systems)
+    assert _deterministic(cfg, tmp_path) == GOLDEN_SYSTEMS
 
 
 def test_mutant_a_forced_parametric_keeps_every_refutation():
@@ -340,11 +385,11 @@ def test_the_scan_reads_no_product_attribute(monkeypatch, tmp_path):
 def test_past_the_table_cap_a_check_scans_every_binding(monkeypatch):
     inst, d3 = get_instance("nondet"), law_by_id("D3")
     # 16 renamings of A..D times 49 + 49 + 49 + 2 candidates
-    monkeypatch.setattr(laws, "SYMMETRY_CAP", 16 * 149)
+    monkeypatch.setattr(reports, "SYMMETRY_CAP", 16 * 149)
     assert check_law(d3, inst, DOMS2, Q).evaluated == 15_148
-    monkeypatch.setattr(laws, "SYMMETRY_CAP", 16 * 149 - 1)
+    monkeypatch.setattr(reports, "SYMMETRY_CAP", 16 * 149 - 1)
     assert check_law(d3, inst, DOMS2, Q).evaluated == 235_298
-    monkeypatch.setattr(laws, "SYMMETRY_CAP", 0)
+    monkeypatch.setattr(reports, "SYMMETRY_CAP", 0)
     checks = suite_checks(inst)
     capped = run_suite(inst, checks, DOMS2, Q)
     monkeypatch.undo()
