@@ -246,6 +246,12 @@ def _parse_system(entry: dict, i: int) -> tuple[MonSys, dict]:
     return MonSys(name, monad, domain, FnTable(domain, carrier, step)), echo
 
 
+def _reward_cell(cell) -> int | Fraction:
+    """An integral reward as an int, so sums of them stay C arithmetic."""
+    r = Fraction(cell)
+    return r.numerator if r.denominator == 1 else r
+
+
 def _parse_sdp(entry: dict, i: int) -> tuple[Sdp, dict]:
     where = f"sdps[{i}]"
     if not isinstance(entry, dict):
@@ -284,11 +290,11 @@ def _parse_sdp(entry: dict, i: int) -> tuple[Sdp, dict]:
                 raise ConfigError(f"{where}.next[{y}][{x}]: the max measure is undefined on []")
     reward = entry.get("reward", "next-index")
     if reward == "next-index":  # the index of the state a transition reaches
-        table = ((tuple(map(Fraction, range(states))),) * states,) * controls
+        table = ((tuple(range(states)),) * states,) * controls
     elif isinstance(reward, list):
         try:
             table = tuple(
-                tuple(tuple(Fraction(cell) for cell in row) for row in plane)
+                tuple(tuple(map(_reward_cell, row)) for row in plane)
                 for plane in reward
             )
         except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -1,7 +1,7 @@
 """Finite-horizon sequential decision processes over a monad.
 
 A process steps from state to state under chosen controls, collecting
-exact rational rewards. The monad shapes the uncertainty of each step;
+exact rewards. The monad shapes the uncertainty of each step;
 a measure turns a monadic structure of rewards into one number.
 
 Two value functions are implemented. `val` is the textbook backward
@@ -11,13 +11,13 @@ applies the measure exactly once at the root. The two agree exactly
 when the measure is compatible with shifting rewards by a constant, and
 `check_val_equiv` refuses to compare them under a measure that fails
 that precondition, reporting the shift witness instead. An exhaustive
-check memoizes each node on all it reads, as ints: t, x, the control
-ps[0][x] and the later controls ps[1:]. val keeps every node, rews the
-nodes below the root and val_spec each root's measured value. A sampled
-check keeps no memo, as its long tails seldom recur.
+check memoizes each node on all it reads: t, x, ps[0][x] and the later
+policies ps[1:], whose interned atoms hash in C. val keeps every node,
+rews the nodes below the root and val_spec each root's measured value.
+A sampled check keeps no memo, as its long tails seldom recur.
 
-Rewards ride inside monadic values as bare Fraction leaves, values of no
-enumerated carrier, so monadic operations transport exact rationals.
+Rewards ride inside monadic values as bare leaves of no enumerated
+carrier, ints when integral and Fractions otherwise, so sums stay exact.
 """
 
 from __future__ import annotations
@@ -57,14 +57,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # measures
 
+Reward = int | Fraction  # an int when integral, so sums stay C arithmetic
+
 
 @dataclass(frozen=True, slots=True)
 class Measure:
-    """Collapses one monadic structure of Fraction leaves to one; the
-    instances are those whose structures it can measure."""
+    """Collapses one monadic structure of int or Fraction reward leaves
+    to one; the instances are those whose structures it can measure."""
 
     name: str
-    apply: Callable[[Value], Fraction]
+    apply: Callable[[Value], Reward]
     instances: tuple[str, ...] = ()
 
 
@@ -74,7 +76,7 @@ def _expected(mv: Value) -> Fraction:
     return sum((w * r for r, w in mv.entries), Fraction(0))
 
 
-def _maximum(mv: Value) -> Fraction:
+def _maximum(mv: Value) -> Reward:
     if not isinstance(mv, Seq):
         raise TypeError(f"max measure needs a sequence, got {mv!r}")
     if not mv.items:
@@ -82,17 +84,17 @@ def _maximum(mv: Value) -> Fraction:
     return max(mv.items)
 
 
-def _point(mv: Value) -> Fraction:
-    if not isinstance(mv, Fraction):
-        raise TypeError(f"point measure needs a bare rational, got {mv!r}")
+def _point(mv: Value) -> Reward:
+    if type(mv) is not int and not isinstance(mv, Fraction):
+        raise TypeError(f"point measure needs a bare int or Fraction reward, got {mv!r}")
     return mv
 
 
-def _default_zero(mv: Value) -> Fraction:
+def _default_zero(mv: Value) -> Reward:
     if not isinstance(mv, Opt):
         raise TypeError(f"default-zero measure needs an optional, got {mv!r}")
     if mv.content is None:
-        return Fraction(0)
+        return 0
     return mv.content
 
 
@@ -133,7 +135,7 @@ class Sdp:
     monad: MonadInstance
     measure: Measure
     next: Callable[[int, Atom, Atom], Value]
-    reward: Callable[[int, Atom, Atom, Atom], Fraction]
+    reward: Callable[[int, Atom, Atom, Atom], Reward]
     admissible: Callable[[int, Atom], tuple[Atom, ...]] | None = None
 
     def controls_at(self, t: int, x: Atom) -> tuple[Atom, ...]:
@@ -172,14 +174,15 @@ def render_policy_seq(ps: PolicySeq) -> str:
 
 def _memoized(keep: Callable[[int], bool]):
     """Keep a value function's results in its memo at the times keep
-    passes, keyed on all that a node reads, as ints: the time, the state,
-    the control ps chooses there and every later control."""
+    passes, keyed on all that a node reads: the time, the state and the
+    control ps chooses there as ints, then the later policies ps[1:] as
+    they are, a tuple of tuples of atoms that hash by identity."""
     def wrap(fn):
         @wraps(fn)
         def memoized(sdp, ps, x, t=0, memo=None):
             if memo is None or not ps or not keep(t):
                 return fn(sdp, ps, x, t, memo)
-            key = (t, x.index, ps[0][x.index].index, *[y.index for p in ps[1:] for y in p])
+            key = (t, x.index, ps[0][x.index].index, ps[1:])
             if key not in memo:
                 memo[key] = fn(sdp, ps, x, t, memo)
             return memo[key]
@@ -188,11 +191,11 @@ def _memoized(keep: Callable[[int], bool]):
 
 
 @_memoized(lambda t: True)
-def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Fraction:
+def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Reward:
     """Backward-recursive value: measure at every node. A memo dict, if
     given, keeps every node's value, the root included, for later calls."""
     if not ps:
-        return Fraction(0)
+        return 0
     y, tail = ps[0][x.index], ps[1:]
     return sdp.measure.apply(sdp.monad.map(
         lambda x1: sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1, memo),
@@ -206,14 +209,14 @@ def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None)
     policy sequence admits, with no measuring at all; memo below the root."""
     m = sdp.monad
     if not ps:
-        return m.pure(Fraction(0))
+        return m.pure(0)
     y, tail = ps[0][x.index], ps[1:]
     return m.bind(sdp.next(t, x, y), lambda x1: m.map(
         lambda r: sdp.reward(t, x, y, x1) + r, rews(sdp, tail, x1, t + 1, memo)))
 
 
 @_memoized(lambda t: t == 0)
-def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Fraction:
+def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Reward:
     """Measure the whole reward structure once, at the root; a memo keeps
     the measured value at t = 0, where rews keeps no structure."""
     return sdp.measure.apply(rews(sdp, ps, x, t, memo))

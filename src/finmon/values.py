@@ -21,19 +21,20 @@ reports, and the syntax accepted by parse_value):
     sequences      [] | [v, v, ...]
     distributions  {v: p/q, v: p/q, ...}   entries in canonical order
     vectors        <> | <v, v, ...>
-    rationals      p/q or p                (Fraction leaves, reward sums)
+    rationals      p/q or p                (int or Fraction leaves, reward sums)
 
 Function-valued carriers (FnOf) have no constructor of their own: a table
 over a domain of size n is encoded as a Vec of n entries, slot i holding
 the output at atom #i; so a vector of length n is a value of FnOf(T(n), X).
-Rewards are bare Fractions, values of no enumerable carrier.
+Rewards are bare ints when integral and Fractions otherwise, values of
+no enumerable carrier; an int keys and renders as the equal Fraction.
 
 Value identity is one scheme. Atoms and tables are hash-consed (Filliâtre
 and Conchon, 2006): equal ones are one object, so equality and hash are
-identity and memo lookups on them run in C. Opt, Seq, Dist and Vec hash
-once, on first use, into a slot that equality and repr ignore; a Dist
-hashes and canonical_key sorts its weights by integers, never running
-Fraction arithmetic.
+identity and memo lookups on them run in C; an atom holds its
+canonical_key. Opt, Seq, Dist and Vec hash once, on first use, into a
+slot that equality and repr ignore; a Dist hashes and canonical_key
+sorts its weights by integers, never running Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class _Interned:
     @classmethod
     def _build(cls, values):
         obj = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
+        for name, value in zip(cls.__slots__, values):
             object.__setattr__(obj, name, value)
         return obj
 
@@ -135,12 +136,14 @@ _ATOMS: dict[int, "Atom"] = {}
 
 
 class Atom(_Interned):
-    """The domain element #index, one object per index."""
+    """The domain element #index, one object per index, holding its
+    canonical_key (0, index) in a slot that repr and pickling skip."""
 
-    __slots__ = _fields = ("index",)
+    _fields = ("index",)
+    __slots__ = ("index", "key")
 
     def __new__(cls, index: int) -> "Atom":
-        return _ATOMS.get(index) or _ATOMS.setdefault(index, cls._build((index,)))
+        return _ATOMS.get(index) or _ATOMS.setdefault(index, cls._build((index, (0, index))))
 
 
 @_cached_identity
@@ -179,7 +182,7 @@ class Vec:
     _hash: int | None = _hash_slot()
 
 
-Value = Union[Atom, Opt, Seq, Dist, Vec, Fraction]
+Value = Union[Atom, Opt, Seq, Dist, Vec, int, Fraction]
 
 
 def canonical_key(v: Value):
@@ -190,15 +193,16 @@ def canonical_key(v: Value):
     them."""
     t = type(v)
     if t is Atom:
-        return (0, v.index)
-    if t is Fraction:
+        return v.key
+    if t is int or t is Fraction:
         return (1, v)
     if t is Opt:
         if v.content is None:
             return (2, 0)
         return (2, 1, canonical_key(v.content))
     if t is Seq:
-        return (3, len(v.items), tuple(canonical_key(x) for x in v.items))
+        return (3, len(v.items),
+                tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
     if t is Dist:
         key = []
         for x, w in v.entries:
@@ -206,7 +210,8 @@ def canonical_key(v: Value):
             key.append((canonical_key(x), (n << 64) // d, w))
         return (4, len(key), tuple(key))
     if t is Vec:
-        return (5, len(v.items), tuple(canonical_key(x) for x in v.items))
+        return (5, len(v.items),
+                tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
     raise TypeError(f"not a Value: {v!r}")
 
 
@@ -599,7 +604,7 @@ def render_value(v: Value) -> str:
     t = type(v)
     if t is Atom:
         return f"#{v.index}"
-    if t is Fraction:
+    if t is int or t is Fraction:
         return str(v)
     if t is Opt:
         return "none" if v.content is None else f"some {render_value(v.content)}"

@@ -6,6 +6,7 @@ import json
 import tempfile
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,9 @@ from finmon.cli import (
     main,
     parse_config,
 )
-from finmon.dp import MEASURES
+from finmon.dp import MEASURES, check_val_equiv
 from finmon.instances import INSTANCE_NAMES
-from finmon.values import parse_value
+from finmon.values import Atom, Quantifier, parse_value
 
 GOOD = {
     "seed": 0,
@@ -285,6 +286,25 @@ def test_reward_table_variant_runs(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out.json"
     assert main(["--config", path, "--format", "json", "--out", str(out)]) == 0
+
+
+def test_integral_rewards_are_ints_and_others_fractions():
+    cfg = {"seed": 0, "budget": 1000,
+           "sdps": [{"name": "d", "instance": "nondet", "measure": "max",
+                     "horizon": 2, "states": 2, "controls": 1,
+                     "next": [["[#0, #1]", "[#1]"]],
+                     "reward": [[["0", "1/2"], ["4/2", 3]]]}]}
+    sdp, echo = parse_config(cfg).sdps[0]
+    y = Atom(0)
+    cells = [sdp.reward(0, Atom(x), y, Atom(x1)) for x in range(2) for x1 in range(2)]
+    assert cells == [0, Fraction(1, 2), 2, 3]
+    assert [type(r) for r in cells] == [int, Fraction, int, int]
+    assert echo["reward"] == [[["0", "1/2"], ["2", "3"]]]
+    assert check_val_equiv(sdp, Quantifier(budget=1000)).passed
+    cfg["sdps"][0].pop("reward")
+    sdp, _ = parse_config(cfg).sdps[0]
+    assert [sdp.reward(0, y, y, Atom(x1)) for x1 in range(2)] == [0, 1]
+    assert type(sdp.reward(0, y, y, Atom(1))) is int
 
 
 def test_refused_sdp_measure_fails_the_run(tmp_path, capsys):

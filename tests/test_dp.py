@@ -214,6 +214,36 @@ def test_val_equiv_refuses_incompatible_measure():
     assert "refusing" in rep.diagnostic
 
 
+def int_reward(t, x, y, x1):
+    return x1.index
+
+
+@pytest.mark.parametrize("mk,horizon", [(greedy_walk, 3), (coin_walk, 4), (drop_chain, 2)])
+def test_int_rewards_change_no_verdict(mk, horizon):
+    # max/nondet, expected/simpleprob and the refused default-zero/maybe
+    sdp = mk(horizon=horizon)
+    as_ints = dataclasses.replace(sdp, reward=int_reward)
+    assert (check_val_equiv(as_ints, Q).to_deterministic_dict()
+            == check_val_equiv(sdp, Q).to_deterministic_dict())
+
+
+def test_int_rewards_sum_as_ints():
+    sdp = dataclasses.replace(greedy_walk(horizon=2), reward=int_reward)
+    ps = ((Atom(1),) * 3, (Atom(1),) * 3)
+    assert type(val(sdp, ps, Atom(0))) is int
+    assert val(sdp, ps, Atom(0)) == val_spec(sdp, ps, Atom(0)) == 3
+    structure = rews(sdp, ps, Atom(0)).items
+    assert structure == (0, 1, 2, 3) and {type(r) for r in structure} == {int}
+
+
+def test_point_measure_takes_int_and_fraction_rewards():
+    point = get_measure("point")
+    assert point.apply(3) == 3 and type(point.apply(3)) is int
+    assert point.apply(Fraction(1, 2)) == Fraction(1, 2)
+    with pytest.raises(TypeError, match="point measure"):
+        point.apply(Atom(0))
+
+
 def test_val_and_val_spec_genuinely_differ_under_default_zero():
     # the refusal is not hypothetical: the two value functions disagree
     sdp = drop_chain(horizon=2)
@@ -319,11 +349,18 @@ def test_sequences_that_differ_only_at_other_states_share_a_root():
 
 
 @pytest.mark.parametrize("mk,horizon", [(greedy_walk, 3), (coin_walk, 6)])
-def test_memo_keys_hold_only_ints(monkeypatch, mk, horizon):
+def test_memo_keys_hash_only_in_c(monkeypatch, mk, horizon):
+    # every key is (t, x, control, later policies): ints, then tuples of
+    # interned atoms, whose hash is object's, so no lookup runs Python code
     memos = _root_memos(monkeypatch)
     assert check_val_equiv(mk(horizon=horizon), Q).passed
     keys = [key for memo in {id(m): m for m in memos}.values() for key in memo]
-    assert keys and all(type(i) is int for key in keys for i in key)
+    assert keys
+    for key in keys:
+        assert len(key) == 4 and all(type(i) is int for i in key[:3])
+        assert type(key[3]) is tuple and all(type(p) is tuple for p in key[3])
+        assert all(type(y) is Atom for p in key[3] for y in p)
+    assert Atom.__hash__ is object.__hash__
 
 
 def test_memo_entries_are_the_distinct_nodes():

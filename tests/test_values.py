@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -543,6 +544,7 @@ def test_replaced_and_copied_values_rehash():
 def test_atoms_and_tables_built_apart_are_one_object():
     for i in range(4):
         assert Atom(i) is Atom(i) and Atom(i).index == i
+        assert Atom(i).key == (0, i) == canonical_key(Atom(i))
         assert repr(Atom(i)) == f"Atom(index={i})"
         for twin in (copy.copy(Atom(i)), copy.deepcopy(Atom(i)),
                      pickle.loads(pickle.dumps(Atom(i)))):
@@ -553,6 +555,8 @@ def test_atoms_and_tables_built_apart_are_one_object():
             assert rebuild(v) is v and copy.deepcopy(v) is v
     with pytest.raises(dataclasses.FrozenInstanceError):
         Atom(0).index = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Atom(0).key = (0, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         identity_table(A2).entries = ()
 
@@ -615,3 +619,67 @@ def test_integer_weight_keys_keep_the_fraction_order():
     ordered = sorted(joined.union(values, ties), key=canonical_key)
     old = [fraction_key(v) for v in ordered]
     assert all(x < y for x, y in zip(old, old[1:]))
+
+
+def seed_key(v):
+    """canonical_key before int leaves and atoms that hold their key, kept
+    as the reference order."""
+    t = type(v)
+    if t is Atom:
+        return (0, v.index)
+    if t is Fraction:
+        return (1, v)
+    if t is Opt:
+        if v.content is None:
+            return (2, 0)
+        return (2, 1, seed_key(v.content))
+    if t is Seq:
+        return (3, len(v.items), tuple(seed_key(x) for x in v.items))
+    if t is Dist:
+        key = []
+        for x, w in v.entries:
+            n, d = w.as_integer_ratio()
+            key.append((seed_key(x), (n << 64) // d, w))
+        return (4, len(key), tuple(key))
+    if t is Vec:
+        return (5, len(v.items), tuple(seed_key(x) for x in v.items))
+    raise TypeError(t)
+
+
+def random_value_twins(rng, depth):
+    """A random nested value with int and Fraction leaves, and its twin
+    with every int leaf the equal Fraction."""
+    kind = rng.randrange(7 if depth else 3)
+    if kind == 0:
+        a = Atom(rng.randrange(3))
+        return a, a
+    if kind == 1:
+        n = rng.randrange(-2, 4)
+        return n, Fraction(n)
+    if kind == 2:
+        r = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        return r, r
+    if kind == 3:
+        if rng.randrange(4) == 0:
+            return Opt(None), Opt(None)
+        x, y = random_value_twins(rng, depth - 1)
+        return Opt(x), Opt(y)
+    twins = [random_value_twins(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
+    if kind == 5:
+        weights = rng.choice(weight_tuples(len(twins)))
+        return tuple(Dist(tuple(zip(side, weights))) for side in zip(*twins))
+    cls = Seq if kind == 4 else Vec
+    return tuple(cls(tuple(side)) for side in zip(*twins))
+
+
+def test_canonical_key_keeps_the_seed_order():
+    rng = random.Random(19)
+    twins = [random_value_twins(rng, 3) for _ in range(600)]
+    assert {type(v) for v, _ in twins} == {Atom, int, Fraction, Opt, Seq, Dist, Vec}
+    # composites that hold an int leaf, so their twin's repr differs
+    assert any(repr(v) != repr(w) for v, w in twins if type(v) in (Opt, Seq, Dist, Vec))
+    new = sorted(range(len(twins)), key=lambda i: canonical_key(twins[i][0]))
+    old = sorted(range(len(twins)), key=lambda i: seed_key(twins[i][1]))
+    assert new == old
+    assert canonical_key(2) == canonical_key(Fraction(2))
+    assert render_value(2) == render_value(Fraction(2)) == "2"
