@@ -232,7 +232,7 @@ def _parse_system(entry: dict, i: int) -> tuple[MonSys, dict]:
     step = _parse_step_values(raw_step, size, f"{where}.step", carrier)
     checks = tuple(_opt(entry, "checks", list, sorted(SYSTEM_CHECKS), where))
     for c in checks:
-        if c not in SYSTEM_CHECKS:
+        if not isinstance(c, str) or c not in SYSTEM_CHECKS:
             raise ConfigError(
                 f"{where}.checks: unknown check {c!r} (known: {', '.join(sorted(SYSTEM_CHECKS))})"
             )
@@ -297,7 +297,7 @@ def _parse_sdp(entry: dict, i: int) -> tuple[Sdp, dict]:
                 tuple(tuple(map(_reward_cell, row)) for row in plane)
                 for plane in reward
             )
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"{where}.reward: bad rational entry ({exc})")
         if len(table) != controls or any(
             len(plane) != states or any(len(row) != states for row in plane)

@@ -19,8 +19,8 @@ carrier. Kleisli composition is not an operation: the law terms write
 f >=> g as join . map g . f.
 
 The Reader functor is exposed functor-only. Its mapped values are
-functions, so stating that map respects pointwise equality needs the
-level-2 equality tower rather than a single table scan; see
+functions of the environment, so map respecting pointwise equality is
+also checked at level 2, as functions of the reader; see
 laws.reader_pres_ee2_report.
 """
 

@@ -9,10 +9,15 @@ built from table leaves (one per fn variable), id, pure, join, ∘
 needs the instance operations its terms apply.
 
 Premise laws (mapPresEE, kleisliPresEE, liftPresEE) quantify over
-pointwise-equality classes of arrows. Tables are extensional, so each
-class has one member and the primed arrow f' is f itself: a leaf of its
-own that reads the table of f. These checks certify that the operations
-are functions of the table, not of its identity.
+pointwise-equality classes of arrows. Tables are extensional by
+construction: two tables agree at every point iff they are equal, so
+pointwise equality is == and each class has one member. The primed
+arrow f' is f itself: a leaf of its own that reads the table of f. These
+checks certify that the operations are functions of the table, not of
+its identity. On the reader, whose mapped values are functions of the
+environment, F3 has a level-2 reading, F3L2 (reader_pres_ee2_report):
+it runs F3's compiled sides at every reader and descends to the first
+reader and slot where they differ.
 
 Each check compiles the two terms into one function of the binding,
 which calls the instance's operations where the terms apply them, and
@@ -47,25 +52,23 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .exteq import extify_eq
-from .instances import FunctorInstance, MonadInstance, reader_functor
+from .instances import FunctorInstance, MonadInstance
 from .reports import LawReport, Var, orbit_images, scan
 from .values import (
+    Atom,
     Base,
     CarrierDesc,
     FiniteType,
     FnOf,
-    FnTable,
     Quantifier,
+    Seq,
     Value,
-    Vec,
     carrier_size,
     enumerate_carrier,
     enumerate_domain,
     enumerate_functions,
     refuse_wide,
     render_carrier,
-    table_fn,
     DEFAULT_CARRIER_CAP,
 )
 
@@ -418,56 +421,50 @@ def run_suite(
     q: Quantifier,
     cap: int = DEFAULT_CARRIER_CAP,
 ) -> list[LawReport]:
-    """Run the checks suite_checks chose, in order. F3L2 reads the
-    reader's environment from domains["E"]."""
+    """Run the checks suite_checks chose, in order."""
     return [
-        reader_pres_ee2_report(domains["E"], domains["A"], domains["B"], q, cap)
+        reader_pres_ee2_report(inst, domains, q, cap)
         if c == "F3L2" else check_law(_CATALOG_BY_ID[c], inst, domains, q, cap)
         for c in checks
     ]
 
 
 def reader_pres_ee2_report(
-    env: FiniteType,
-    dom_a: FiniteType,
-    dom_b: FiniteType,
+    inst: FunctorInstance,
+    domains: dict[str, FiniteType],
     q: Quantifier | None = None,
     cap: int = DEFAULT_CARRIER_CAP,
 ) -> LawReport:
     """The Reader boundary case: map respects pointwise equality at
-    level 2.
+    level 2, on the reader instance inst.
 
-    For every arrow f (pointwise-equal tables are identical, so the
-    class representative g is f itself), mapR f and mapR g are
-    tabulated over the whole reader carrier and compared with the
-    level-2 tower, which descends reader-then-environment to the first
-    disagreement. Level-2 equality holds exactly when the level-1
-    comparison of mapR f r against mapR g r holds at every reader r, so
-    the per-reader check needs no pass of its own; checked counts one
-    evaluation per arrow.
+    mapR f and mapR f' are functions of the reader: they are equal at
+    level 2 iff F3's two sides, map f ma and map f' ma, are equal tables
+    (level 1) at every reader ma. For each arrow f (pointwise-equal
+    tables are identical, so f' is f), F3's compiled sides run on every
+    reader in canonical order, and a witness is the path (reader, slot)
+    to the first disagreement with the two sides there. checked counts
+    one evaluation per arrow.
     """
-    reader = reader_functor(env)
+    sides = _compile(_CATALOG_BY_ID["F3"], inst)
     readers: list[Value] = []
 
     def variables():
-        readers.extend(enumerate_carrier(FnOf(env, Base(dom_a)), cap))
-        return [Var("f", "A->B", enumerate_functions(dom_a, Base(dom_b), cap),
-                    carrier_size(FnOf(dom_a, Base(dom_b))))]
+        readers.extend(enumerate_carrier(resolve_carrier("M A", inst, domains), cap))
+        dom, cod = domains["A"], Base(domains["B"])
+        return [Var("f", "A->B", enumerate_functions(dom, cod, cap),
+                    carrier_size(FnOf(dom, cod)))]
 
-    def mapped(f: FnTable) -> Vec:
-        return Vec(tuple(reader.map(table_fn(f), r) for r in readers))
-
-    def sides(f):
-        tab_f, tab_g = mapped(f), mapped(f)  # g is f's class representative
-        level2 = extify_eq(2, tab_f, tab_g)
-        if level2.equal:
-            return tab_f, tab_g
-        path, left, right = level2.witness
-        return left, right, {"path": path}
+    def level2(f):
+        for r, ma in enumerate(readers):
+            lhs, rhs = sides(f, ma)
+            for slot, (x, y) in enumerate(zip(lhs.items, rhs.items, strict=True)):
+                if x != y:
+                    return x, y, {"path": Seq((Atom(r), Atom(slot)))}
+        return None, None  # equal at every reader and slot
 
     report = LawReport(
-        law_id="F3L2", instance="reader",
-        sizes={"E": env.size, "A": dom_a.size, "B": dom_b.size},
+        law_id="F3L2", instance=inst.name, sizes={r: domains[r].size for r in "ABE"},
         detail="level-2 tower over mapR on every reader, implying level-1 per reader",
     )
-    return scan(report, variables, sides, q)
+    return scan(report, variables, level2, q)

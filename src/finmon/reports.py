@@ -1,6 +1,6 @@
-"""Report records shared by the equality engine, the law suite, the
-dynamical-system checks and the DP checks, and the one scan engine that
-every quantified check runs through.
+"""The report record shared by the law suite, the dynamical-system
+checks and the DP checks, and the one scan engine that every quantified
+check runs through.
 
 An exhaustive scan whose variables all have images under a group of atom
 renamings evaluates the least binding of each orbit only (Ip and Dill,
@@ -29,27 +29,11 @@ from .values import (
     FiniteType,
     FnTable,
     Quantifier,
-    Value,
     relabeling,
     render_table,
     render_value,
     sub_seed,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class EqReport:
-    """Verdict of a pointwise function-equality check.
-
-    equal is true iff witness is absent. A witness is the least differing
-    input in canonical order: (input, left output, right output). For
-    leveled checks the input is a Seq of the inputs along the path to the
-    disagreement, outermost first.
-    """
-
-    equal: bool
-    witness: tuple[Value, Value, Value] | None
-    checked: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,8 +97,6 @@ def render_any(v) -> str:
     """Canonical text of a binding or a side: tables, values and numbers."""
     if isinstance(v, FnTable):
         return render_table(v)
-    if isinstance(v, int):
-        return str(v)
     return render_value(v)
 
 

@@ -25,7 +25,8 @@ reports, and the syntax accepted by parse_value):
 
 Function-valued carriers (FnOf) have no constructor of their own: a table
 over a domain of size n is encoded as a Vec of n entries, slot i holding
-the output at atom #i; so a vector of length n is a value of FnOf(T(n), X).
+the output at atom #i; so a vector of length n is a value of FnOf(T(n), X),
+and a table renders as its Vec.
 Rewards are bare ints when integral and Fractions otherwise, values of
 no enumerable carrier; an int keys and renders as the equal Fraction.
 
@@ -60,7 +61,7 @@ __all__ = [
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size", "relabeling",
     "enumerate_functions",
-    "tabulate", "table_fn", "table_to_value",
+    "tabulate", "table_fn",
     "render_value", "render_table", "parse_value",
     "DEFAULT_CARRIER_CAP",
 ]
@@ -528,12 +529,6 @@ def table_fn(t: FnTable) -> Callable[[Value], Value]:
     return lambda v: entries[v.index]
 
 
-def table_to_value(t: FnTable) -> Vec:
-    """Vec encoding of a table (slot i = output at #i), the form FnOf
-    carriers enumerate to and extify levels walk."""
-    return Vec(t.entries)
-
-
 @dataclass(frozen=True, slots=True)
 class Quantifier:
     """Budgeted quantification. A scan whose spaces all fit the budget
@@ -619,7 +614,7 @@ def render_value(v: Value) -> str:
 
 
 def render_table(t: FnTable) -> str:
-    return render_value(table_to_value(t))
+    return render_value(Vec(t.entries))
 
 
 _TOKEN_RE = re.compile(
@@ -661,6 +656,12 @@ def parse_value(text: str) -> Value:
         pos += 1
         return tok
 
+    def rational(tok: str) -> Fraction:
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {tok!r}") from None
+
     def node() -> Value:
         tok = take()
         if tok.startswith("#"):
@@ -685,7 +686,7 @@ def parse_value(text: str) -> Value:
                 while True:
                     v = node()
                     take(":")
-                    w = Fraction(take())
+                    w = rational(take())
                     pairs.append((v, w))
                     if peek() == ",":
                         take(",")
@@ -694,7 +695,7 @@ def parse_value(text: str) -> Value:
             take("}")
             return mk_dist(pairs)
         if re.fullmatch(r"-?\d+(/\d+)?", tok):
-            return Fraction(tok)
+            return rational(tok)
         raise ValueError(f"unexpected token {tok!r}")
 
     result = node()

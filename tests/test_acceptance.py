@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from finmon.cli import TIMING_MARKER, main
 from finmon.dp import Sdp, check_measure_shift, check_val_equiv, get_measure
-from finmon.exteq import __doc__ as exteq_doc
-from finmon.instances import get_instance
+from finmon.instances import get_instance, reader_functor
 from finmon.laws import LAW_IDS, reader_pres_ee2_report, run_suite, suite_checks
+from finmon.laws import __doc__ as laws_doc
 from finmon.systems import (
     MonSys,
     check_flow_lr,
@@ -187,13 +187,12 @@ def test_criterion_08_dp_equivalence():
 
 
 def test_criterion_09_reader_boundary():
-    rep = reader_pres_ee2_report(
-        FiniteType("E", 2), FiniteType("A", 2), FiniteType("B", 2)
-    )
+    domains = {role: FiniteType(role, 2) for role in "ABE"}
+    rep = reader_pres_ee2_report(reader_functor(domains["E"]), domains)
     ok = rep.passed and all(q.mode == "exhaustive" for q in rep.quantifiers)
     ok = ok and "level-1" in rep.detail and "level-2" in rep.detail
     phrase = "extensional by construction"
-    documented = (phrase in " ".join((exteq_doc or "").split())
+    documented = (phrase in " ".join((laws_doc or "").split())
                   and phrase in " ".join(README.read_text().split()))
     verdict(9, "reader map preserves pointwise equality at both levels",
             ok and documented, "collapse of = with pointwise equality documented")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import tempfile
 import threading
@@ -10,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finmon.cli import (
     BUILTIN_SUITES,
@@ -631,3 +634,66 @@ def test_step_and_next_values_never_crash(entry):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps({"seed": 0, "budget": 50, **entry}))
         assert main(["--config", str(path), "--out", str(Path(tmp) / "out.txt")]) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# hostile JSON in any one leaf
+
+_SMALL = {
+    "seed": 0, "budget": 50,
+    "suites": [{"name": "m", "instance": "maybe", "laws": ["F1", "T4"],
+                "sizes": {"A": 2, "B": 1}, "max_len": 2}],
+    "systems": [{"name": "s", "instance": "simpleprob", "size": 2,
+                 "step": ["{#0: 1/2, #1: 1/2}", "{#1: 1}"], "checks": ["flowLR"],
+                 "n_max": 1}],
+    "sdps": [{"name": "d", "instance": "nondet", "measure": "max", "horizon": 1,
+              "states": 2, "controls": 1, "next": [["[#0, #1]", "[#1]"]],
+              "reward": [[["1/2", 1], [0, "2"]]]}],
+}
+
+# JSON has no infinity: json.dumps writes Infinity, and a cell 1e400 parses as it
+_HOSTILE = (float("inf"), float("-inf"), float("nan"), True, [[1]], "1/0", -1)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        return [leaf for k in keys for leaf in _leaf_paths(node[k], path + (k,))]
+    return [path]
+
+
+def _with_leaf(path, value):
+    """A copy of _SMALL with the leaf at path replaced by value."""
+    cfg = copy.deepcopy(_SMALL)
+    *parents, last = path
+    node = cfg
+    for k in parents:
+        node = node[k]
+    node[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path,value,where", [
+    (("sdps", 0, "reward", 0, 0, 0), float("inf"), "sdps[0].reward"),
+    (("systems", 0, "checks", 0), ["flowLR"], "systems[0].checks"),
+    (("systems", 0, "step", 0), "{#0: 1/0}", "systems[0].step[0]"),
+    (("sdps", 0, "next", 0, 1), "1/0", "sdps[0].next[0][1]"),
+], ids=["infinite-reward", "list-as-check", "zero-weight-denominator", "bare-1/0"])
+def test_hostile_leaves_are_config_errors_at_their_field(tmp_path, capsys, path, value, where):
+    assert main(["--config", write_config(tmp_path, _with_leaf(path, value))]) == 2
+    assert f"configuration error: {where}: " in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(_leaf_paths(_SMALL)), st.sampled_from(_HOSTILE))
+@example(("sdps", 0, "reward", 0, 0, 0), float("inf"))
+@example(("systems", 0, "checks", 0), [[1]])
+@example(("systems", 0, "step", 0), "1/0")
+def test_a_hostile_leaf_never_ends_in_a_traceback(path, value):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(_with_leaf(path, value)))
+        code = main(["--config", str(config), "--out", str(Path(tmp) / "out.txt")])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finmon import laws
 from finmon.instances import (
     INSTANCE_NAMES,
     FunctorInstance,
@@ -269,31 +268,27 @@ def test_reader_map_is_slotwise():
 
 def test_reader_level2_report_is_exhaustive_and_green():
     env = FiniteType("E", 2)
-    rep = reader_pres_ee2_report(env, A2, FiniteType("B", 2))
+    rep = reader_pres_ee2_report(reader_functor(env), {"A": A2, "B": FiniteType("B", 2), "E": env})
     assert rep.passed
     assert rep.law_id == "F3L2"
     assert rep.checked > 0
     assert all(q.mode == "exhaustive" for q in rep.quantifiers)
 
 
-def test_reader_level2_witness_is_the_arrow_and_the_path(monkeypatch):
-    calls = itertools.count()
+def test_reader_level2_witness_is_the_arrow_and_the_path():
+    # the eighth map call (mapR f' at the last reader, first arrow)
+    # answers slot 1 wrongly
+    env = FiniteType("E", 2)
+    good, calls = reader_functor(env), itertools.count()
 
-    def drifting_reader(env):
-        # the eighth map call (mapR g at the last reader, first arrow)
-        # answers slot 1 wrongly
-        good = reader_functor(env)
+    def rmap(fn, r):
+        out = good.map(fn, r)
+        if next(calls) == 7:
+            out = Vec((out.items[0], Atom(1 - out.items[1].index)))
+        return out
 
-        def rmap(fn, r):
-            out = good.map(fn, r)
-            if next(calls) == 7:
-                out = Vec((out.items[0], Atom(1 - out.items[1].index)))
-            return out
-
-        return FunctorInstance("reader", good.carrier_of, rmap)
-
-    monkeypatch.setattr(laws, "reader_functor", drifting_reader)
-    rep = reader_pres_ee2_report(FiniteType("E", 2), A2, FiniteType("B", 2))
+    drifting = FunctorInstance("reader", good.carrier_of, rmap)
+    rep = reader_pres_ee2_report(drifting, {"A": A2, "B": FiniteType("B", 2), "E": env})
     assert not rep.passed and rep.checked == 1
     assert rep.witness == {"f": "<#0, #0>", "path": "[#3, #1]", "lhs": "#0", "rhs": "#1"}
 

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from finmon.instances import INSTANCE_NAMES, get_instance, reader_functor
+from finmon.instances import INSTANCE_NAMES, FunctorInstance, get_instance, reader_functor
 from finmon.laws import (
     ID,
     LAW_IDS,
@@ -24,7 +24,19 @@ from finmon.laws import (
     run_suite,
     suite_checks,
 )
-from finmon.values import DEFAULT_CARRIER_CAP, CarrierTooLarge, FiniteType, Quantifier
+from finmon.values import (
+    DEFAULT_CARRIER_CAP,
+    Atom,
+    Base,
+    CarrierTooLarge,
+    FiniteType,
+    FnOf,
+    Quantifier,
+    Vec,
+    enumerate_carrier,
+    parse_value,
+    render_value,
+)
 
 DOMS2 = {r: FiniteType(r, 2) for r in "ABCD"}
 
@@ -129,8 +141,21 @@ def test_domain_wider_than_the_cap_is_refused():
     # an atom variable is bounded the same way
     with pytest.raises(CarrierTooLarge, match="A.3000000. has 3000000 atoms, cap 1000"):
         _variable(VarSpec("atom", "a", dom="A"), get_instance("identity"), wide, 1000)
-    rep = reader_pres_ee2_report(FiniteType("E", 1), wide["A"], wide["B"], q, cap=1000)
+    e1 = FiniteType("E", 1)
+    rep = reader_pres_ee2_report(reader_functor(e1), dict(wide, E=e1), q, cap=1000)
     assert not rep.passed and rep.checked == 0 and rep.diagnostic is not None
+
+
+def test_level2_refuses_the_readers_before_the_arrows():
+    # both the readers E(1)->A(20) and the arrows' codomain B(20) pass
+    # the cap; the readers are enumerated first, so theirs is the diagnostic
+    doms = {"A": FiniteType("A", 20), "B": FiniteType("B", 20), "E": FiniteType("E", 1)}
+    rep = reader_pres_ee2_report(reader_functor(doms["E"]), doms, Quantifier(budget=10), cap=10)
+    assert not rep.passed and rep.checked == 0
+    assert rep.diagnostic == "carrier too large: Fn[E(1)->A(20)] has 20 values, cap 10"
+    doms["A"] = FiniteType("A", 2)
+    rep = reader_pres_ee2_report(reader_functor(doms["E"]), doms, Quantifier(budget=10), cap=10)
+    assert rep.diagnostic == "carrier too large: B(20) has 20 values, cap 10"
 
 
 def test_sampling_kicks_in_and_caps_evaluations():
@@ -215,6 +240,42 @@ def test_run_suite_reader_explicit_monad_law_is_an_error():
         suite_checks(READER, ("F1", "T1"))
 
 
+def drifting_reader(drifts) -> FunctorInstance:
+    """The reader over E(2) whose n-th map call, on reader r, answers
+    slot 1 wrongly when drifts(n, r)."""
+    good, calls = reader_functor(READER_DOMS["E"]), itertools.count()
+
+    def rmap(fn, r):
+        out = good.map(fn, r)
+        if drifts(next(calls), r):
+            out = Vec((out.items[0], Atom(1 - out.items[1].index)))
+        return out
+
+    return FunctorInstance("reader", good.carrier_of, rmap)
+
+
+def test_reader_level2_refutes_iff_f3_does():
+    # F3 at sizes 2 makes 32 map calls, two per binding, in the order
+    # F3L2 makes them; a drift that follows the reader alone hits both sides
+    q = Quantifier(budget=100_000)
+    readers = enumerate_carrier(FnOf(READER_DOMS["E"], Base(READER_DOMS["A"])))
+    swapped, verdicts = Vec((Atom(1), Atom(0))), []
+    for drifts in (lambda n, r: n == 0, lambda n, r: n == 7, lambda n, r: n == 12,
+                   lambda n, r: n == 31, lambda n, r: n == 32, lambda n, r: r == swapped):
+        f3 = check_law(law_by_id("F3"), drifting_reader(drifts), READER_DOMS, q)
+        level2 = reader_pres_ee2_report(drifting_reader(drifts), READER_DOMS, q)
+        verdicts.append((f3.passed, level2.passed))
+        if f3.passed:
+            continue
+        reader, slot = parse_value(level2.witness["path"]).items
+        assert render_value(readers[reader.index]) == f3.witness["ma"]
+        assert level2.witness["f"] == f3.witness["f"]
+        for side in ("lhs", "rhs"):
+            at_slot = parse_value(f3.witness[side]).items[slot.index]
+            assert render_value(at_slot) == level2.witness[side]
+    assert verdicts == [(False, False)] * 4 + [(True, True)] * 2
+
+
 def test_suite_checks_validation():
     with pytest.raises(ValueError, match="laws: unknown law id 'NOPE'"):
         suite_checks(get_instance("maybe"), ("F1", "NOPE"))
@@ -294,3 +355,24 @@ def test_primed_side_makes_its_own_operation_calls():
         assert primed == unprimed > 0, law_id
         # next to the unprimed side, the primed one hits no cache of it
         assert calls_over_all_bindings(law) == unprimed + primed, law_id
+
+
+# Composition preserves pointwise equality (f ≐ f', g ≐ g' -> g∘f ≐ g'∘f')
+# is law D4 on the identity monad, whose Kleisli composition is function
+# composition.
+
+
+def test_comp_pres_ee_passes_exhaustively():
+    rep = check_law(law_by_id("D4"), get_instance("identity"), DOMS2, Quantifier(budget=1000))
+    assert rep.passed
+    assert rep.checked == 32  # 4 tables each side, 2 points of A
+    assert all(q.mode == "exhaustive" for q in rep.quantifiers)
+
+
+def test_comp_pres_ee_sampled_checks_at_most_budget():
+    # 27 tables on each side: the scan draws 10 joint (f, g, a) bindings
+    a3, b3, c3 = (FiniteType(r, 3) for r in "ABC")
+    rep = check_law(law_by_id("D4"), get_instance("identity"),
+                    {"A": a3, "B": b3, "C": c3}, Quantifier(budget=10))
+    assert rep.passed and rep.checked == 10
+    assert [q.mode for q in rep.quantifiers] == ["sampled"] * 3

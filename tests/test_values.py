@@ -44,7 +44,6 @@ from finmon.values import (
     render_value,
     sub_seed,
     table_fn,
-    table_to_value,
     tabulate,
     weight_tuples,
 )
@@ -206,6 +205,12 @@ def test_parse_rejects_garbage():
             parse_value(text)
 
 
+def test_zero_denominator_is_a_value_error():
+    for text in ["1/0", "-3/00", "{#0: 1/0}", "[#0, {#1: 1/0}]"]:
+        with pytest.raises(ValueError, match=r"zero denominator in '-?\d+/0+'"):
+            parse_value(text)
+
+
 def test_parse_canonicalizes_dist_entry_order():
     assert parse_value("{#1: 1/2, #0: 1/2}") == parse_value("{#0: 1/2, #1: 1/2}")
 
@@ -350,10 +355,18 @@ def test_empty_domain_has_one_table():
 
 def test_table_round_trips_through_vec():
     t = tabulate(A2, Base(A3), lambda a: Atom((a.index + 1) % 3))
-    v = table_to_value(t)
-    assert isinstance(v, Vec)
-    assert v.items == t.entries
     assert render_table(t) == "<#1, #2>"
+    assert parse_value(render_table(t)) == Vec(t.entries)
+
+
+def test_tables_are_extensional_by_construction():
+    # two tables agree at every point iff they are equal, and equal
+    # tables are one object: level-1 pointwise equality is ==
+    tables = list(enumerate_functions(A2, Base(A2)))
+    for f, g in itertools.product(tables, repeat=2):
+        pointwise = all(f.entries[i] == g.entries[i] for i in range(A2.size))
+        assert (f == g) == pointwise == (f is g) == (g == f)
+    assert tabulate(A2, Base(A2), lambda a: a) is tables[1]
 
 
 def test_table_fn_applies():
