@@ -6,48 +6,33 @@ a deterministic part that is byte-identical across runs, and a separate
 timing part that is allowed to vary. Checks run one after another, in
 declaration order, on the calling thread.
 
-Configuration grammar (JSON):
+Configuration grammar (JSON): an object with the fields of the table
+TOP, whose lists "suites", "systems" and "sdps" hold objects with the
+fields of SUITE, SYSTEM and SDP (a suite's "sizes" has those of SIZES);
+configs/ has a worked example of each. A row gives a field's type, its
+default or REQUIRED, and its allowed values. check_fields checks an
+entry against its table and returns it with the defaults filled in: the
+entry's echo in the report. An unknown key, at the top or inside any
+entry, a missing field, a wrong type or a value outside the allowed ones
+exits 2 at the field's path.
 
-    {
-      "seed": 0,               # required, unsigned 64 bit
-      "budget": 100000,        # required, exhaustive cut-off and sample count
-      "carrier_cap": 1000000,  # optional, bounds every enumeration
-      "suites": [
-        {"name": "maybe-all", "instance": "maybe",
-         "laws": ["F1", "T1"],           # optional; omitted = whole view
-         "view": "fat",                   # or "thin"
-         "sizes": {"A": 2, "B": 2, "C": 2, "D": 2},
-         "max_len": 2, "max_support": 2}
-      ],
-      "systems": [
-        {"name": "branch", "instance": "nondet", "size": 3,
-         "step": ["[#0, #1]", "[#1, #2]", "[#2, #0]"],
-         "checks": ["flowLR", "flowMonoid"], "n_max": 3,
-         "max_len": 2, "max_support": 2}
-      ],
-      "sdps": [
-        {"name": "greedy", "instance": "nondet", "measure": "max",
-         "horizon": 2, "states": 3, "controls": 2,
-         "next": [["[#0]", "[#1]", "[#2]"],
-                  ["[#0, #1]", "[#1, #2]", "[#2, #0]"]],
-         "reward": "next-index"}          # or nested [y][x][x1] rationals
-      ]
-    }
-
-n_max bounds the step count of the flow checks and the vector length of
+A suite's "laws" default to its whole view ("fat" or "thin"). n_max
+bounds the step count of the flow checks and the vector length of
 mapLastLemma. carrier_cap bounds every enumeration of the run: suite
 domains, carriers and function-table domains, the carriers of reprLemma
 and mapLastLemma, and each sdp's measureShift gate; a check that reaches
 it fails with checked=0 and the cap diagnostic. A deterministic system
 is a system over instance "identity".
 
-Step and next entries use the canonical value syntax and must be
-values of the instance's carrier over the states: the right shape, with
-every atom below the state count. Lengths and supports are not bounded,
-since flows and binds leave the bounded carrier anyway. A value outside
-the carrier is a configuration error (exit 2), and so are a measure that
-cannot measure the instance's structures, an empty next list under max,
-and max_len or max_support below 1.
+The rules that span fields follow the tables as code. Step and next
+entries use the canonical value syntax and must be values of the
+instance's carrier over the states: the right shape, with every atom
+below the state count. Lengths and supports are not bounded, since flows
+and binds leave the bounded carrier anyway. A value outside the carrier
+is a configuration error (exit 2), and so are a measure that cannot
+measure the instance's structures, an empty next list under max, and a
+next or reward of the wrong shape: reward is "next-index" or a nested
+[controls][states][states] table of rationals.
 
 Each suite, like each system and sdp, is built once at load: its
 instance, its domains and the checks laws.suite_checks chooses. The
@@ -68,13 +53,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .dp import MEASURES, Sdp, check_val_equiv, get_measure
-from .instances import INSTANCE_NAMES, get_instance, reader_functor
+from .instances import INSTANCE_NAMES, MonadInstance, get_instance, reader_functor
 from .laws import Instance, law_catalog, run_suite, suite_checks
 from .reports import LawReport
 from .systems import SYSTEM_CHECKS, MonSys, run_system_check
@@ -108,12 +93,12 @@ class ConfigError(Exception):
 class RunConfig:
     seed: int
     budget: int
-    carrier_cap: int = DEFAULT_CARRIER_CAP
+    carrier_cap: int
     # each suite's instance, checks and domains with its echo; each system
     # with its echo, whose checks and n_max it runs
-    suites: list[tuple[Instance, tuple[str, ...], dict, dict]] = field(default_factory=list)
-    systems: list[tuple[MonSys, dict]] = field(default_factory=list)
-    sdps: list[tuple[Sdp, dict]] = field(default_factory=list)
+    suites: list[tuple[Instance, tuple[str, ...], dict, dict]]
+    systems: list[tuple[MonSys, dict]]
+    sdps: list[tuple[Sdp, dict]]
 
     def echo(self) -> dict:
         """The effective configuration, as it went into the run."""
@@ -127,68 +112,95 @@ class RunConfig:
         }
 
 
-def _need(data: dict, key: str, kind, where: str):
-    if key not in data:
-        raise ConfigError(f"{where}.{key}: required field is missing")
-    v = data[key]
-    if kind is int and isinstance(v, bool) or not isinstance(v, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {type(v).__name__}")
-    return v
+REQUIRED = object()  # the default of a field that every entry must give
+NAT, POSITIVE = range(2**63), range(1, 2**63)  # every count fits 63 bits
+
+# One table per entry kind: field -> (type, default or REQUIRED, allowed),
+# where allowed is None, a range, a tuple of names (of each element, for
+# a list) or the table of a nested object. A field whose default is None
+# is left out when absent.
+SIZES = {role: (int, 2, NAT) for role in "ABCD"} | {"E": (int, None, NAT)}
+_BOUNDS = {"max_len": (int, 2, POSITIVE), "max_support": (int, 2, POSITIVE)}
+SUITE = {
+    "name": (str, REQUIRED, None), "instance": (str, REQUIRED, INSTANCE_NAMES + ("reader",)),
+    "laws": (list, [], None), "view": (str, "fat", None), "sizes": (dict, {}, SIZES), **_BOUNDS,
+}
+SYSTEM = {
+    "name": (str, REQUIRED, None), "instance": (str, REQUIRED, INSTANCE_NAMES),
+    "size": (int, REQUIRED, POSITIVE), "step": (list, REQUIRED, None),
+    "checks": (list, sorted(SYSTEM_CHECKS), tuple(sorted(SYSTEM_CHECKS))),
+    "n_max": (int, 3, NAT), **_BOUNDS,
+}
+SDP = {
+    "name": (str, REQUIRED, None), "instance": (str, REQUIRED, INSTANCE_NAMES),
+    "measure": (str, REQUIRED, tuple(sorted(MEASURES))), "horizon": (int, REQUIRED, NAT),
+    "states": (int, REQUIRED, POSITIVE), "controls": (int, REQUIRED, POSITIVE),
+    "next": (list, REQUIRED, None), "reward": ((str, list), "next-index", None), **_BOUNDS,
+}
+TOP = {
+    "seed": (int, REQUIRED, range(2**64)), "budget": (int, REQUIRED, POSITIVE),
+    "carrier_cap": (int, DEFAULT_CARRIER_CAP, POSITIVE),
+    "suites": (list, [], None), "systems": (list, [], None), "sdps": (list, [], None),
+}
 
 
-def _opt(data: dict, key: str, kind, default, where: str):
-    if key not in data:
-        return default
-    return _need(data, key, kind, where)
+def check_value(path: str, value, row: tuple):
+    """value, checked against its row; a nested object comes back with
+    its defaults filled in. ConfigError led by path otherwise."""
+    kind, _, allowed = row
+    if isinstance(value, bool) or not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
+    if isinstance(allowed, dict):
+        return check_fields(value, allowed, path)
+    if isinstance(allowed, range) and value not in allowed:
+        raise ConfigError(f"{path}: expected an integer from {allowed.start} to {allowed.stop - 1}")
+    if isinstance(allowed, tuple):
+        for v in value if kind is list else (value,):
+            if v not in allowed:  # named for its field, in the singular
+                noun = path.rpartition(".")[2].removesuffix("s")
+                raise ConfigError(f"{path}: unknown {noun} {v!r} (known: {', '.join(allowed)})")
+    return value
 
 
-def _bounds(entry: dict, where: str) -> tuple[int, int]:
-    """max_len and max_support of an entry, both at least 1."""
-    max_len = _opt(entry, "max_len", int, 2, where)
-    max_support = _opt(entry, "max_support", int, 2, where)
-    if max_len < 1 or max_support < 1:
-        raise ConfigError(f"{where}: max_len and max_support must be at least 1")
-    return max_len, max_support
-
-
-def _instance(entry: dict, where: str, known: tuple[str, ...] = INSTANCE_NAMES) -> str:
-    instance = _need(entry, "instance", str, where)
-    if instance not in known:
-        raise ConfigError(
-            f"{where}.instance: unknown instance {instance!r} (known: {', '.join(known)})"
-        )
-    return instance
-
-
-def _parse_suite(entry: dict, i: int) -> tuple[Instance, tuple[str, ...], dict, dict]:
-    where = f"suites[{i}]"
-    if not isinstance(entry, dict):
+def check_fields(data, table: dict, where: str) -> dict:
+    """The entry data checked against its table, with defaults filled in:
+    the entry's echo. A non-object, an unknown key (the first one), a
+    missing field, a wrong type (a bool is never an int) or a value
+    outside the allowed ones raises ConfigError led by where.key."""
+    if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    name = _need(entry, "name", str, where)
-    instance = _instance(entry, where, INSTANCE_NAMES + ("reader",))
-    laws = _opt(entry, "laws", list, [], where)
-    view = _opt(entry, "view", str, "fat", where)
-    sizes_in = _opt(entry, "sizes", dict, {}, where)
-    sizes = {"A": 2, "B": 2, "C": 2, "D": 2}
-    if instance == "reader":
-        sizes["E"] = 2
-    for role, n in sizes_in.items():
-        if role not in ("A", "B", "C", "D", "E"):
-            raise ConfigError(f"{where}.sizes: unknown role {role!r}")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ConfigError(f"{where}.sizes.{role}: expected a non-negative integer")
-        sizes[role] = n
-    max_len, max_support = _bounds(entry, where)
-    inst = (reader_functor(FiniteType("E", sizes["E"])) if instance == "reader"
-            else get_instance(instance, max_len=max_len, max_support=max_support))
+    for key in data:
+        if key not in table:
+            raise ConfigError(f"{where}.{key}: unknown field")
+    out = {}
+    for key, row in table.items():
+        value = data.get(key, row[1])
+        if value is REQUIRED:
+            raise ConfigError(f"{where}.{key}: required field is missing")
+        if key in data or value is not None:
+            out[key] = check_value(f"{where}.{key}", value, row)
+    return out
+
+
+def _monad(echo: dict) -> MonadInstance:
+    return get_instance(echo["instance"], max_len=echo["max_len"],
+                        max_support=echo["max_support"])
+
+
+def _parse_suite(entry, i: int) -> tuple[Instance, tuple[str, ...], dict, dict]:
+    where = f"suites[{i}]"
+    echo = check_fields(entry, SUITE, where)
+    sizes = echo["sizes"]
+    if echo["instance"] == "reader":
+        sizes.setdefault("E", 2)  # the environment, which SIZES leaves out by default
+        inst = reader_functor(FiniteType("E", sizes["E"]))
+    else:
+        inst = _monad(echo)
     try:
-        checks = suite_checks(inst, laws, view)
+        checks = suite_checks(inst, echo["laws"], echo["view"])
     except ValueError as exc:  # led by the field at fault
         raise ConfigError(f"{where}.{exc}")
-    echo = {
-        "name": name, "instance": instance, "laws": laws, "view": view,
-        "sizes": sizes, "max_len": max_len, "max_support": max_support,
-    }
     domains = {role: FiniteType(role, n) for role, n in sizes.items()}
     return inst, checks, domains, echo
 
@@ -215,35 +227,13 @@ def _parse_step_values(
     return tuple(out)
 
 
-def _parse_system(entry: dict, i: int) -> tuple[MonSys, dict]:
+def _parse_system(entry, i: int) -> tuple[MonSys, dict]:
     where = f"systems[{i}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
-    name = _need(entry, "name", str, where)
-    instance = _instance(entry, where)
-    size = _need(entry, "size", int, where)
-    if size < 1:
-        raise ConfigError(f"{where}.size: state space must be non-empty")
-    max_len, max_support = _bounds(entry, where)
-    monad = get_instance(instance, max_len=max_len, max_support=max_support)
-    domain = FiniteType("X", size)
+    echo = check_fields(entry, SYSTEM, where)
+    monad, domain = _monad(echo), FiniteType("X", echo["size"])
     carrier = monad.carrier_of(Base(domain))
-    raw_step = _need(entry, "step", list, where)
-    step = _parse_step_values(raw_step, size, f"{where}.step", carrier)
-    checks = tuple(_opt(entry, "checks", list, sorted(SYSTEM_CHECKS), where))
-    for c in checks:
-        if not isinstance(c, str) or c not in SYSTEM_CHECKS:
-            raise ConfigError(
-                f"{where}.checks: unknown check {c!r} (known: {', '.join(sorted(SYSTEM_CHECKS))})"
-            )
-    n_max = _opt(entry, "n_max", int, 3, where)
-    if n_max < 0:
-        raise ConfigError(f"{where}.n_max: must be non-negative")
-    echo = {
-        "name": name, "instance": instance, "size": size, "step": tuple(raw_step),
-        "checks": checks, "n_max": n_max, "max_len": max_len, "max_support": max_support,
-    }
-    return MonSys(name, monad, domain, FnTable(domain, carrier, step)), echo
+    step = _parse_step_values(echo["step"], domain.size, f"{where}.step", carrier)
+    return MonSys(echo["name"], monad, domain, FnTable(domain, carrier, step)), echo
 
 
 def _reward_cell(cell) -> int | Fraction:
@@ -252,43 +242,28 @@ def _reward_cell(cell) -> int | Fraction:
     return r.numerator if r.denominator == 1 else r
 
 
-def _parse_sdp(entry: dict, i: int) -> tuple[Sdp, dict]:
+def _parse_sdp(entry, i: int) -> tuple[Sdp, dict]:
     where = f"sdps[{i}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: expected an object")
-    name = _need(entry, "name", str, where)
-    instance = _instance(entry, where)
-    measure = _need(entry, "measure", str, where)
-    if measure not in MEASURES:
-        raise ConfigError(
-            f"{where}.measure: unknown measure {measure!r} "
-            f"(known: {', '.join(sorted(MEASURES))})"
-        )
+    echo = check_fields(entry, SDP, where)
+    instance, measure = echo["instance"], echo["measure"]
+    states, controls = echo["states"], echo["controls"]
     if instance not in MEASURES[measure].instances:
         raise ConfigError(f"{where}.measure: {measure!r} cannot measure {instance} structures")
-    horizon = _need(entry, "horizon", int, where)
-    states = _need(entry, "states", int, where)
-    controls = _need(entry, "controls", int, where)
-    if horizon < 0 or states < 1 or controls < 1:
-        raise ConfigError(f"{where}: horizon must be >= 0, states and controls >= 1")
-    raw_next = _need(entry, "next", list, where)
-    if len(raw_next) != controls:
+    if len(echo["next"]) != controls:
         raise ConfigError(
-            f"{where}.next: expected one row per control ({controls}), got {len(raw_next)}"
+            f"{where}.next: expected one row per control ({controls}), got {len(echo['next'])}"
         )
-    max_len, max_support = _bounds(entry, where)
-    monad = get_instance(instance, max_len=max_len, max_support=max_support)
-    state_type = FiniteType("X", states)
+    monad, state_type = _monad(echo), FiniteType("X", states)
     carrier = monad.carrier_of(Base(state_type))
     next_vals = tuple(
         _parse_step_values(row, states, f"{where}.next[{y}]", carrier)
-        for y, row in enumerate(raw_next)
+        for y, row in enumerate(echo["next"])
     )
     for y, row in enumerate(next_vals):
         for x, value in enumerate(row):
             if measure == "max" and value == Seq(()):
                 raise ConfigError(f"{where}.next[{y}][{x}]: the max measure is undefined on []")
-    reward = entry.get("reward", "next-index")
+    reward = echo["reward"]
     if reward == "next-index":  # the index of the state a transition reaches
         table = ((tuple(range(states)),) * states,) * controls
     elif isinstance(reward, list):
@@ -304,46 +279,25 @@ def _parse_sdp(entry: dict, i: int) -> tuple[Sdp, dict]:
             for plane in table
         ):
             raise ConfigError(f"{where}.reward: expected shape [controls][states][states]")
-        reward = [[[str(r) for r in row] for row in plane] for plane in table]
+        echo["reward"] = [[[str(r) for r in row] for row in plane] for plane in table]
     else:
         raise ConfigError(
             f"{where}.reward: expected 'next-index' or a nested table, got {reward!r}"
         )
-    echo = {
-        "name": name, "instance": instance, "measure": measure, "horizon": horizon,
-        "states": states, "controls": controls, "next": tuple(map(tuple, raw_next)),
-        "reward": reward,
-        "max_len": max_len, "max_support": max_support,
-    }
-    sdp = Sdp(name, horizon, state_type, FiniteType("Y", controls), monad,
+    sdp = Sdp(echo["name"], echo["horizon"], state_type, FiniteType("Y", controls), monad,
               get_measure(measure), lambda t, x, y: next_vals[y.index][x.index],
               lambda t, x, y, x1: table[y.index][x.index][x1.index])
     return sdp, echo
 
 
-def parse_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected a JSON object at the top level")
-    seed = _need(data, "seed", int, "config")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("config.seed: expected an unsigned 64 bit integer")
-    budget = _need(data, "budget", int, "config")
-    if budget < 1:
-        raise ConfigError("config.budget: must be at least 1")
-    carrier_cap = _opt(data, "carrier_cap", int, DEFAULT_CARRIER_CAP, "config")
-    if carrier_cap < 1:
-        raise ConfigError("config.carrier_cap: must be at least 1")
-    known = {"seed", "budget", "carrier_cap", "suites", "systems", "sdps"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"config.{key}: unknown field")
-    cfg = RunConfig(seed=seed, budget=budget, carrier_cap=carrier_cap)
-    for i, entry in enumerate(_opt(data, "suites", list, [], "config")):
-        cfg.suites.append(_parse_suite(entry, i))
-    for i, entry in enumerate(_opt(data, "systems", list, [], "config")):
-        cfg.systems.append(_parse_system(entry, i))
-    for i, entry in enumerate(_opt(data, "sdps", list, [], "config")):
-        cfg.sdps.append(_parse_sdp(entry, i))
+def parse_config(data) -> RunConfig:
+    top = check_fields(data, TOP, "config")
+    cfg = RunConfig(
+        top["seed"], top["budget"], top["carrier_cap"],
+        [_parse_suite(entry, i) for i, entry in enumerate(top["suites"])],
+        [_parse_system(entry, i) for i, entry in enumerate(top["systems"])],
+        [_parse_sdp(entry, i) for i, entry in enumerate(top["sdps"])],
+    )
     if not (cfg.suites or cfg.systems or cfg.sdps):
         raise ConfigError("config: nothing to run (no suites, systems or sdps)")
     return cfg
@@ -356,7 +310,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config: cannot read {path}: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"config: invalid JSON in {path}: {exc}")
     return parse_config(data)
 
@@ -571,13 +525,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             raise ConfigError("config: pass --config, --suite or --list")
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed: expected an unsigned 64 bit integer")
-            cfg.seed = args.seed
+            cfg.seed = check_value("--seed", args.seed, TOP["seed"])
         if args.budget is not None:
-            if args.budget < 1:
-                raise ConfigError("--budget: must be at least 1")
-            cfg.budget = args.budget
+            cfg.budget = check_value("--budget", args.budget, TOP["budget"])
         if args.jobs < 1:
             raise ConfigError("--jobs: must be at least 1")
         return run(cfg, fmt=args.format, out_path=args.out)

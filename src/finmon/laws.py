@@ -39,10 +39,12 @@ place of the bound variable and every table. A subterm that applies no
 map, join or bind is never cached. Subterms holding a primed leaf get
 caches of their own, so the primed side makes its own operation calls.
 
-Two suite views exist. The "fat" view checks all 25 laws: bind and
-Kleisli composition are independent operations, so their relation to
-join/map (BJ, KJ) and to the bind-derived forms (E1-E3) are laws too.
-The "thin" view derives them from join/map and skips those five checks.
+Two suite views exist. The "fat" view checks all 25 laws, with bind
+and Kleisli composition's relation to join/map (BJ, KJ) and the
+bind-derived forms (E1-E3). Bind is an operation of its own, but >> is
+defined as join ∘ map g ∘ f, so KJ's two terms are identical and KJ
+holds by construction. The "thin" view derives bind and Kleisli
+composition from join/map and skips those five checks.
 """
 
 from __future__ import annotations
@@ -306,9 +308,9 @@ def law_catalog() -> tuple[Law, ...]:
     )
 
 
-LAW_IDS = tuple(law.id for law in law_catalog())
-
 _CATALOG_BY_ID = {law.id: law for law in law_catalog()}
+
+LAW_IDS = tuple(_CATALOG_BY_ID)
 
 
 def law_by_id(law_id: str) -> Law:

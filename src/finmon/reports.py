@@ -32,6 +32,7 @@ from .values import (
     relabeling,
     render_table,
     render_value,
+    shown_count,
     sub_seed,
 )
 
@@ -76,7 +77,8 @@ class LawReport:
             "law": self.law_id,
             "instance": self.instance,
             "sizes": dict(sorted(self.sizes.items())),
-            "quantifiers": [dataclasses.asdict(s) for s in self.quantifiers],
+            "quantifiers": [{**dataclasses.asdict(s), "size": shown_count(s.size)}
+                            for s in self.quantifiers],
             "pass": self.passed,
             "checked": self.checked,
         }

@@ -60,7 +60,7 @@ __all__ = [
     "WEIGHT_GRID", "weight_tuples",
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size", "relabeling",
-    "enumerate_functions",
+    "enumerate_functions", "shown_count",
     "tabulate", "table_fn",
     "render_value", "render_table", "parse_value",
     "DEFAULT_CARRIER_CAP",
@@ -398,8 +398,8 @@ def carrier_size(c: CarrierDesc) -> int:
     if isinstance(c, MaybeOf):
         return 1 + carrier_size(c.inner)
     if isinstance(c, SeqOf):
-        n = carrier_size(c.inner)
-        return sum(n ** k for k in range(c.max_len + 1))
+        n = carrier_size(c.inner)  # the sum of n ** k for k <= max_len, with one pow
+        return c.max_len + 1 if n == 1 else (n ** (c.max_len + 1) - 1) // (n - 1)
     if isinstance(c, DistOf):
         n = carrier_size(c.inner)
         total = 0
@@ -411,12 +411,21 @@ def carrier_size(c: CarrierDesc) -> int:
     raise TypeError(f"not a carrier descriptor: {c!r}")
 
 
+def shown_count(n: int) -> int | str:
+    """n itself below 2^128; past it "2^k", or "more than 2^k" with k =
+    floor(log2 n), so that no huge count is ever converted to text."""
+    k = n.bit_length() - 1
+    if k < 128:
+        return n
+    return f"2^{k}" if n.bit_count() == 1 else f"more than 2^{k}"
+
+
 @lru_cache(maxsize=None)
 def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
     size = carrier_size(c)
     if size > cap:
         raise CarrierTooLarge(
-            f"carrier too large: {render_carrier(c)} has {size} values, cap {cap}"
+            f"carrier too large: {render_carrier(c)} has {shown_count(size)} values, cap {cap}"
         )
     if isinstance(c, Base):
         return enumerate_domain(c.domain)

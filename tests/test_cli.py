@@ -17,6 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from finmon.cli import (
     BUILTIN_SUITES,
+    SDP,
+    SIZES,
+    SUITE,
+    SYSTEM,
+    TOP,
     ConfigError,
     list_catalog,
     load_config,
@@ -697,3 +702,131 @@ def test_a_hostile_leaf_never_ends_in_a_traceback(path, value):
         code = main(["--config", str(config), "--out", str(Path(tmp) / "out.txt")])
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
 
+
+
+# ---------------------------------------------------------------------------
+# one field table per entry kind
+
+# a valid config that gives every field of every table
+_EVERY_FIELD = {
+    "seed": 0, "budget": 50, "carrier_cap": 1000,
+    "suites": [{"name": "r", "instance": "reader", "laws": ["F1"], "view": "fat",
+                "sizes": {"A": 2, "B": 2, "C": 2, "D": 2, "E": 2},
+                "max_len": 2, "max_support": 2}],
+    "systems": [{"name": "s", "instance": "maybe", "size": 2, "step": ["some #1", "none"],
+                 "checks": ["flowLR"], "n_max": 1, "max_len": 2, "max_support": 2}],
+    "sdps": [{"name": "d", "instance": "nondet", "measure": "max", "horizon": 1,
+              "states": 2, "controls": 1, "next": [["[#0, #1]", "[#1]"]],
+              "reward": "next-index", "max_len": 2, "max_support": 2}],
+}
+_TABLES = {  # the path of each entry in _EVERY_FIELD, with its table
+    "config": ((), TOP),
+    "suites[0]": (("suites", 0), SUITE),
+    "suites[0].sizes": (("suites", 0, "sizes"), SIZES),
+    "systems[0]": (("systems", 0), SYSTEM),
+    "sdps[0]": (("sdps", 0), SDP),
+}
+# JSON values of every type: each row is given all those not of its type
+_ANY_TYPE = (True, 1, 2.5, "x", [], {}, None)
+
+
+def _entry(cfg, keys):
+    for k in keys:
+        cfg = cfg[k]
+    return cfg
+
+
+def _exits_2_at(tmp_path, capsys, cfg, path):
+    assert main(["--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: ") and "Traceback" not in err
+
+
+def test_the_every_field_config_gives_every_row_and_runs(tmp_path):
+    for keys, table in _TABLES.values():
+        assert list(_entry(_EVERY_FIELD, keys)) == list(table)
+    assert main(["--config", write_config(tmp_path, _EVERY_FIELD)]) == 0
+
+
+@pytest.mark.parametrize("where,key", [
+    (where, key) for where, (_, table) in _TABLES.items() for key in table
+])
+def test_every_table_row_rejects_a_bad_field_at_its_path(tmp_path, capsys, where, key):
+    keys, table = _TABLES[where]
+    kind, _, allowed = table[key]
+
+    def with_field(name, value):
+        cfg = copy.deepcopy(_EVERY_FIELD)
+        entry = _entry(cfg, keys)
+        entry.pop(key)
+        entry[name] = value
+        return cfg
+
+    # an unknown sibling: the row's key misspelt
+    value = _entry(_EVERY_FIELD, keys)[key]
+    _exits_2_at(tmp_path, capsys, with_field(key + "_", value), f"{where}.{key}_")
+    wrong = [v for v in _ANY_TYPE if isinstance(v, bool) or not isinstance(v, kind)]
+    assert True in wrong
+    for value in wrong:
+        _exits_2_at(tmp_path, capsys, with_field(key, value), f"{where}.{key}")
+    if isinstance(allowed, range):
+        outside = [allowed.start - 1, allowed.stop]
+    elif isinstance(allowed, tuple):
+        outside = [["nope"] if kind is list else "nope"]
+    else:
+        outside = []
+    for value in outside:
+        _exits_2_at(tmp_path, capsys, with_field(key, value), f"{where}.{key}")
+
+
+def test_misspelt_keys_inside_entries_are_config_errors(tmp_path, capsys):
+    """Misspelt keys inside a suite or system used to be ignored: the
+    whole view and every system check ran, and the run exited 0."""
+    cfg = {"seed": 0, "budget": 1000,
+           "suites": [{"name": "m", "instance": "maybe", "lawz": ["F1"], "max_lne": 3}],
+           "systems": [{"name": "s", "instance": "maybe", "size": 2,
+                        "step": ["some #1", "none"], "checkz": ["flowLR"], "n_mx": 2}]}
+    _exits_2_at(tmp_path, capsys, cfg, "suites[0].lawz")
+    cfg["suites"] = []
+    _exits_2_at(tmp_path, capsys, cfg, "systems[0].checkz")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "-1"), ("--seed", str(2**64)), ("--budget", "0"),
+])
+def test_flag_overrides_are_checked_by_the_top_rows(tmp_path, capsys, flag, value):
+    assert main(["--config", write_config(tmp_path, GOOD), flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {flag}: ")
+
+
+def test_an_int_past_the_digit_limit_is_invalid_json(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text('{"seed": ' + "9" * 5000 + ', "budget": 1}')
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(p)
+
+
+# ---------------------------------------------------------------------------
+# counts past the int-to-str digit limit
+
+
+@pytest.mark.parametrize("suite,line", [
+    ({"instance": "nondet", "laws": ["F1"], "max_len": 14_500},
+     "    diagnostic: carrier too large: Seq[A(2);maxLen=14500] has more than 2^14500 "
+     "values, cap 1000000"),
+    ({"instance": "nondet", "laws": ["F1"], "max_len": 10**6},
+     "    diagnostic: carrier too large: Seq[A(2);maxLen=1000000] has more than "
+     "2^1000000 values, cap 1000000"),
+    ({"instance": "identity", "laws": ["F2"], "sizes": {"A": 20_000, "B": 2, "C": 2}},
+     "    forall f in A->B(2) (size 2^20000, sampled, visiting 5)"),
+], ids=["max-len-14500", "max-len-10e6", "fn-space-2^20000"])
+def test_huge_counts_run_to_a_report(tmp_path, capsys, suite, line):
+    cfg = {"seed": 0, "budget": 5, "suites": [{"name": "h", **suite}]}
+    t0 = time.perf_counter()
+    assert main(["--config", write_config(tmp_path, cfg)]) in (0, 1)
+    out = tmp_path / "out.json"
+    assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--out", str(out)]) in (0, 1)
+    assert time.perf_counter() - t0 < 10
+    assert line in capsys.readouterr().out.splitlines()
+    assert json.loads(out.read_text())["deterministic"]["results"]

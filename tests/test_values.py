@@ -42,6 +42,7 @@ from finmon.values import (
     render_carrier,
     render_table,
     render_value,
+    shown_count,
     sub_seed,
     table_fn,
     tabulate,
@@ -93,6 +94,21 @@ def test_closed_form_carrier_sizes():
     assert carrier_size(DistOf(Base(A2), 2)) == 7
     assert carrier_size(SeqOf(Base(A2), 2)) == 7
     assert carrier_size(FnOf(A2, SeqOf(Base(A2), 2))) == 49
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_seq_carrier_size_is_the_geometric_sum(n):
+    for max_len in range(6):
+        desc = SeqOf(Base(FiniteType("A", n)), max_len)
+        assert carrier_size(desc) == sum(n ** k for k in range(max_len + 1))
+
+
+def test_huge_counts_are_shown_without_converting_them_to_text():
+    assert carrier_size(SeqOf(Base(A2), 10**6)) == 2 ** (10**6 + 1) - 1
+    assert shown_count(0) == 0 and shown_count(2**128 - 1) == 2**128 - 1
+    assert shown_count(2**128) == "2^128"
+    assert shown_count(2**20000) == "2^20000"
+    assert shown_count(2 ** (10**6 + 1) - 1) == "more than 2^1000000"
 
 
 def test_seq_enumeration_order_frozen():
