@@ -73,7 +73,7 @@ class Measure:
 def _expected(mv: Value) -> Fraction:
     if not isinstance(mv, Dist):
         raise TypeError(f"expected-value measure needs a distribution, got {mv!r}")
-    return sum((w * r for r, w in mv.entries), Fraction(0))
+    return Fraction(sum(n * r for r, n in zip(mv.support, mv.nums)), mv.den)
 
 
 def _maximum(mv: Value) -> Reward:

@@ -4,8 +4,8 @@ Each instance packages pure, map, join and bind over the closed value
 universe, plus a carrier constructor so the law suite can
 enumerate M A, M (M A) and deeper nestings. Distributions are put in
 canonical form as they are built, so an instance carries no canonicalizer
-of its own: map goes through mk_dist, bind (and join, bind with the
-identity) through dist_of_terms. Four lawful instances are registered
+of its own: map, bind and join (bind with the identity) hand integer
+numerators over one denominator to dist_of_terms. Four lawful instances are registered
 (identity, maybe, nondet, simpleprob) together with two deliberately
 broken ones used to prove the harness can refute:
 
@@ -26,6 +26,7 @@ laws.reader_pres_ee2_report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,9 +43,8 @@ from .values import (
     SeqOf,
     Value,
     Vec,
-    WEIGHT_GRID,
     dist_of_terms,
-    mk_dist,
+    mk_dist,  # noqa: F401  perfbench/tracer.py wraps instances.mk_dist
 )
 
 __all__ = [
@@ -163,21 +163,22 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
     is the broken canonical form used by mutant-b."""
 
     def pmap(fn: MapFn, mv: Value) -> Value:
-        return mk_dist(((fn(x), w) for x, w in mv.entries), merge=merge)
+        return dist_of_terms(list(zip(map(fn, mv.support), mv.nums)), mv.den, merge)
 
     def pbind(mv: Value, fn: MapFn) -> Value:
-        terms: list[tuple[Value, int, int]] = []
-        for x, w in mv.entries:
-            wn, wd = w.as_integer_ratio()
-            for y, p in fn(x).entries:
-                pn, pd = p.as_integer_ratio()
-                terms.append((y, wn * pn, wd * pd))
-        return dist_of_terms(terms, merge)
+        inner = [fn(x) for x in mv.support]
+        dens = {d.den for d in inner}
+        den = dens.pop() if len(dens) == 1 else math.lcm(*dens)
+        terms: list[tuple[Value, int]] = []
+        for w, d in zip(mv.nums, inner):
+            w *= den // d.den
+            terms.extend([(y, w * p) for y, p in zip(d.support, d.nums)])
+        return dist_of_terms(terms, mv.den * den, merge)
 
     return MonadInstance(
         name=name,
         carrier_of=lambda c: DistOf(c, max_support),
-        pure=lambda v: Dist(((v, WEIGHT_GRID[0]),)),  # the interned weight 1
+        pure=lambda v: Dist((v,), (1,), 1),
         map=pmap,
         join=lambda mmv: pbind(mmv, lambda d: d),
         bind=pbind,

@@ -8,10 +8,12 @@ extensional function tables over enumerated domains.
 
 Functions are tables, not code. That single choice makes pointwise
 function equality decidable: two tables agree everywhere iff their entry
-tuples are equal. Distributions carry exact rationals (fractions.Fraction)
-so every equality check is a decision, never a tolerance. One integer
-core, dist_of_terms, builds them over a common denominator and interns
-their weights, so equal weights are one shared object.
+tuples are equal. Distributions carry exact rationals in integer form,
+so every equality check is a decision, never a tolerance: a support
+tuple, positive integer numerators and one denominator, reduced so that
+equal distributions have one representation. One integer core,
+dist_of_terms, builds them; Fractions appear only at the edges
+(rendering, parsing, the expected measure and the read-only entries).
 
 Canonical textual rendering (the bit-exact witness format used in
 reports, and the syntax accepted by parse_value):
@@ -34,8 +36,9 @@ Value identity is one scheme. Atoms and tables are hash-consed (Filliâtre
 and Conchon, 2006): equal ones are one object, so equality and hash are
 identity and memo lookups on them run in C; an atom holds its
 canonical_key. Opt, Seq, Dist and Vec hash once, on first use, into a
-slot that equality and repr ignore; a Dist hashes and canonical_key
-sorts its weights by integers, never running Fraction arithmetic.
+slot that equality and repr ignore; a Dist compares and hashes flat int
+tuples, and canonical_key orders its weights by integers, never running
+Fraction arithmetic except on a tie.
 """
 
 from __future__ import annotations
@@ -164,16 +167,22 @@ class Seq:
 @_cached_identity
 @dataclass(frozen=True, slots=True)
 class Dist:
-    """Finite distribution. Canonical form: entries sorted by canonical
-    value order, no duplicate values, strictly positive weights summing
-    to exactly 1. Built or enumerated weights are interned Fractions."""
+    """Finite distribution in integer form: support[i] has weight
+    nums[i] / den. Canonical form: support sorted by canonical value
+    order, no duplicate values, numerators positive and summing to den,
+    gcd(den, *nums) == 1. Enumerated values share nums with the grid."""
 
-    entries: tuple[tuple["Value", Fraction], ...]
+    support: tuple["Value", ...]
+    nums: tuple[int, ...]
+    den: int
     _hash: int | None = _hash_slot()
 
-    def __hash__(self):
-        # over integer pairs: Fraction.__hash__ takes a modular inverse
-        return hash(tuple([(x, w.as_integer_ratio()) for x, w in self.entries]))
+    @property
+    def entries(self) -> tuple[tuple["Value", Fraction], ...]:
+        """(value, weight) pairs with interned Fraction weights, built
+        on each read: for rendering, tests and scripts."""
+        den = self.den
+        return tuple([(x, _WEIGHTS[n, den]) for x, n in zip(self.support, self.nums)])
 
 
 @_cached_identity
@@ -189,9 +198,9 @@ Value = Union[Atom, Opt, Seq, Dist, Vec, int, Fraction]
 def canonical_key(v: Value):
     """Total-order sort key. Shorter sequences sort before longer ones,
     then lexicographically; dist entries compare as (value, weight) pairs,
-    each weight keyed by floor(weight * 2**64) before itself: the floor is
-    monotone, so the order is the Fractions' own and a tie falls back to
-    them."""
+    each weight n / den keyed by (n << 64) // den before its interned
+    Fraction: the floor is monotone, so the order is the Fractions' own,
+    and only a tie compares them."""
     t = type(v)
     if t is Atom:
         return v.key
@@ -205,11 +214,10 @@ def canonical_key(v: Value):
         return (3, len(v.items),
                 tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
     if t is Dist:
-        key = []
-        for x, w in v.entries:
-            n, d = w.as_integer_ratio()
-            key.append((canonical_key(x), (n << 64) // d, w))
-        return (4, len(key), tuple(key))
+        den = v.den
+        return (4, len(v.nums), tuple([
+            (x.key if type(x) is Atom else canonical_key(x), (n << 64) // den, _WEIGHTS[n, den])
+            for x, n in zip(v.support, v.nums)]))
     if t is Vec:
         return (5, len(v.items),
                 tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
@@ -228,37 +236,39 @@ class _Weights(dict):
 _WEIGHTS = _Weights()
 
 
-def dist_of_terms(terms: list[tuple[Value, int, int]], merge: bool = True) -> Dist:
-    """The canonical Dist of terms (value, numerator, denominator > 0) over
-    one common denominator: numerators positive and summing to it, equal
-    values merged (merge=False is mutant-b's hook), sorted once, interned."""
-    dens = {d for _, _, d in terms}
-    den = dens.pop() if len(dens) == 1 else math.lcm(*dens)
-    scaled = []
-    total = 0
-    for v, n, d in terms:
-        if n <= 0:
-            raise ValueError(f"distribution weight must be positive, got {Fraction(n, d)}")
-        n *= den // d
-        total += n
-        scaled.append((v, n))
-    if total != den:
-        raise ValueError(f"distribution weights must sum to 1, got {Fraction(total, den)}")
+def dist_of_terms(terms: list[tuple[Value, int]], den: int, merge: bool = True) -> Dist:
+    """The canonical Dist of terms (value, numerator) over the common
+    denominator den > 0: numerators summing to den and, once equal values
+    are merged (merge=False is mutant-b's hook), positive; sorted once and
+    reduced by gcd(den, *nums)."""
     if merge:
         acc: dict[Value, int] = {}
-        for v, n in scaled:
+        for v, n in terms:
             acc[v] = acc.get(v, 0) + n
-        scaled = acc.items()
-    if len(scaled) > 1:
-        scaled = sorted(scaled, key=lambda e: canonical_key(e[0]))
-    return Dist(tuple([(v, _WEIGHTS[n, den]) for v, n in scaled]))
+        support = tuple(sorted(acc, key=canonical_key) if len(acc) > 1 else acc)
+        nums = tuple([acc[v] for v in support])
+    else:  # a stable sort: duplicates keep the order they came in
+        support, nums = tuple(zip(*sorted(terms, key=lambda e: canonical_key(e[0])))) or ((), ())
+    if sum(nums) != den:
+        raise ValueError(f"distribution weights must sum to 1, got {Fraction(sum(nums), den)}")
+    if min(nums) <= 0:
+        raise ValueError(f"distribution weight must be positive, got {Fraction(min(nums), den)}")
+    g = math.gcd(den, *nums)
+    return Dist(support, nums, den) if g == 1 else Dist(
+        support, tuple([n // g for n in nums]), den // g)
 
 
 def mk_dist(pairs, merge: bool = True) -> Dist:
     """The canonical Dist of (value, weight) pairs: weights that are not
-    Fractions are converted, then dist_of_terms validates and sorts."""
+    Fractions are converted and each must be positive, then
+    dist_of_terms sums, merges and sorts them over their lcm."""
     pairs = [(v, w if type(w) is Fraction else Fraction(w)) for v, w in pairs]
-    return dist_of_terms([(v, *w.as_integer_ratio()) for v, w in pairs], merge)
+    for _, w in pairs:
+        if w <= 0:
+            raise ValueError(f"distribution weight must be positive, got {w}")
+    den = math.lcm(*[w.denominator for _, w in pairs])
+    return dist_of_terms([(v, w.numerator * (den // w.denominator)) for v, w in pairs],
+                         den, merge)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +353,7 @@ def check_member(v: Value, c: CarrierDesc) -> None:
             return
     elif isinstance(c, DistOf):
         if type(v) is Dist:
-            for x, _ in v.entries:
+            for x in v.support:
                 check_member(x, c.inner)
             return
     elif isinstance(c, FnOf):
@@ -358,7 +368,7 @@ def check_member(v: Value, c: CarrierDesc) -> None:
 # the weight grid
 
 # Exactly the configured grid: every enumerated distribution draws its
-# weights from here, in tuples summing to exactly 1; interned, like built ones.
+# weights from here, in tuples summing to exactly 1.
 WEIGHT_GRID: tuple[Fraction, ...] = tuple(
     _WEIGHTS[w] for w in ((1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4))
 )
@@ -371,6 +381,14 @@ def weight_tuples(k: int) -> tuple[tuple[Fraction, ...], ...]:
     if k < 1 or k * min(WEIGHT_GRID) > 1:
         return ()
     return tuple(c for c in itertools.product(WEIGHT_GRID, repeat=k) if sum(c) == 1)
+
+
+@lru_cache(maxsize=None)
+def _grid_terms(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """weight_tuples(k) in integer form: one reduced (nums, den) per tuple,
+    shared by every value that enumerate_carrier builds with it."""
+    dens = [math.lcm(*[w.denominator for w in t]) for t in weight_tuples(k)]
+    return tuple((tuple([int(w * d) for w in t]), d) for t, d in zip(weight_tuples(k), dens))
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +408,34 @@ def refuse_wide(d: FiniteType, cap: int) -> FiniteType:
     return d
 
 
-def carrier_size(c: CarrierDesc) -> int:
+_EXACT_BITS = 1 << 20  # counts below 2^(2^20) are exact: a pow that size takes about 0.1 s
+
+
+def carrier_size(c: CarrierDesc, bits: int | None = None) -> int:
     """Closed-form count of enumerate_carrier output (documented per
-    constructor; the test suite pins these against direct counting)."""
+    constructor; the test suite pins these against direct counting).
+    Given bits, a count of more than bits + 1 bits may come back as a
+    smaller count past 2^bits, bounded by bit length before any pow."""
     if isinstance(c, Base):
         return c.domain.size
     if isinstance(c, MaybeOf):
-        return 1 + carrier_size(c.inner)
-    if isinstance(c, SeqOf):
-        n = carrier_size(c.inner)  # the sum of n ** k for k <= max_len, with one pow
-        return c.max_len + 1 if n == 1 else (n ** (c.max_len + 1) - 1) // (n - 1)
-    if isinstance(c, DistOf):
-        n = carrier_size(c.inner)
-        total = 0
-        for k in range(1, min(c.max_support, n) + 1):
-            total += math.comb(n, k) * len(weight_tuples(k))
-        return total
-    if isinstance(c, FnOf):
-        return carrier_size(c.codomain) ** c.domain.size
-    raise TypeError(f"not a carrier descriptor: {c!r}")
+        size = 1 + carrier_size(c.inner, bits)
+    elif isinstance(c, (SeqOf, FnOf)):
+        n, k = ((carrier_size(c.inner, bits), c.max_len) if isinstance(c, SeqOf)
+                else (carrier_size(c.codomain, bits), c.domain.size))
+        if bits is not None and k * (n.bit_length() - 1) > bits:  # n ** k >= 2^(bits + 1)
+            return (1 << bits) + 1
+        if isinstance(c, FnOf):
+            size = n ** k
+        else:  # the sum of n ** j for j <= max_len, with one pow
+            size = k + 1 if n == 1 else (n ** (k + 1) - 1) // (n - 1)
+    elif isinstance(c, DistOf):
+        n = carrier_size(c.inner, bits)
+        size = sum(math.comb(n, k) * len(weight_tuples(k))  # no grid tuple is longer than 4
+                   for k in range(1, min(c.max_support, n, 4) + 1))
+    else:
+        raise TypeError(f"not a carrier descriptor: {c!r}")
+    return size if bits is None or size.bit_length() <= bits + 1 else (1 << bits) + 1
 
 
 def shown_count(n: int) -> int | str:
@@ -422,7 +449,7 @@ def shown_count(n: int) -> int | str:
 
 @lru_cache(maxsize=None)
 def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
-    size = carrier_size(c)
+    size = carrier_size(c, _EXACT_BITS)
     if size > cap:
         raise CarrierTooLarge(
             f"carrier too large: {render_carrier(c)} has {shown_count(size)} values, cap {cap}"
@@ -439,10 +466,10 @@ def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
         return tuple(Seq(combo) for k in range(c.max_len + 1)
                      for combo in itertools.product(inner, repeat=k))
     if isinstance(c, DistOf):
-        return tuple(Dist(tuple(zip(support, wt)))
-                     for k in range(1, min(c.max_support, len(inner)) + 1)
+        return tuple(Dist(support, nums, den)
+                     for k in range(1, min(c.max_support, len(inner), 4) + 1)
                      for support in itertools.combinations(inner, k)
-                     for wt in weight_tuples(k))
+                     for nums, den in _grid_terms(k))
     raise TypeError(f"not a carrier descriptor: {c!r}")
 
 

@@ -819,7 +819,13 @@ def test_an_int_past_the_digit_limit_is_invalid_json(tmp_path):
      "2^1000000 values, cap 1000000"),
     ({"instance": "identity", "laws": ["F2"], "sizes": {"A": 20_000, "B": 2, "C": 2}},
      "    forall f in A->B(2) (size 2^20000, sampled, visiting 5)"),
-], ids=["max-len-14500", "max-len-10e6", "fn-space-2^20000"])
+    ({"instance": "nondet", "laws": ["T3"], "max_len": 3000},
+     "    diagnostic: carrier too large: Seq[Seq[Seq[A(2);maxLen=3000];maxLen=3000];"
+     "maxLen=3000] has more than 2^1048576 values, cap 1000000"),
+    ({"instance": "nondet", "laws": ["T3"], "max_len": 14_500},
+     "    diagnostic: carrier too large: Seq[Seq[Seq[A(2);maxLen=14500];maxLen=14500];"
+     "maxLen=14500] has more than 2^1048576 values, cap 1000000"),
+], ids=["max-len-14500", "max-len-10e6", "fn-space-2^20000", "nested-3000", "nested-14500"])
 def test_huge_counts_run_to_a_report(tmp_path, capsys, suite, line):
     cfg = {"seed": 0, "budget": 5, "suites": [{"name": "h", **suite}]}
     t0 = time.perf_counter()

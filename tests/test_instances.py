@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from finmon.values import (
     Atom,
     Base,
     CarrierOverflow,
-    Dist,
     DistOf,
     FiniteType,
     MaybeOf,
@@ -41,6 +41,8 @@ from finmon.values import (
     parse_value,
     render_value,
 )
+
+from dist_helpers import dist_of_entries
 
 A2 = FiniteType("A", 2)
 A3 = FiniteType("A", 3)
@@ -94,7 +96,7 @@ def test_simpleprob_join_total_probability():
 
 def test_simpleprob_pure_is_point_mass():
     m = simpleprob_monad()
-    assert m.pure(Atom(1)) == Dist(((Atom(1), Fraction(1)),))
+    assert m.pure(Atom(1)) == dist_of_entries(((Atom(1), Fraction(1)),))
 
 
 def test_simpleprob_map_merges_collisions():
@@ -145,7 +147,7 @@ def ref_mk_dist(pairs, merge):
             else:
                 merged.append((v, w))
         cleaned = merged
-    return Dist(tuple(cleaned))
+    return dist_of_entries(cleaned)
 
 
 def ref_map(fn, mv, merge):
@@ -215,10 +217,12 @@ BAD_TERMS = [
                          ids=["zero", "negative", "short", "over", "empty"])
 def test_integer_core_rejects_what_mk_dist_rejects(terms, message, merge):
     pairs = [(v, Fraction(n, d)) for v, n, d in terms]
-    for build, arg in ((dist_of_terms, terms), (mk_dist, pairs),
-                       (ref_mk_dist, pairs)):
+    den = math.lcm(*[d for _, _, d in terms])  # the integer core's terms share one denominator
+    scaled = [(v, n * (den // d)) for v, n, d in terms]
+    for build in (lambda: dist_of_terms(scaled, den, merge), lambda: mk_dist(pairs, merge),
+                  lambda: ref_mk_dist(pairs, merge)):
         with pytest.raises(ValueError) as exc:
-            build(arg, merge)
+            build()
         assert str(exc.value) == message
 
 

@@ -30,7 +30,6 @@ from finmon.systems import check_map_last_lemma, mon_sys
 from finmon.values import (
     Atom,
     Base,
-    Dist,
     DistOf,
     FiniteType,
     FnOf,
@@ -47,6 +46,8 @@ from finmon.values import (
     parse_value,
     relabeling,
 )
+
+from dist_helpers import dist_of_entries
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_FULL = (ROOT / "tests" / "golden" / "suite-full.json").read_text()
@@ -87,7 +88,7 @@ def _renamed(v, c, renaming):
     if isinstance(c, SeqOf):
         return Seq(tuple(_renamed(x, c.inner, renaming) for x in v.items))
     if isinstance(c, DistOf):
-        return Dist(tuple((_renamed(x, c.inner, renaming), w) for x, w in v.entries))
+        return dist_of_entries((_renamed(x, c.inner, renaming), w) for x, w in v.entries)
     slots = [None] * len(v.items)
     for k, x in enumerate(v.items):
         slots[perms.get(c.domain, range(len(v.items)))[k]] = _renamed(x, c.codomain, renaming)
@@ -227,8 +228,8 @@ def _rename(v, perm):
         return v if v.content is None else Opt(_rename(v.content, perm))
     if t is Seq:
         return Seq(tuple(_rename(x, perm) for x in v.items))
-    return Dist(tuple(sorted(((_rename(x, perm), w) for x, w in v.entries),
-                             key=lambda e: canonical_key(e[0]))))
+    return dist_of_entries(sorted(((_rename(x, perm), w) for x, w in v.entries),
+                                  key=lambda e: canonical_key(e[0])))
 
 
 def _values(name, depth):

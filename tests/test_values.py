@@ -6,13 +6,17 @@ import copy
 import dataclasses
 import gc
 import itertools
+import math
 import pickle
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from finmon import values
 from finmon.instances import mutant_b_monad, nondet_monad, simpleprob_monad
 from finmon.reports import LawReport, Var, scan
 from finmon.values import (
@@ -34,6 +38,7 @@ from finmon.values import (
     canonical_key,
     carrier_size,
     check_member,
+    dist_of_terms,
     enumerate_carrier,
     enumerate_domain,
     enumerate_functions,
@@ -48,6 +53,8 @@ from finmon.values import (
     tabulate,
     weight_tuples,
 )
+
+from dist_helpers import dist_of_entries
 
 A2 = FiniteType("A", 2)
 A3 = FiniteType("A", 3)
@@ -109,6 +116,39 @@ def test_huge_counts_are_shown_without_converting_them_to_text():
     assert shown_count(2**128) == "2^128"
     assert shown_count(2**20000) == "2^20000"
     assert shown_count(2 ** (10**6 + 1) - 1) == "more than 2^1000000"
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16, 64])
+def test_a_bounded_count_is_exact_or_a_lower_bound_past_the_bound(bits):
+    for desc in (SeqOf(SeqOf(Base(A2), 3), 5), FnOf(A3, SeqOf(Base(A2), 6)),
+                 DistOf(SeqOf(Base(A3), 12), 3), MaybeOf(SeqOf(MaybeOf(Base(A2)), 20)),
+                 SeqOf(SeqOf(Base(A2), 20), 1), DistOf(DistOf(SeqOf(Base(A2), 9), 2), 2)):
+        exact, bounded = carrier_size(desc), carrier_size(desc, bits)
+        assert bounded == exact or exact > bounded > 1 << bits
+
+
+def test_nested_counts_are_bounded_before_any_huge_pow():
+    # the exact count of Seq[Seq[A(2)]] at max_len 14,500 has about 2 * 10^8 bits
+    nested = SeqOf(SeqOf(Base(A2), 14_500), 14_500)
+    t0 = time.perf_counter()
+    assert carrier_size(nested, 1 << 20) == (1 << (1 << 20)) + 1
+    with pytest.raises(CarrierTooLarge, match=r"has more than 2\^1048576 values, cap 1000000"):
+        enumerate_carrier(nested)
+    # a huge max_support stops at the longest grid tuple, of 4 weights
+    assert carrier_size(DistOf(nested, 10**18), 1 << 20) == (1 << (1 << 20)) + 1
+    assert time.perf_counter() - t0 < 5
+    # below the bound a count is exact, so cheap refusals keep their text
+    for desc in (SeqOf(Base(A2), 10**6), FnOf(A3, SeqOf(Base(A2), 40))):
+        assert carrier_size(desc, 1 << 20) == carrier_size(desc)
+
+
+def test_a_support_bound_past_the_grid_enumerates_no_longer_supports():
+    # no grid tuple is longer than 4, so the 5- to 30-subsets of A(30),
+    # about 10^9 of them, are never visited
+    a30 = DistOf(Base(FiniteType("A", 30)), 10**6)
+    t0 = time.perf_counter()
+    assert enumerate_carrier(a30) == enumerate_carrier(DistOf(a30.inner, 4))
+    assert time.perf_counter() - t0 < 5
 
 
 def test_seq_enumeration_order_frozen():
@@ -250,7 +290,7 @@ def test_canonical_key_is_a_total_order_sample(data):
 
 def test_mk_dist_merges_and_sorts():
     d = mk_dist([(Atom(1), Fraction(1, 2)), (Atom(0), Fraction(1, 4)), (Atom(1), Fraction(1, 4))])
-    assert d == Dist(((Atom(0), Fraction(1, 4)), (Atom(1), Fraction(3, 4))))
+    assert d == dist_of_entries(((Atom(0), Fraction(1, 4)), (Atom(1), Fraction(3, 4))))
 
 
 def test_mk_dist_merge_off_keeps_duplicates():
@@ -271,7 +311,7 @@ def test_mk_dist_validates_weights():
 
 def test_mk_dist_converts_weights_that_are_not_fractions():
     d = mk_dist([(Atom(1), "1/2"), (Atom(0), 0.25), (Atom(0), Fraction(1, 4))])
-    assert d == Dist(((Atom(0), Fraction(1, 2)), (Atom(1), Fraction(1, 2))))
+    assert d == dist_of_entries(((Atom(0), Fraction(1, 2)), (Atom(1), Fraction(1, 2))))
     assert mk_dist([(Atom(0), 1)]).entries == ((Atom(0), Fraction(1)),)
     assert all(type(w) is Fraction for d in (d, mk_dist([(Atom(0), 1)]))
                for _, w in d.entries)
@@ -294,13 +334,57 @@ def test_mk_dist_still_validates_every_weight(weights, why, weight):
 def test_unmerged_join_keeps_duplicates():
     # mutant-b's join: both halves land on #0, and merge=False keeps both
     half = Fraction(1, 2)
-    point = Dist(((Atom(0), Fraction(1)),))
-    mmv = Dist(((point, half), (Dist(((Atom(0), half), (Atom(1), half))), half)))
+    point = dist_of_entries(((Atom(0), Fraction(1)),))
+    mmv = dist_of_entries(((point, half),
+                           (dist_of_entries(((Atom(0), half), (Atom(1), half))), half)))
     merged, unmerged = simpleprob_monad().join(mmv), mutant_b_monad().join(mmv)
     assert merged.entries == ((Atom(0), Fraction(3, 4)), (Atom(1), Fraction(1, 4)))
     assert unmerged.entries == ((Atom(0), half), (Atom(0), Fraction(1, 4)),
                                 (Atom(1), Fraction(1, 4)))
     assert merged != unmerged
+
+
+TERM_VALUES = enumerate_domain(A3) + enumerate_carrier(DistOf(Base(A2), 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TERM_VALUES), st.integers(1, 30)),
+                min_size=1, max_size=8),
+       st.integers(1, 9), st.booleans())
+def test_dist_of_terms_gives_one_reduced_representation(terms, k, merge):
+    den = sum(n for _, n in terms)
+    d = dist_of_terms(terms, den, merge)
+    assert math.gcd(d.den, *d.nums) == 1
+    assert all(n > 0 for n in d.nums) and sum(d.nums) == d.den
+    keys = [canonical_key(v) for v in d.support]
+    if merge:
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        weights: dict = {}
+        for v, n in terms:
+            weights[v] = weights.get(v, 0) + Fraction(n, den)
+        assert dict(d.entries) == weights
+    else:
+        assert all(a <= b for a, b in zip(keys, keys[1:])) and len(d.nums) == len(terms)
+    # terms scaled by k over k * den: an equal Dist, equal field by field
+    scaled = dist_of_terms([(v, k * n) for v, n in terms], k * den, merge)
+    assert scaled == d and hash(scaled) == hash(d)
+    assert (scaled.support, scaled.nums, scaled.den) == (d.support, d.nums, d.den)
+
+
+def test_enumerated_distributions_share_the_grid_and_stay_small():
+    mmma = DistOf(DistOf(DistOf(Base(A2), 2), 2), 2)  # simpleprob's M M M A at sizes 2
+    values._enumerate_carrier_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        vals = enumerate_carrier(mmma)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vals) == 31_192
+    grid = {(k, nums): nums for k in range(1, 5) for nums, _ in values._grid_terms(k)}
+    assert all(v.nums is grid[len(v.support), v.nums] for v in vals)
+    # the inner carriers included; a (value, Fraction) pair per entry held about 7 MB
+    assert held < 4 * 2**20
 
 
 def test_dist_weights_sum_to_one_exactly():
@@ -462,8 +546,8 @@ def rebuild(v):
     if t is Seq:
         return Seq(tuple(rebuild(x) for x in v.items))
     if t is Dist:
-        return Dist(tuple((rebuild(x), Fraction(w.numerator, w.denominator))
-                          for x, w in v.entries))
+        return dist_of_entries((rebuild(x), Fraction(w.numerator, w.denominator))
+                               for x, w in v.entries)
     if t is Vec:
         return Vec(tuple(rebuild(x) for x in v.items))
     if t is FnTable:
@@ -641,7 +725,7 @@ def test_integer_weight_keys_keep_the_fraction_order():
     # two weights whose integer keys tie, so the Fraction decides
     a, b = Fraction(1, 2 ** 40 + 1), Fraction(1, 2 ** 40 + 2)
     assert (1 << 64) // (2 ** 40 + 1) == (1 << 64) // (2 ** 40 + 2)
-    ties = [Dist(((x, w), (y, 1 - w))) for w in (a, b)
+    ties = [dist_of_entries(((x, w), (y, 1 - w))) for w in (a, b)
             for x, y in ((Atom(0), Atom(1)), (PROB.pure(Atom(0)), PROB.pure(Atom(1))))]
     # distinct values sorted by the new key are strictly increasing under
     # the old one, so sorting by either gives this one order
@@ -696,7 +780,7 @@ def random_value_twins(rng, depth):
     twins = [random_value_twins(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
     if kind == 5:
         weights = rng.choice(weight_tuples(len(twins)))
-        return tuple(Dist(tuple(zip(side, weights))) for side in zip(*twins))
+        return tuple(dist_of_entries(zip(side, weights)) for side in zip(*twins))
     cls = Seq if kind == 4 else Vec
     return tuple(cls(tuple(side)) for side in zip(*twins))
 
