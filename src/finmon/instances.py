@@ -128,9 +128,7 @@ def maybe_monad() -> MonadInstance:
     )
 
 
-def nondet_monad(
-    max_len: int = 2, length_cap: int = DEFAULT_SEQ_LENGTH_CAP
-) -> MonadInstance:
+def nondet_monad(max_len: int = 2) -> MonadInstance:
     """List-style nondeterminism. Equality is order-sensitive sequence
     equality, so join and bind must preserve element order exactly."""
     if max_len < 1:
@@ -143,8 +141,9 @@ def nondet_monad(
         out: list[Value] = []
         for x in mv.items:
             out.extend(fn(x).items)
-        if len(out) > length_cap:
-            raise CarrierOverflow(f"nondet result length {len(out)} exceeds cap {length_cap}")
+        if len(out) > DEFAULT_SEQ_LENGTH_CAP:
+            raise CarrierOverflow(
+                f"nondet result length {len(out)} exceeds cap {DEFAULT_SEQ_LENGTH_CAP}")
         return Seq(tuple(out))
 
     return MonadInstance(
@@ -200,14 +199,12 @@ def simpleprob_monad(max_support: int = 2) -> MonadInstance:
 # deliberately broken instances
 
 
-def mutant_a_monad(
-    max_len: int = 2, length_cap: int = DEFAULT_SEQ_LENGTH_CAP
-) -> MonadInstance:
+def mutant_a_monad(max_len: int = 2) -> MonadInstance:
     """nondet with join replaced by concatenation of the reversed outer
     sequence. Singleton outer sequences are unaffected (reversal is the
     identity there), so unit-shaped laws still pass; anything that joins
     a genuinely ordered outer structure comes out backwards."""
-    good = nondet_monad(max_len=max_len, length_cap=length_cap)
+    good = nondet_monad(max_len=max_len)
 
     def bad_join(mmv: Value) -> Value:
         out: list[Value] = []

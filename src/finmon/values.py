@@ -12,8 +12,10 @@ tuples are equal. Distributions carry exact rationals in integer form,
 so every equality check is a decision, never a tolerance: a support
 tuple, positive integer numerators and one denominator, reduced so that
 equal distributions have one representation. One integer core,
-dist_of_terms, builds them; Fractions appear only at the edges
-(rendering, parsing, the expected measure and the read-only entries).
+dist_of_terms, builds them. Fractions appear at the edges (rendering,
+parsing, the expected measure and the read-only entries) and in
+canonical_key, which keys each weight by an integer and compares its
+interned Fraction only when two integer keys tie.
 
 Canonical textual rendering (the bit-exact witness format used in
 reports, and the syntax accepted by parse_value):
@@ -32,13 +34,9 @@ and a table renders as its Vec.
 Rewards are bare ints when integral and Fractions otherwise, values of
 no enumerable carrier; an int keys and renders as the equal Fraction.
 
-Value identity is one scheme. Atoms and tables are hash-consed (Filliâtre
-and Conchon, 2006): equal ones are one object, so equality and hash are
-identity and memo lookups on them run in C; an atom holds its
-canonical_key. Opt, Seq, Dist and Vec hash once, on first use, into a
-slot that equality and repr ignore; a Dist compares and hashes flat int
-tuples, and canonical_key orders its weights by integers, never running
-Fraction arithmetic except on a tie.
+Value identity is one rule: atoms and tables are interned (hash-consed,
+Filliâtre and Conchon, 2006), so equality and hash are identity, in C;
+every other value is a frozen dataclass, equal and hashed by its fields.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import threading
 import weakref
 from array import array
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
@@ -84,29 +82,6 @@ class CarrierOverflow(Exception):
 
 # ---------------------------------------------------------------------------
 # values
-
-
-def _cached_identity(cls):
-    """Give a frozen slotted dataclass with a `_hash` slot, None until the
-    first hash, a hash computed once by the class's own __hash__. Copies
-    and pickles are built again from the compared fields."""
-    compute = cls.__hash__
-    names = tuple(f.name for f in fields(cls) if f.compare)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = compute(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in names))
-    return cls
-
-
-def _hash_slot():
-    return field(default=None, init=False, repr=False, compare=False)
 
 
 class _Interned:
@@ -150,21 +125,16 @@ class Atom(_Interned):
         return _ATOMS.get(index) or _ATOMS.setdefault(index, cls._build((index, (0, index))))
 
 
-@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Opt:
     content: Union["Value", None]
-    _hash: int | None = _hash_slot()
 
 
-@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Seq:
     items: tuple["Value", ...]
-    _hash: int | None = _hash_slot()
 
 
-@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Dist:
     """Finite distribution in integer form: support[i] has weight
@@ -175,7 +145,6 @@ class Dist:
     support: tuple["Value", ...]
     nums: tuple[int, ...]
     den: int
-    _hash: int | None = _hash_slot()
 
     @property
     def entries(self) -> tuple[tuple["Value", Fraction], ...]:
@@ -185,11 +154,9 @@ class Dist:
         return tuple([(x, _WEIGHTS[n, den]) for x, n in zip(self.support, self.nums)])
 
 
-@_cached_identity
 @dataclass(frozen=True, slots=True)
 class Vec:
     items: tuple["Value", ...]
-    _hash: int | None = _hash_slot()
 
 
 Value = Union[Atom, Opt, Seq, Dist, Vec, int, Fraction]
@@ -258,7 +225,7 @@ def dist_of_terms(terms: list[tuple[Value, int]], den: int, merge: bool = True) 
         support, tuple([n // g for n in nums]), den // g)
 
 
-def mk_dist(pairs, merge: bool = True) -> Dist:
+def mk_dist(pairs) -> Dist:
     """The canonical Dist of (value, weight) pairs: weights that are not
     Fractions are converted and each must be positive, then
     dist_of_terms sums, merges and sorts them over their lcm."""
@@ -267,8 +234,7 @@ def mk_dist(pairs, merge: bool = True) -> Dist:
         if w <= 0:
             raise ValueError(f"distribution weight must be positive, got {w}")
     den = math.lcm(*[w.denominator for _, w in pairs])
-    return dist_of_terms([(v, w.numerator * (den // w.denominator)) for v, w in pairs],
-                         den, merge)
+    return dist_of_terms([(v, w.numerator * (den // w.denominator)) for v, w in pairs], den)
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +341,16 @@ WEIGHT_GRID: tuple[Fraction, ...] = tuple(
 
 
 @lru_cache(maxsize=None)
-def weight_tuples(k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """All ordered k-tuples over the grid summing to exactly 1.
-    Empty for k > 4 since the smallest grid weight is 1/4."""
+def weight_tuples(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All ordered k-tuples over the grid summing to exactly 1, each as
+    its numerators over their lcm denominator, (nums, den), reduced and
+    shared by every value that enumerate_carrier builds with it. Empty
+    for k > 4 since the smallest grid weight is 1/4."""
     if k < 1 or k * min(WEIGHT_GRID) > 1:
         return ()
-    return tuple(c for c in itertools.product(WEIGHT_GRID, repeat=k) if sum(c) == 1)
-
-
-@lru_cache(maxsize=None)
-def _grid_terms(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """weight_tuples(k) in integer form: one reduced (nums, den) per tuple,
-    shared by every value that enumerate_carrier builds with it."""
-    dens = [math.lcm(*[w.denominator for w in t]) for t in weight_tuples(k)]
-    return tuple((tuple([int(w * d) for w in t]), d) for t, d in zip(weight_tuples(k), dens))
+    tuples = [t for t in itertools.product(WEIGHT_GRID, repeat=k) if sum(t) == 1]
+    dens = [math.lcm(*[w.denominator for w in t]) for t in tuples]
+    return tuple((tuple([int(w * d) for w in t]), d) for t, d in zip(tuples, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +431,7 @@ def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
         return tuple(Dist(support, nums, den)
                      for k in range(1, min(c.max_support, len(inner), 4) + 1)
                      for support in itertools.combinations(inner, k)
-                     for nums, den in _grid_terms(k))
+                     for nums, den in weight_tuples(k))
     raise TypeError(f"not a carrier descriptor: {c!r}")
 
 
@@ -510,11 +472,11 @@ def relabeling(c: CarrierDesc, perms: dict[FiniteType, Sequence[int]]) -> array:
     if isinstance(c, DistOf):
         # only supports of up to 4 values have grid tuples: at most 4! sort orders
         for k in filter(weight_tuples, range(1, min(c.max_support, n) + 1)):
-            grid, offset = weight_tuples(k), len(out)
+            # a tuple's nums sum to its den, so nums alone rank the grid
+            grid, offset = [nums for nums, _ in weight_tuples(k)], len(out)
             supports = list(itertools.combinations(range(n), k))
             support_rank = {s: r for r, s in enumerate(supports)}
             grid_rank = {t: r for r, t in enumerate(grid)}
-            # each sort order's grid ranks, once, so the loop hashes no weights
             ranks = {order: [grid_rank[tuple(t[j] for j in order)] for t in grid]
                      for order in itertools.permutations(range(k))}
             for support in supports:

@@ -82,10 +82,12 @@ def test_nondet_join_preserves_order():
 
 
 def test_nondet_length_guard():
-    m = nondet_monad(max_len=2, length_cap=3)
-    fat = parse_value("[#0, #1]")
-    with pytest.raises(CarrierOverflow):
+    m = nondet_monad()
+    fat = Seq(tuple(Atom(i % 2) for i in range(400)))
+    # 400 * 400 = 160,000 items, past the cap of 100,000
+    with pytest.raises(CarrierOverflow, match="exceeds cap 100000"):
         m.bind(fat, lambda x: fat)
+    assert len(m.bind(fat, lambda x: Seq((x,) * 250)).items) == 100_000  # at the cap
 
 
 def test_simpleprob_join_total_probability():
@@ -219,7 +221,7 @@ def test_integer_core_rejects_what_mk_dist_rejects(terms, message, merge):
     pairs = [(v, Fraction(n, d)) for v, n, d in terms]
     den = math.lcm(*[d for _, _, d in terms])  # the integer core's terms share one denominator
     scaled = [(v, n * (den // d)) for v, n, d in terms]
-    for build in (lambda: dist_of_terms(scaled, den, merge), lambda: mk_dist(pairs, merge),
+    for build in (lambda: dist_of_terms(scaled, den, merge), lambda: mk_dist(pairs),
                   lambda: ref_mk_dist(pairs, merge)):
         with pytest.raises(ValueError) as exc:
             build()

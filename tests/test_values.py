@@ -30,6 +30,7 @@ from finmon.values import (
     FnTable,
     MaybeOf,
     Opt,
+    Product,
     Quantifier,
     Seq,
     SeqOf,
@@ -66,12 +67,14 @@ def identity_table(d: FiniteType) -> FnTable:
 
 
 def brute_weight_tuples(k):
-    """Independent oracle: filter the full grid product by exact sum."""
-    return [
-        t
-        for t in itertools.product(WEIGHT_GRID, repeat=k)
-        if sum(t, Fraction(0)) == 1
-    ]
+    """Independent oracle: filter the full grid product by exact sum,
+    then write each tuple as its numerators over the lcm denominator."""
+    out = []
+    for t in itertools.product(WEIGHT_GRID, repeat=k):
+        if sum(t, Fraction(0)) == 1:
+            den = math.lcm(*[w.denominator for w in t])
+            out.append((tuple(int(w * den) for w in t), den))
+    return out
 
 
 @pytest.mark.parametrize("k", range(0, 7))
@@ -294,10 +297,9 @@ def test_mk_dist_merges_and_sorts():
 
 
 def test_mk_dist_merge_off_keeps_duplicates():
-    d = mk_dist(
-        [(Atom(0), Fraction(1, 2)), (Atom(0), Fraction(1, 2))], merge=False
-    )
-    assert len(d.entries) == 2
+    # mk_dist always merges; mutant-b's core, dist_of_terms, can keep both
+    d = dist_of_terms([(Atom(0), 1), (Atom(0), 1)], 2, merge=False)
+    assert d.entries == ((Atom(0), Fraction(1, 2)), (Atom(0), Fraction(1, 2)))
 
 
 def test_mk_dist_validates_weights():
@@ -326,9 +328,8 @@ def test_mk_dist_converts_weights_that_are_not_fractions():
 ], ids=["zero", "negative", "short", "over"])
 def test_mk_dist_still_validates_every_weight(weights, why, weight):
     pairs = [(Atom(i), weight(w)) for i, w in enumerate(weights)]
-    for merge in (True, False):
-        with pytest.raises(ValueError, match=why):
-            mk_dist(pairs, merge=merge)
+    with pytest.raises(ValueError, match=why):
+        mk_dist(pairs)
 
 
 def test_unmerged_join_keeps_duplicates():
@@ -381,7 +382,7 @@ def test_enumerated_distributions_share_the_grid_and_stay_small():
     finally:
         tracemalloc.stop()
     assert len(vals) == 31_192
-    grid = {(k, nums): nums for k in range(1, 5) for nums, _ in values._grid_terms(k)}
+    grid = {(k, nums): nums for k in range(1, 5) for nums, _ in weight_tuples(k)}
     assert all(v.nums is grid[len(v.support), v.nums] for v in vals)
     # the inner carriers included; a (value, Fraction) pair per entry held about 7 MB
     assert held < 4 * 2**20
@@ -444,6 +445,19 @@ def test_enumerate_functions_sampling_reproducible():
     assert one == visited(7)
     assert len(one) == 50
     assert one != visited(8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=4))
+def test_product_indexing_matches_iteration(factors):
+    # factors of unequal lengths, and empty ones, as sampled scans index
+    # both function tables and policy sequences
+    p = Product(factors, lambda picks: picks)
+    assert [p[i] for i in range(p.size)] == list(p) == list(itertools.product(*factors))
+    assert len(p) == p.size == math.prod(map(len, factors))
+    for i in (-1, p.size):
+        with pytest.raises(IndexError):
+            p[i]
 
 
 def test_empty_domain_has_one_table():
@@ -523,7 +537,7 @@ def test_membership_ignores_length_and_support_bounds():
 
 
 # ---------------------------------------------------------------------------
-# cached value identity
+# value identity: atoms and tables interned, every other value by its fields
 
 PROB = simpleprob_monad()
 LIST = nondet_monad()
@@ -577,23 +591,23 @@ def identity_values():
 VALUES = identity_values()
 
 
-def test_identity_values_cover_every_cached_type():
+def test_identity_values_cover_every_composite_type():
     assert {type(v) for v in VALUES} == {Opt, Seq, Dist, Vec, FnTable}
 
 
 def test_a_value_hashes_alike_before_and_after_its_first_hash():
     for v in VALUES:
         fresh, other = rebuild(v), rebuild(v)
-        first = hash(fresh)  # fills the slot
-        assert hash(fresh) == first  # reads it
+        first = hash(fresh)
+        assert hash(fresh) == first
         assert hash(other) == first  # built apart, hashed afresh
         if type(v) is not FnTable:
-            assert "_hash" not in [f.name for f in dataclasses.fields(v) if f.compare]
+            assert all(f.compare and f.hash is None for f in dataclasses.fields(v))
 
 
 def test_a_dist_hashes_no_weight(monkeypatch):
-    # a Dist hashes its weights as integer pairs, so the modular inverse
-    # of Fraction.__hash__ never runs, and plain and interned weights agree
+    # a Dist hashes its numerators and denominator as ints, so the modular
+    # inverse of Fraction.__hash__ never runs, and plain and interned weights agree
     dists = [v for v in VALUES if type(v) is Dist]
     interned = [hash(v) for v in dists]
 
@@ -607,28 +621,26 @@ def test_a_dist_hashes_no_weight(monkeypatch):
 def test_equal_values_built_apart_agree_whichever_is_hashed_first():
     for v in VALUES:
         a, b = rebuild(v), rebuild(v)
-        hash(a)  # only a's slot is filled
+        hash(a)  # only a is hashed
         assert a == b and b == a
         assert hash(b) == hash(a)
         c, d = rebuild(v), rebuild(v)
-        assert c == d  # neither slot is filled
+        assert c == d  # neither is hashed
         assert len({c, d, a}) == 1
         assert {c: 1}[d] == 1
 
 
-def test_repr_eq_and_replace_ignore_the_slot():
+def test_repr_eq_and_replace_go_by_the_fields():
     for v in VALUES:
         fresh = rebuild(v)
         before = repr(fresh)
         hash(fresh)
-        assert repr(fresh) == before and "_hash" not in before
+        assert repr(fresh) == before
         assert fresh == rebuild(v)
         if type(v) is FnTable:
             continue  # interned, not a dataclass: see the interning tests
         replaced = dataclasses.replace(fresh)
         assert replaced == fresh and repr(replaced) == before
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(fresh, _hash=0)
 
 
 def test_replaced_and_copied_values_rehash():
@@ -779,8 +791,8 @@ def random_value_twins(rng, depth):
         return Opt(x), Opt(y)
     twins = [random_value_twins(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
     if kind == 5:
-        weights = rng.choice(weight_tuples(len(twins)))
-        return tuple(dist_of_entries(zip(side, weights)) for side in zip(*twins))
+        nums, den = rng.choice(weight_tuples(len(twins)))
+        return tuple(Dist(side, nums, den) for side in zip(*twins))
     cls = Seq if kind == 4 else Vec
     return tuple(cls(tuple(side)) for side in zip(*twins))
 
