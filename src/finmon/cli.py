@@ -19,10 +19,12 @@ exits 2 at the field's path.
 A suite's "laws" default to its whole view ("fat" or "thin"). n_max
 bounds the step count of the flow checks and the vector length of
 mapLastLemma. carrier_cap bounds every enumeration of the run: suite
-domains, carriers and function-table domains, the carriers of reprLemma
-and mapLastLemma, and each sdp's measureShift gate; a check that reaches
-it fails with checked=0 and the cap diagnostic. A deterministic system
-is a system over instance "identity".
+domains, carriers and function-table domains; each system check's step
+counts, flowMonoid's splits, reprLemma's carrier and mapLastLemma's
+carriers of every length together; and each sdp's measureShift gate
+and its horizon x states policy slots. A check that reaches it fails
+with checked=0 and the cap diagnostic. A deterministic system is a
+system over instance "identity".
 
 The rules that span fields follow the tables as code. Step and next
 entries use the canonical value syntax and must be values of the

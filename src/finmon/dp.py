@@ -42,6 +42,7 @@ from .values import (
     Vec,
     enumerate_carrier,
     enumerate_domain,
+    refuse_count,
     render_value,
     DEFAULT_CARRIER_CAP,
 )
@@ -238,51 +239,36 @@ def check_measure_shift(
 
     Quantifies over the bounded carrier of a three-point reward space
     (rates 0, 1, 1/2) transported into the monad, and a small grid of
-    shift constants. Structures where the measure itself is undefined
-    (the maximum of an empty sequence) are outside the measure's domain
-    and are skipped, not failed; the skip count lands in the detail
-    line."""
+    shift constants. A structure where the measure itself is undefined
+    (raises ValueError, as the maximum of an empty sequence does) is
+    outside the measure's domain, and is left out of the mv space before
+    the scan starts."""
     report = LawReport(
         law_id="measureShift",
         instance=monad.name,
         sizes={"R": len(_SHIFT_RATES)},
         detail=f"measure={measure.name}",
     )
-    skipped = 0
-
-    def measured(structures):
-        """Each structure with its plain measurement, None where the
-        measure is undefined; measured once, when the scan reaches it."""
-        nonlocal skipped
-        for mv in structures:
-            try:
-                yield mv, measure.apply(mv)
-            except ValueError:
-                skipped += 1
-                yield mv, None
 
     def variables():
         carrier = monad.carrier_of(Base(FiniteType("R", len(_SHIFT_RATES))))
-        structures = [
-            monad.map(lambda a: _SHIFT_RATES[a.index], mv)
-            for mv in enumerate_carrier(carrier, cap)
-        ]
+        measured = []  # each structure in the domain, with its plain measurement
+        for mv in enumerate_carrier(carrier, cap):
+            mv = monad.map(lambda a: _SHIFT_RATES[a.index], mv)
+            try:
+                measured.append((mv, measure.apply(mv)))
+            except ValueError:
+                pass
         return [
-            Var("mv", "M R", measured(structures), len(structures),
-                render=lambda mp: render_value(mp[0])),
+            Var("mv", "M R", measured, len(measured), render=lambda mp: render_value(mp[0])),
             Var("c", "shift grid", _SHIFT_CONSTANTS, len(_SHIFT_CONSTANTS)),
         ]
 
     def sides(mp, c):
         mv, plain = mp
-        if plain is None:
-            return None
         return measure.apply(monad.map(lambda r: c + r, mv)), plain + c
 
-    scan(report, variables, sides)
-    if skipped and report.passed:
-        report.detail += f" skipped={skipped} outside measure domain"
-    return report
+    return scan(report, variables, sides)
 
 
 def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
@@ -291,7 +277,8 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
     carrier the cap bounds. A failing precondition makes this report fail
     with the shift witness, or with the shift check's diagnostic when it
     could not run; the two value functions are not compared at all in
-    that case."""
+    that case. The cap also bounds the horizon x states slots of a policy
+    sequence, as it bounds a table's domain."""
     report = LawReport(
         law_id="valSpec",
         instance=sdp.monad.name,
@@ -304,7 +291,6 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
     )
     shift = check_measure_shift(sdp.monad, sdp.measure, cap)
     if not shift.passed:
-        report.passed = False
         report.witness = shift.witness
         report.diagnostic = shift.diagnostic or (
             f"measure {sdp.measure.name!r} is not shift compatible; "
@@ -313,15 +299,20 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
         report.elapsed_ms = shift.elapsed_ms
         return report
 
-    seqs = enumerate_policy_seqs(sdp, sdp.horizon)
-    n = sdp.states.size
-    vm, rm = ({}, {}) if exhaustive([seqs.size, n], q) else (None, None)
-    variables = [
-        Var("ps", f"policy sequences (h={sdp.horizon})", seqs, seqs.size,
-            render=render_policy_seq),
-        Var("x", "X", enumerate_domain(sdp.states), n),
-    ]
-    scan(report, lambda: variables,
-         lambda ps, x: (val(sdp, ps, x, 0, vm), val_spec(sdp, ps, x, 0, rm)), q)
+    memos = []  # val's and val_spec's, kept only when the scan is exhaustive
+
+    def variables():
+        n = sdp.states.size
+        refuse_count("policy sequences", f"h={sdp.horizon} x X({n})", sdp.horizon * n, cap, "slots")
+        seqs = enumerate_policy_seqs(sdp, sdp.horizon)
+        memos.extend(({}, {}) if exhaustive([seqs.size, n], q) else (None, None))
+        return [
+            Var("ps", f"policy sequences (h={sdp.horizon})", seqs, seqs.size,
+                render=render_policy_seq),
+            Var("x", "X", enumerate_domain(sdp.states), n),
+        ]
+
+    scan(report, variables,
+         lambda ps, x: (val(sdp, ps, x, 0, memos[0]), val_spec(sdp, ps, x, 0, memos[1])), q)
     report.elapsed_ms += shift.elapsed_ms
     return report

@@ -6,9 +6,9 @@ An exhaustive scan whose variables all have images under a group of atom
 renamings evaluates the least binding of each orbit only (Ip and Dill,
 1996). orbit_images gives them: the laws on a parametric instance and
 mapLastLemma on a parametric system call it. Its caller vouches that
-renaming commutes with both sides, which never return None, so the
-witness is among them. checked counts logical bindings either way;
-evaluated counts the calls of sides."""
+renaming commutes with both sides, so the witness is among them.
+checked counts logical bindings either way; evaluated counts the calls
+of sides."""
 
 from __future__ import annotations
 
@@ -27,10 +27,8 @@ from .values import (
     CarrierOverflow,
     CarrierTooLarge,
     FiniteType,
-    FnTable,
     Quantifier,
     relabeling,
-    render_table,
     render_value,
     shown_count,
     sub_seed,
@@ -52,25 +50,29 @@ class QuantifierStat:
 class LawReport:
     """Outcome of checking one named property for one instance.
 
-    passed is true iff witness is absent. When every quantifier ran
-    exhaustively the witness is the least counterexample in the
-    lexicographic enumeration order of the bound-variable tuple. The
-    witness maps variable names to canonically rendered values and always
-    carries "lhs"/"rhs" renderings of the two disagreeing sides. elapsed_ms
-    (wall-clock) and evaluated stay out of deterministic report sections.
+    passed is derived: true iff there is neither a witness nor a
+    diagnostic. When every quantifier ran exhaustively the witness is the
+    least counterexample in the lexicographic enumeration order of the
+    bound-variable tuple. The witness maps variable names to canonically
+    rendered values and always carries "lhs"/"rhs" renderings of the two
+    disagreeing sides. elapsed_ms (wall-clock) and evaluated stay out of
+    deterministic report sections.
     """
 
     law_id: str
     instance: str
     sizes: dict[str, int] = field(default_factory=dict)
     quantifiers: list[QuantifierStat] = field(default_factory=list)
-    passed: bool = True
     checked: int = 0
     witness: dict[str, str] | None = None
     diagnostic: str | None = None
     detail: str = ""
     elapsed_ms: float = 0.0
     evaluated: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None and self.diagnostic is None
 
     def to_deterministic_dict(self) -> dict:
         out = {
@@ -95,13 +97,6 @@ class LawReport:
 # the scan engine
 
 
-def render_any(v) -> str:
-    """Canonical text of a binding or a side: tables, values and numbers."""
-    if isinstance(v, FnTable):
-        return render_table(v)
-    return render_value(v)
-
-
 @dataclass(frozen=True, slots=True)
 class Var:
     """One bound variable of a scan: candidates in visiting order, the
@@ -117,7 +112,7 @@ class Var:
     space: str
     candidates: Iterable
     size: int
-    render: Callable[[Any], str | dict[str, str]] = render_any
+    render: Callable[[Any], str | dict[str, str]] = render_value
     images: Sequence[Sequence[int]] = ()
 
 
@@ -136,8 +131,8 @@ def exhaustive(sizes: Sequence[int], q: Quantifier | None) -> bool:
 
 
 # The cap on |group| x Σ|space| past which a scan visits every binding:
-# 2 MiB of 8-byte image entries, under 10% of a full-suite run's 32 MB peak
-# RSS, and four times the widest check at the default sizes (simpleprob T3,
+# 2 MiB of 8-byte image entries, under 10% of laws-full's 23 MB peak RSS,
+# and four times the widest check at the default sizes (simpleprob T3,
 # 2 x 31,192). A check past it is out of reach anyway (nondet W3 at sizes 3).
 SYMMETRY_CAP = 1 << 18
 
@@ -171,7 +166,7 @@ def orbit_images(bound: Sequence[tuple[Var, Sequence[CarrierDesc]]], types: Sequ
 def _orbit_least(variables: Sequence[Var]) -> Iterator[tuple[int, tuple]]:
     """(rank in the full product, binding) of each binding that no group
     element maps lower, in order. Elements that fix the prefix stay live;
-    a candidate that a live one maps lower is skipped with its subtree."""
+    a candidate that a live one maps lower is pruned with its subtree."""
     spaces = [tuple(v.candidates) for v in variables]
 
     def visit(i, live, rank, prefix):
@@ -222,7 +217,7 @@ def _plan(
 def scan(
     report: LawReport,
     variables: Callable[[], Sequence[Var]],
-    sides: Callable[..., tuple | None],
+    sides: Callable[..., tuple],
     q: Quantifier | None = None,
 ) -> LawReport:
     """Visit the bindings _plan chooses and stop at the first whose two
@@ -230,25 +225,20 @@ def scan(
 
     variables() builds the variables inside the scan, so a carrier past
     its cap stops the check before its first evaluation. sides(*binding)
-    returns (lhs, rhs), optionally with a dict of extra witness entries,
-    or None for a binding outside the property's domain, which is not
-    counted. A carrier past its cap, an overflowing operation or an
-    evaluation nested past the interpreter's recursion limit fails the
-    report with a diagnostic instead of a witness."""
+    returns (lhs, rhs), optionally with a dict of extra witness entries.
+    A carrier past its cap, an overflowing operation or an evaluation
+    nested past the interpreter's recursion limit fails the report with
+    a diagnostic instead of a witness."""
     t0 = time.perf_counter()
-    rank, skipped, evaluated = -1, 0, 0
+    rank, evaluated = -1, 0
     try:
         bound = variables()
         bindings, total, report.quantifiers = _plan(bound, q)
         for rank, binding in bindings:
             evaluated += 1
             out = sides(*binding)
-            if out is None:
-                skipped += 1
-                continue
             if out[0] != out[1]:
                 lhs, rhs, *extra = out
-                report.passed = False
                 report.witness = {}
                 for v, value in zip(bound, binding):
                     shown = v.render(value)
@@ -256,23 +246,17 @@ def scan(
                         report.witness.update(shown)
                     else:
                         report.witness[v.name] = shown
-                for entries in extra:
-                    report.witness.update(
-                        (k, render_any(x)) for k, x in entries.items()
-                    )
-                report.witness["lhs"] = render_any(lhs)
-                report.witness["rhs"] = render_any(rhs)
+                for entries in (*extra, {"lhs": lhs, "rhs": rhs}):
+                    report.witness.update((k, render_value(x)) for k, x in entries.items())
                 break
         else:
             rank = total - 1
     except (CarrierTooLarge, CarrierOverflow) as exc:
-        report.passed = False
         report.diagnostic = str(exc)
     except RecursionError:
-        report.passed = False
         report.diagnostic = (f"recursion too deep: evaluation passed the interpreter's "
                              f"limit of {sys.getrecursionlimit()} frames")
     # checked counts the bindings up to the one the scan stopped at
-    report.checked, report.evaluated = rank + 1 - skipped, evaluated
+    report.checked, report.evaluated = rank + 1, evaluated
     report.elapsed_ms = (time.perf_counter() - t0) * 1000
     return report

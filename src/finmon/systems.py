@@ -42,8 +42,10 @@ from .values import (
     FnTable,
     Value,
     Vec,
+    carrier_size,
     enumerate_carrier,
     enumerate_domain,
+    refuse_count,
     render_value,
     table_fn,
     tabulate,
@@ -75,9 +77,6 @@ class MonSys:
                 f"monadic step must map {self.domain} into {want}"
             )
 
-    def step_fn(self) -> Callable[[Value], Value]:
-        return table_fn(self.step)
-
 
 def mon_sys(
     name: str,
@@ -106,7 +105,7 @@ def _flow(sys: MonSys, n: int, prev: FnTable | None, grow) -> FnTable:
 def flow_mon_left(sys: MonSys, n: int, prev: FnTable | None = None) -> FnTable:
     """Iterate by taking the flow so far, then one more step; prev, the
     flow at n - 1, saves all steps but the last."""
-    m, step_fn = sys.monad, sys.step_fn()
+    m, step_fn = sys.monad, table_fn(sys.step)
     return _flow(sys, n, prev, lambda level: tuple(m.bind(mv, step_fn) for mv in level))
 
 
@@ -131,10 +130,11 @@ def _base_report(law_id: str, sys: MonSys) -> LawReport:
     )
 
 
-def _n_var(n_max: int, *builds: Callable) -> Var:
-    """The step count as the outermost variable, ascending. Riding along
-    with n is build(n, prev) of each build, grown from its level at
-    n - 1 (None at 0) when the scan reaches n."""
+def _n_var(n_max: int, cap: int, *builds: Callable) -> Var:
+    """The step count as the outermost variable, ascending, refused past
+    the cap. Riding along with n is build(n, prev) of each build, grown
+    from its level at n - 1 (None at 0) when the scan reaches n."""
+    refuse_count("step counts", f"0..{n_max}", n_max + 1, cap)
 
     def levels():
         prev = (None,) * len(builds)
@@ -149,7 +149,7 @@ def _x_var(domain: FiniteType) -> Var:
     return Var("x", "X", enumerate_domain(domain), domain.size)
 
 
-def check_flow_lr(sys: MonSys, n_max: int) -> LawReport:
+def check_flow_lr(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
     """flow_mon_left f n is pointwise equal to flow_mon_right f n for
     every n up to n_max."""
 
@@ -159,17 +159,17 @@ def check_flow_lr(sys: MonSys, n_max: int) -> LawReport:
 
     return scan(
         _base_report("flowLR", sys),
-        lambda: [_n_var(n_max, partial(flow_mon_left, sys), partial(flow_mon_right, sys)),
+        lambda: [_n_var(n_max, cap, partial(flow_mon_left, sys), partial(flow_mon_right, sys)),
                  _x_var(sys.domain)],
         sides,
     )
 
 
-def check_flow_mon_r_lem(sys: MonSys, n_max: int) -> LawReport:
+def check_flow_mon_r_lem(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
     """The right flow leapfrogs its step: flowR f n >=> f is pointwise
     equal to f >=> flowR f n."""
     m = sys.monad
-    step_fn = sys.step_fn()
+    step_fn = table_fn(sys.step)
 
     def sides(nb, a):
         _, flow_n = nb
@@ -178,15 +178,15 @@ def check_flow_mon_r_lem(sys: MonSys, n_max: int) -> LawReport:
 
     return scan(
         _base_report("flowMonRLem", sys),
-        lambda: [_n_var(n_max, partial(flow_mon_right, sys)), _x_var(sys.domain)],
+        lambda: [_n_var(n_max, cap, partial(flow_mon_right, sys)), _x_var(sys.domain)],
         sides,
     )
 
 
-def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
+def check_flow_monoid(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
     """flow is a monoid morphism from (N, +, 0) into Kleisli arrows:
     flow f 0 is pure and flow f (m + n) is flow f m >=> flow f n,
-    checked pointwise for every split with m + n <= total_max.
+    checked pointwise for every split with m + n <= n_max.
 
     The split variable visits the unit first, then every split (m, n)
     by increasing total."""
@@ -194,16 +194,17 @@ def check_flow_monoid(sys: MonSys, total_max: int) -> LawReport:
     flows: list[FnTable] = []
 
     def variables():
-        for n in range(total_max + 1):
+        count = 1 + (n_max + 1) * (n_max + 2) // 2
+        refuse_count("splits", f"unit, m+n<={n_max}", count, cap)
+        for n in range(n_max + 1):
             flows.append(flow(sys, n, flows[-1] if n else None))
         # quadratically many splits, so yielded one at a time
         splits = itertools.chain([(0, 0, True)], (
             (mm, total - mm, False)
-            for total in range(total_max + 1) for mm in range(total + 1)
+            for total in range(n_max + 1) for mm in range(total + 1)
         ))
         return [
-            Var("(m, n)", f"unit, m+n<={total_max}", splits,
-                1 + (total_max + 1) * (total_max + 2) // 2,
+            Var("(m, n)", f"unit, m+n<={n_max}", splits, count,
                 render=lambda sp: {"m": str(sp[0]), "n": str(sp[1])}),
             _x_var(sys.domain),
         ]
@@ -232,14 +233,14 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
     weights and growing sequences. As n ascends, the right side keeps
     each mx's latest iterate and lifts it once more."""
     m = sys.monad
-    step_fn = sys.step_fn()
+    step_fn = table_fn(sys.step)
     iterates: list[Value] = []
 
     def variables():
         carrier_vals = enumerate_carrier(m.carrier_of(Base(sys.domain)), cap)
         iterates.extend(carrier_vals)
         return [
-            _n_var(n_max, partial(flow, sys)),
+            _n_var(n_max, cap, partial(flow, sys)),
             Var("mx", "M X", tuple(enumerate(carrier_vals)), len(carrier_vals),
                 render=lambda im: render_value(im[1])),
         ]
@@ -289,20 +290,27 @@ def map_last(sys: MonSys, mvx: Value) -> Value:
 
 
 def check_map_last_lemma(
-    sys: MonSys, max_len: int, cap: int = DEFAULT_CARRIER_CAP
+    sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP
 ) -> LawReport:
     """Mapping last after mapping a prepend is just mapping last, over
-    every monadic structure of nonempty vectors up to max_len, shortest
-    vectors first, each carrier enumerated once. Neither side reads the
-    step, so on a parametric monad every renaming of the states commutes
-    with both, and the scan evaluates one binding per orbit."""
+    every monadic structure of nonempty vectors up to length n_max,
+    shortest vectors first, each carrier enumerated once, and refused at
+    the first length whose running total passes the cap. Neither side
+    reads the step, so on a parametric monad every renaming of the states
+    commutes with both, and the scan evaluates one binding per orbit."""
     m = sys.monad
 
     def variables():
-        carriers = [m.carrier_of(FnOf(FiniteType("T", ln), Base(sys.domain)))
-                    for ln in range(1, max_len + 1)]
+        carriers, total = [], 0
+        for ln in range(1, n_max + 1):
+            carriers.append(m.carrier_of(FnOf(FiniteType("T", ln), Base(sys.domain))))
+            size = carrier_size(carriers[-1], cap.bit_length())  # exact up to the cap
+            if size > cap:
+                enumerate_carrier(carriers[-1], cap)  # refused with its exact count
+            total += size
+            refuse_count("carrier", f"M Vec[X;len=1..{ln}]", total, cap)
         values = tuple(itertools.chain.from_iterable(enumerate_carrier(c, cap) for c in carriers))
-        mvx = Var("mvx", f"M Vec[X;len=1..{max_len}]", values, len(values))
+        mvx = Var("mvx", f"M Vec[X;len=1..{n_max}]", values, len(values))
         # a state type named T would rename the time slots too
         return orbit_images([(_x_var(sys.domain), (Base(sys.domain),)), (mvx, carriers)],
                             [sys.domain], m.parametric and sys.domain.name != "T")
@@ -311,7 +319,7 @@ def check_map_last_lemma(
                 lambda x, mvx: (map_last(sys, m.map(_prepend(x), mvx)), map_last(sys, mvx)))
 
 
-def check_flow_trj(sys: MonSys, n_max: int) -> LawReport:
+def check_flow_trj(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
     """The flow is the trajectory structure with everything but the
     final state forgotten: flow f n x equals map last (trj f n x)."""
 
@@ -324,7 +332,7 @@ def check_flow_trj(sys: MonSys, n_max: int) -> LawReport:
 
     return scan(
         _base_report("flowTrjLemma", sys),
-        lambda: [_n_var(n_max, partial(flow, sys), trj_level), _x_var(sys.domain)],
+        lambda: [_n_var(n_max, cap, partial(flow, sys), trj_level), _x_var(sys.domain)],
         sides,
     )
 
@@ -346,14 +354,12 @@ def run_system_check(
     name: str, sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP
 ) -> LawReport:
     """Run one named check. n_max is the step count of the flow checks
-    and the vector length of mapLastLemma; cap bounds the carriers that
-    reprLemma and mapLastLemma enumerate."""
+    and the vector length of mapLastLemma; cap bounds the step counts,
+    flowMonoid's splits and the carriers of reprLemma and mapLastLemma."""
     try:
         fn = SYSTEM_CHECKS[name]
     except KeyError:
         raise KeyError(
             f"unknown system check {name!r}; known: {', '.join(sorted(SYSTEM_CHECKS))}"
         )
-    if fn in (check_repr_lemma, check_map_last_lemma):
-        return fn(sys, n_max, cap)
-    return fn(sys, n_max)
+    return fn(sys, n_max, cap)

@@ -60,10 +60,10 @@ __all__ = [
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
-    "enumerate_domain", "refuse_wide", "enumerate_carrier", "carrier_size", "relabeling",
-    "enumerate_functions", "shown_count",
+    "enumerate_domain", "refuse_count", "refuse_wide", "enumerate_carrier", "carrier_size",
+    "relabeling", "enumerate_functions", "shown_count",
     "tabulate", "table_fn",
-    "render_value", "render_table", "parse_value",
+    "render_value", "parse_value",
     "DEFAULT_CARRIER_CAP",
 ]
 
@@ -361,12 +361,16 @@ def enumerate_domain(d: FiniteType) -> tuple[Atom, ...]:
     return tuple(Atom(i) for i in range(d.size))
 
 
+def refuse_count(kind: str, space: str, count: int, cap: int, unit: str = "values") -> None:
+    """CarrierTooLarge, naming the space, if its count passes the cap."""
+    if count > cap:
+        raise CarrierTooLarge(
+            f"{kind} too large: {space} has {shown_count(count)} {unit}, cap {cap}")
+
+
 def refuse_wide(d: FiniteType, cap: int) -> FiniteType:
     """d itself; CarrierTooLarge if it has more than cap atoms."""
-    if d.size > cap:
-        raise CarrierTooLarge(
-            f"domain too large: {render_carrier(Base(d))} has {d.size} atoms, cap {cap}"
-        )
+    refuse_count("domain", render_carrier(Base(d)), d.size, cap, "atoms")
     return d
 
 
@@ -411,11 +415,7 @@ def shown_count(n: int) -> int | str:
 
 @lru_cache(maxsize=None)
 def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
-    size = carrier_size(c, _EXACT_BITS)
-    if size > cap:
-        raise CarrierTooLarge(
-            f"carrier too large: {render_carrier(c)} has {shown_count(size)} values, cap {cap}"
-        )
+    refuse_count("carrier", render_carrier(c), carrier_size(c, _EXACT_BITS), cap)
     if isinstance(c, Base):
         return enumerate_domain(c.domain)
     if isinstance(c, FnOf):
@@ -608,11 +608,9 @@ def render_value(v: Value) -> str:
         return "{" + body + "}"
     if t is Vec:
         return "<" + ", ".join(render_value(x) for x in v.items) + ">"
+    if t is FnTable:
+        return render_value(Vec(v.entries))
     raise TypeError(f"not a Value: {v!r}")
-
-
-def render_table(t: FnTable) -> str:
-    return render_value(Vec(t.entries))
 
 
 _TOKEN_RE = re.compile(

@@ -191,8 +191,13 @@ def test_shift_compatible_measures(inst, measure):
 
 
 def test_max_shift_check_skips_empty_sequence():
+    # the 13 sequences of length up to 2 over three rates, but for [],
+    # where max is undefined, each shifted by the four constants
     rep = check_measure_shift(get_instance("nondet"), get_measure("max"))
-    assert "skipped=1" in rep.detail
+    assert rep.passed and rep.detail == "measure=max"
+    mv, c = rep.quantifiers
+    assert (mv.var, mv.size, mv.count, c.size) == ("mv", 12, 12, 4)
+    assert rep.checked == 48
 
 
 def test_default_zero_shift_witness():
@@ -419,3 +424,21 @@ def test_empty_admissible_set_raises():
               greedy_walk().next, idx_reward, admissible=lambda t, x: ())
     with pytest.raises(ValueError):
         enumerate_policy_seqs(sdp, 1)
+
+
+def test_cap_bounds_the_policy_slots():
+    # a policy sequence picks a control in each of horizon x 3 states
+    def shift_next(t, x, y):
+        return Atom((x.index + y.index) % 3)
+
+    def shift(horizon):
+        return Sdp("shift", horizon, X3, Y2, get_instance("identity"), get_measure("point"),
+                   shift_next, idx_reward)
+
+    assert check_val_equiv(shift(2), Q, cap=6).passed
+    rep = check_val_equiv(shift(3), Q, cap=6)
+    assert not rep.passed and rep.checked == 0 and rep.witness is None
+    assert rep.diagnostic == "policy sequences too large: h=3 x X(3) has 9 slots, cap 6"
+    # a horizon of 2^62 is refused before a choice list is built
+    rep = check_val_equiv(shift(1 << 62), Q)
+    assert rep.checked == 0 and rep.diagnostic.startswith("policy sequences too large: ")

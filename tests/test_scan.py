@@ -86,6 +86,12 @@ def _report() -> LawReport:
     return LawReport(law_id="t", instance="-")
 
 
+def test_a_report_passes_iff_it_holds_neither_witness_nor_diagnostic():
+    assert LawReport("t", "-").passed
+    assert not LawReport("t", "-", diagnostic="x").passed
+    assert not LawReport("t", "-", witness={"lhs": "0", "rhs": "1"}).passed
+
+
 def test_least_witness_with_extras_and_multi_name_render():
     variables = lambda: [
         Var("ab", "pairs", [(0, 0), (0, 1), (1, 1)], 3,
@@ -100,12 +106,6 @@ def test_least_witness_with_extras_and_multi_name_render():
         ("a", "0"), ("b", "1"), ("x", "0"), ("sum", "1"), ("lhs", "0"), ("rhs", "1"),
     ]
     assert [s.var for s in rep.quantifiers] == ["ab", "x"]
-
-
-def test_skipped_bindings_are_not_counted():
-    rep = scan(_report(), lambda: [Var("x", "0..5", range(6), 6)],
-               lambda x: None if x % 2 else (x, x))
-    assert rep.passed and rep.checked == 3
 
 
 def test_budget_caps_only_sampled_scans():

@@ -8,6 +8,7 @@ import pytest
 
 from finmon.instances import get_instance
 from finmon.systems import (
+    SYSTEM_CHECKS,
     MonSys,
     check_flow_lr,
     check_flow_mon_r_lem,
@@ -305,3 +306,48 @@ def test_check_reports_carry_system_name():
     assert rep.detail == "system=branch"
     assert rep.instance == "nondet"
     assert rep.sizes == {"X": 3}
+
+
+def one_state() -> MonSys:
+    return mon_sys("stay", get_instance("identity"), FiniteType("X", 1), lambda a: a)
+
+
+@pytest.mark.parametrize("check", [check_flow_lr, check_flow_mon_r_lem, check_repr_lemma,
+                                   check_flow_trj])
+def test_cap_bounds_the_step_counts(check):
+    # n_max 5 has 6 step counts; reprLemma's carrier, X itself, has 3 values
+    assert check(rotate(), 4, 5).passed
+    rep = check(rotate(), 5, 5)
+    assert not rep.passed and rep.checked == 0 and rep.witness is None
+    assert rep.diagnostic == "step counts too large: 0..5 has 6 values, cap 5"
+
+
+def test_cap_bounds_the_flow_monoid_splits():
+    # the unit and the splits of totals up to 3: 1 + 10; up to 4: 1 + 15
+    assert check_flow_monoid(rotate(), 3, 11).passed
+    rep = check_flow_monoid(rotate(), 4, 11)
+    assert not rep.passed and rep.checked == 0 and rep.witness is None
+    assert rep.diagnostic == "splits too large: unit, m+n<=4 has 16 values, cap 11"
+
+
+def test_cap_bounds_the_map_last_carriers_together():
+    # vectors of lengths 1..3 over 3 states: 3 + 9 + 27 values, and the
+    # 81 of length 4 alone pass the cap
+    assert check_map_last_lemma(rotate(), 3, 39).passed
+    rep = check_map_last_lemma(rotate(), 4, 39)
+    assert rep.checked == 0
+    assert rep.diagnostic == "carrier too large: Fn[T(4)->X(3)] has 81 values, cap 39"
+    # one state: each length has one vector, and only their total passes
+    assert check_map_last_lemma(one_state(), 6, 6).passed
+    rep = check_map_last_lemma(one_state(), 7, 6)
+    assert rep.checked == 0
+    assert rep.diagnostic == "carrier too large: M Vec[X;len=1..7] has 7 values, cap 6"
+
+
+@pytest.mark.parametrize("check", sorted(SYSTEM_CHECKS))
+def test_a_huge_n_max_is_refused_at_once(check):
+    # 2^62 steps: a lazily consumed step count would never end, and
+    # mapLastLemma's carriers pass the default cap at length 6
+    rep = run_system_check(check, branch_sys(), 1 << 62)
+    assert rep.checked == 0 and rep.witness is None and rep.quantifiers == []
+    assert "too large" in rep.diagnostic

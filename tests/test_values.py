@@ -46,7 +46,6 @@ from finmon.values import (
     mk_dist,
     parse_value,
     render_carrier,
-    render_table,
     render_value,
     shown_count,
     sub_seed,
@@ -469,8 +468,8 @@ def test_empty_domain_has_one_table():
 
 def test_table_round_trips_through_vec():
     t = tabulate(A2, Base(A3), lambda a: Atom((a.index + 1) % 3))
-    assert render_table(t) == "<#1, #2>"
-    assert parse_value(render_table(t)) == Vec(t.entries)
+    assert render_value(t) == "<#1, #2>"
+    assert parse_value(render_value(t)) == Vec(t.entries)
 
 
 def test_tables_are_extensional_by_construction():
