@@ -278,7 +278,7 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
     with the shift witness, or with the shift check's diagnostic when it
     could not run; the two value functions are not compared at all in
     that case. The cap also bounds the horizon x states slots of a policy
-    sequence, as it bounds a table's domain."""
+    sequence, as it bounds a table's domain. Its timing includes the gate's."""
     report = LawReport(
         law_id="valSpec",
         instance=sdp.monad.name,
@@ -289,16 +289,6 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
         },
         detail=f"sdp={sdp.name} measure={sdp.measure.name}",
     )
-    shift = check_measure_shift(sdp.monad, sdp.measure, cap)
-    if not shift.passed:
-        report.witness = shift.witness
-        report.diagnostic = shift.diagnostic or (
-            f"measure {sdp.measure.name!r} is not shift compatible; "
-            "refusing to compare val with val_spec"
-        )
-        report.elapsed_ms = shift.elapsed_ms
-        return report
-
     memos = []  # val's and val_spec's, kept only when the scan is exhaustive
 
     def variables():
@@ -312,7 +302,16 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
             Var("x", "X", enumerate_domain(sdp.states), n),
         ]
 
-    scan(report, variables,
-         lambda ps, x: (val(sdp, ps, x, 0, memos[0]), val_spec(sdp, ps, x, 0, memos[1])), q)
+    shift = check_measure_shift(sdp.monad, sdp.measure, cap)
+    if shift.passed:
+        scan(report, variables,
+             lambda ps, x: (val(sdp, ps, x, 0, memos[0]), val_spec(sdp, ps, x, 0, memos[1])), q)
+    else:
+        report.witness = shift.witness
+        report.diagnostic = shift.diagnostic or (
+            f"measure {sdp.measure.name!r} is not shift compatible; "
+            "refusing to compare val with val_spec"
+        )
     report.elapsed_ms += shift.elapsed_ms
+    report.evaluated += shift.evaluated
     return report

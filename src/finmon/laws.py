@@ -26,9 +26,10 @@ the whole product in canonical order when it fits the budget, so the
 first failing binding is the least counterexample, and otherwise
 samples (see reports._plan). On an instance declared parametric, whose
 operations must commute with every renaming of atoms past the carrier
-bounds too, an exhaustive scan evaluates only the least binding of each
-renaming orbit (reports.orbit_images); checked still counts every binding
-up to the witness.
+bounds too, a check declares that renaming the atoms of the law's role
+domains commutes with its sides, and the scan decides when to evaluate
+only the least binding of each renaming orbit; checked still counts
+every binding up to the witness.
 
 One memo rule decides what is cached. A side's root is not, and neither
 is a subterm applied to the bound variable that reads every table: its
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .instances import FunctorInstance, MonadInstance
-from .reports import LawReport, Var, orbit_images, scan
+from .reports import LawReport, Var, scan
 from .values import (
     Atom,
     Base,
@@ -327,7 +328,7 @@ def law_by_id(law_id: str) -> Law:
 
 def _variable(
     vs: VarSpec, inst: Instance, domains: dict[str, FiniteType], cap: int
-) -> tuple[Var, CarrierDesc]:
+) -> Var:
     """The scan variable for one bound variable: its whole space in
     canonical order, with the space's description and size, and the
     carrier it ranges over, FnOf(dom, cod) for tables. A domain or
@@ -337,7 +338,7 @@ def _variable(
         cod = resolve_carrier(vs.cod, inst, domains)
         fns = enumerate_functions(dom, cod, cap)
         return Var(vs.name, f"{vs.dom}->{render_carrier(cod)}", fns,
-                   carrier_size(FnOf(dom, cod))), FnOf(dom, cod)
+                   carrier_size(FnOf(dom, cod)), carriers=(FnOf(dom, cod),))
     if vs.kind == "atom":
         desc = Base(domains[vs.dom])
         full = enumerate_domain(refuse_wide(desc.domain, cap))
@@ -348,7 +349,7 @@ def _variable(
         space = render_carrier(desc)
     else:
         raise ValueError(f"unknown variable kind {vs.kind!r}")
-    return Var(vs.name, space, full, len(full)), desc
+    return Var(vs.name, space, full, len(full), carriers=(desc,))
 
 
 def check_law(
@@ -372,15 +373,12 @@ def check_law(
             f"{report.instance!r} does not provide"
         )
 
-    def variables():
-        bound = [_variable(vs, inst, domains, cap) for vs in law.variables]
-        roles = sorted({vs.dom for vs in law.variables if vs.dom}
-                       | {vs.cod.split()[-1] for vs in law.variables if vs.cod})
-        return orbit_images([(v, (desc,)) for v, desc in bound],
-                            list(dict.fromkeys(domains[r] for r in roles)),
-                            getattr(inst, "parametric", False), q)
-
-    return scan(report, variables, _compile(law, inst), q)
+    roles = sorted({vs.dom for vs in law.variables if vs.dom}
+                   | {vs.cod.split()[-1] for vs in law.variables if vs.cod})
+    renamed = (list(dict.fromkeys(domains[r] for r in roles if r in domains))
+               if getattr(inst, "parametric", False) else [])
+    return scan(report, lambda: [_variable(vs, inst, domains, cap) for vs in law.variables],
+                _compile(law, inst), q, renamed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 checks and the DP checks, and the one scan engine that every quantified
 check runs through.
 
-An exhaustive scan whose variables all have images under a group of atom
-renamings evaluates the least binding of each orbit only (Ip and Dill,
-1996). orbit_images gives them: the laws on a parametric instance and
-mapLastLemma on a parametric system call it. Its caller vouches that
-renaming commutes with both sides, so the witness is among them.
-checked counts logical bindings either way; evaluated counts the calls
-of sides."""
+A check declares, as scan's renamed, the atom types whose renamings
+commute with both of its sides: the role domains of a law on a
+parametric instance, the states of mapLastLemma on a parametric system.
+scan decides when to reduce: an exhaustive scan with no empty space
+evaluates only the least binding of each orbit under that group (Ip and
+Dill, 1996), and the witness is among them. checked counts logical
+bindings either way; evaluated counts the calls of sides."""
 
 from __future__ import annotations
 
@@ -104,16 +104,16 @@ class Var:
     binding (a dict when one variable binds several names). Exhaustive
     scans iterate the candidates, the outermost one value at a time, so
     per-binding set-up computed there runs once; sampled scans index
-    them, so they must then be a Sequence of length size. images holds
-    the candidates' index permutation under each non-identity element
-    of one renaming group, in the same order for every variable."""
+    them, so they must then be a Sequence of length size. carriers are
+    the carrier descriptors whose values the candidates enumerate end to
+    end; a scan that renames atoms reads them."""
 
     name: str
     space: str
     candidates: Iterable
     size: int
     render: Callable[[Any], str | dict[str, str]] = render_value
-    images: Sequence[Sequence[int]] = ()
+    carriers: Sequence[CarrierDesc] = ()
 
 
 def _product(variables: Sequence[Var]) -> Iterable[tuple]:
@@ -137,21 +137,15 @@ def exhaustive(sizes: Sequence[int], q: Quantifier | None) -> bool:
 SYMMETRY_CAP = 1 << 18
 
 
-def orbit_images(bound: Sequence[tuple[Var, Sequence[CarrierDesc]]], types: Sequence[FiniteType],
-                 parametric: bool, q: Quantifier | None = None) -> list[Var]:
-    """The variables of bound, each ranging over its carriers end to end,
-    with their images under every renaming of the atoms of types but the
-    identity, in a fixed order. None unless parametric, every space
-    nonempty, the scan exhaustive and the tables within SYMMETRY_CAP."""
-    variables = [v for v, _ in bound]
-    sizes = [v.size for v in variables]
-    if not parametric or 0 in sizes or not exhaustive(sizes, q):
-        return variables
-    order = math.prod(math.factorial(min(d.size, 20)) for d in types)  # 20! passes any cap
-    if order * sum(sizes) > SYMMETRY_CAP:
-        return variables
-    perms = itertools.product(*(itertools.permutations(range(d.size)) for d in types))
-    group = [dict(zip(types, g)) for g in itertools.islice(perms, 1, None)]
+def _images(variables: Sequence[Var], renamed: Sequence[FiniteType]) -> list[list[array]]:
+    """Each variable's index permutation under every renaming of the
+    atoms of renamed but the identity, in a fixed order; none when the
+    group is trivial or its tables pass SYMMETRY_CAP."""
+    order = math.prod(math.factorial(min(d.size, 20)) for d in renamed)  # 20! passes any cap
+    if order == 1 or order * sum(v.size for v in variables) > SYMMETRY_CAP:
+        return []
+    perms = itertools.product(*(itertools.permutations(range(d.size)) for d in renamed))
+    group = [dict(zip(renamed, g)) for g in itertools.islice(perms, 1, None)]
 
     def image(descs, g):
         out = array("q")
@@ -160,13 +154,14 @@ def orbit_images(bound: Sequence[tuple[Var, Sequence[CarrierDesc]]], types: Sequ
             out.extend(offset + i for i in relabeling(desc, g))
         return out
 
-    return [dataclasses.replace(v, images=[image(descs, g) for g in group]) for v, descs in bound]
+    return [[image(v.carriers, g) for g in group] for v in variables]
 
 
-def _orbit_least(variables: Sequence[Var]) -> Iterator[tuple[int, tuple]]:
-    """(rank in the full product, binding) of each binding that no group
-    element maps lower, in order. Elements that fix the prefix stay live;
-    a candidate that a live one maps lower is pruned with its subtree."""
+def _orbit_least(variables: Sequence[Var], images: list) -> Iterator[tuple[int, tuple]]:
+    """(rank in the full product, binding) of each binding that no
+    element of the group of images (as _images gives them) maps lower,
+    in order. Elements that fix the prefix stay live; a candidate that a
+    live one maps lower is pruned with its subtree."""
     spaces = [tuple(v.candidates) for v in variables]
 
     def visit(i, live, rank, prefix):
@@ -174,23 +169,24 @@ def _orbit_least(variables: Sequence[Var]) -> Iterator[tuple[int, tuple]]:
             yield rank, prefix
             return
         for c, value in enumerate(spaces[i]):
-            moved = [(variables[i].images[g][c], g) for g in live]
+            moved = [(images[i][g][c], g) for g in live]
             if all(d >= c for d, _ in moved):
                 fixing = [g for d, g in moved if d == c]
                 yield from visit(i + 1, fixing, rank * len(spaces[i]) + c, prefix + (value,))
 
-    return visit(0, range(len(variables[0].images)), 0, ())
+    return visit(0, range(len(images[0])), 0, ())
 
 
 def _plan(
-    variables: Sequence[Var], q: Quantifier | None
+    variables: Sequence[Var], q: Quantifier | None, renamed: Sequence[FiniteType] = ()
 ) -> tuple[Iterable[tuple[int, tuple]], int, list[QuantifierStat]]:
     """The bindings a scan visits with their ranks, how many bindings
     the scan stands for, and the stat of each variable.
 
-    Exhaustive, in lexicographic order, when exhaustive() says so, one
-    binding per orbit when every variable has images, and vacuous,
-    visiting nothing of any space, when a space is empty. Otherwise
+    Exhaustive, in lexicographic order, when exhaustive() says so, and
+    vacuous, visiting nothing of any space, when a space is empty. With
+    no empty space, one binding per orbit under renaming the atoms of
+    renamed, when _images gives the group's tables. Otherwise
     q.budget joint bindings drawn up front: variable i draws uniformly
     with replacement from its own stream, seeded with sub_seed(q.seed,
     i), so every variable varies and the first k draws are the same
@@ -201,8 +197,9 @@ def _plan(
     if vacuous or exhaustive(sizes, q):
         stats = [QuantifierStat(v.name, v.space, v.size, "exhaustive",
                                 0 if vacuous else v.size) for v in variables]
-        bindings = (() if vacuous else _orbit_least(variables)
-                    if all(v.images for v in variables) else enumerate(_product(variables)))
+        images = [] if vacuous else _images(variables, renamed)
+        bindings = (() if vacuous else _orbit_least(variables, images) if images
+                    else enumerate(_product(variables)))
         return bindings, math.prod(sizes), stats
     picks = []
     for i, n in enumerate(sizes):
@@ -219,9 +216,12 @@ def scan(
     variables: Callable[[], Sequence[Var]],
     sides: Callable[..., tuple],
     q: Quantifier | None = None,
+    renamed: Sequence[FiniteType] = (),
 ) -> LawReport:
     """Visit the bindings _plan chooses and stop at the first whose two
     sides differ: the least counterexample when the scan is exhaustive.
+    renamed are the atom types whose renamings commute with both sides,
+    none by default; every variable then carries its carriers.
 
     variables() builds the variables inside the scan, so a carrier past
     its cap stops the check before its first evaluation. sides(*binding)
@@ -233,7 +233,7 @@ def scan(
     rank, evaluated = -1, 0
     try:
         bound = variables()
-        bindings, total, report.quantifiers = _plan(bound, q)
+        bindings, total, report.quantifiers = _plan(bound, q, renamed)
         for rank, binding in bindings:
             evaluated += 1
             out = sides(*binding)

@@ -19,10 +19,10 @@ Conventions, fixed once:
   rebuilding each level from pure was quadratic.
 * a trajectory is a function of time: n steps from x are a vector of
   n + 1 states, a value of FnOf(T(n + 1), X) (values.Vec), heads first.
-* mapLastLemma, which never reads the step, evaluates one binding per
-  orbit under renaming the states on a parametric monad, as the laws do
-  (reports.orbit_images). A renaming moves the step table, so the flow
-  checks evaluate every binding.
+* a check declares the atom types whose renamings commute with its
+  sides, and scan decides when to reduce: mapLastLemma, which never
+  reads the step, declares the states on a parametric monad. A renaming
+  moves the step table, so the flow checks declare none.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import partial
 from typing import Callable
 
 from .instances import MonadInstance
-from .reports import LawReport, Var, orbit_images, scan
+from .reports import LawReport, Var, scan
 from .values import (
     Atom,
     Base,
@@ -146,7 +146,7 @@ def _n_var(n_max: int, cap: int, *builds: Callable) -> Var:
 
 
 def _x_var(domain: FiniteType) -> Var:
-    return Var("x", "X", enumerate_domain(domain), domain.size)
+    return Var("x", "X", enumerate_domain(domain), domain.size, carriers=(Base(domain),))
 
 
 def check_flow_lr(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:
@@ -189,22 +189,22 @@ def check_flow_monoid(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -
     checked pointwise for every split with m + n <= n_max.
 
     The split variable visits the unit first, then every split (m, n)
-    by increasing total."""
+    by increasing total, building flow f total when it first needs it."""
     m = sys.monad
     flows: list[FnTable] = []
+
+    def splits():  # quadratically many, so yielded one at a time
+        for total in range(n_max + 1):
+            flows.append(flow(sys, total, flows[-1] if total else None))
+            if not total:
+                yield 0, 0, True
+            yield from ((mm, total - mm, False) for mm in range(total + 1))
 
     def variables():
         count = 1 + (n_max + 1) * (n_max + 2) // 2
         refuse_count("splits", f"unit, m+n<={n_max}", count, cap)
-        for n in range(n_max + 1):
-            flows.append(flow(sys, n, flows[-1] if n else None))
-        # quadratically many splits, so yielded one at a time
-        splits = itertools.chain([(0, 0, True)], (
-            (mm, total - mm, False)
-            for total in range(n_max + 1) for mm in range(total + 1)
-        ))
         return [
-            Var("(m, n)", f"unit, m+n<={n_max}", splits, count,
+            Var("(m, n)", f"unit, m+n<={n_max}", splits(), count,
                 render=lambda sp: {"m": str(sp[0]), "n": str(sp[1])}),
             _x_var(sys.domain),
         ]
@@ -310,13 +310,14 @@ def check_map_last_lemma(
             total += size
             refuse_count("carrier", f"M Vec[X;len=1..{ln}]", total, cap)
         values = tuple(itertools.chain.from_iterable(enumerate_carrier(c, cap) for c in carriers))
-        mvx = Var("mvx", f"M Vec[X;len=1..{n_max}]", values, len(values))
-        # a state type named T would rename the time slots too
-        return orbit_images([(_x_var(sys.domain), (Base(sys.domain),)), (mvx, carriers)],
-                            [sys.domain], m.parametric and sys.domain.name != "T")
+        return [_x_var(sys.domain),
+                Var("mvx", f"M Vec[X;len=1..{n_max}]", values, len(values), carriers=carriers)]
 
+    # a state type named T would rename the time slots too
+    renamed = [sys.domain] if m.parametric and sys.domain.name != "T" else []
     return scan(_base_report("mapLastLemma", sys), variables,
-                lambda x, mvx: (map_last(sys, m.map(_prepend(x), mvx)), map_last(sys, mvx)))
+                lambda x, mvx: (map_last(sys, m.map(_prepend(x), mvx)), map_last(sys, mvx)),
+                renamed=renamed)
 
 
 def check_flow_trj(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> LawReport:

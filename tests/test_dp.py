@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from finmon.cli import main
 from finmon.dp import (
     MEASURES,
     Measure,
@@ -217,6 +220,21 @@ def test_val_equiv_refuses_incompatible_measure():
     assert not rep.passed
     assert rep.witness == {"mv": "none", "c": "1", "lhs": "0", "rhs": "1"}
     assert "refusing" in rep.diagnostic
+
+
+def test_val_equiv_counts_the_gate_s_evaluations(tmp_path):
+    # the timing section counts the measureShift gate's evaluations with
+    # valSpec's own, as it adds the gate's time
+    out = tmp_path / "report.json"
+    config = Path(__file__).resolve().parent.parent / "configs" / "dp.json"
+    assert main(["--config", str(config), "--format", "json", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["timing"]["checks"]
+    assert {c["group"]: c["evaluated"] for c in checks} == {"sdp:greedy-walk": 240,
+                                                            "sdp:coin-walk": 75}
+    assert check_measure_shift(get_instance("simpleprob"), get_measure("expected")).evaluated == 72
+    gate = check_measure_shift(get_instance("maybe"), get_measure("default-zero"))
+    rep = check_val_equiv(drop_chain(), Q)
+    assert not rep.passed and rep.evaluated == gate.evaluated > 0
 
 
 def int_reward(t, x, y, x1):

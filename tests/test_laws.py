@@ -98,6 +98,12 @@ def test_law_by_id_unknown():
         law_by_id("Z9")
 
 
+def test_a_missing_role_is_named_on_a_parametric_instance():
+    doms = {r: FiniteType(r, 2) for r in "AB"}
+    with pytest.raises(KeyError, match="role 'C' missing from domain map"):
+        check_law(law_by_id("F2"), get_instance("nondet"), doms, Quantifier(budget=10))
+
+
 @pytest.mark.parametrize("name", ["identity", "maybe"])
 def test_whole_catalog_green_on_small_instances(name):
     inst = get_instance(name)
@@ -309,7 +315,7 @@ def test_reports_are_deterministic():
 
 def _bindings(law, inst):
     """Every binding of the law at sizes 2, in scan order, and their count."""
-    spaces = [_variable(vs, inst, DOMS2, DEFAULT_CARRIER_CAP)[0].candidates
+    spaces = [_variable(vs, inst, DOMS2, DEFAULT_CARRIER_CAP).candidates
               for vs in law.variables]
     return itertools.product(*spaces), math.prod(len(s) for s in spaces)
 

@@ -170,6 +170,19 @@ def test_a_non_parametric_instance_evaluates_every_checked_binding():
         assert rep.evaluated == rep.checked > 0
 
 
+def test_only_an_exhaustive_scan_reduces_to_orbits():
+    nondet = get_instance("nondet")
+    # ma's 7 values pass a budget of 5: each sampled binding is evaluated
+    rep = check_law(law_by_id("F2"), nondet, DOMS2, Quantifier(budget=5))
+    assert [s.mode for s in rep.quantifiers] == ["sampled"] * 3
+    assert rep.quantifiers[2].size == 7
+    assert (rep.passed, rep.evaluated, rep.checked) == (True, 5, 5)
+    # an empty A leaves nothing to evaluate
+    rep = check_law(law_by_id("T4"), nondet, {**DOMS2, "A": FiniteType("A", 0)}, Q)
+    assert (rep.passed, rep.evaluated, rep.checked) == (True, 0, 0)
+    assert [s.count for s in rep.quantifiers] == [0, 0]
+
+
 X3 = FiniteType("X", 3)
 
 

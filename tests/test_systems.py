@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from finmon import systems
 from finmon.instances import get_instance
 from finmon.systems import (
     SYSTEM_CHECKS,
@@ -240,6 +241,18 @@ def test_mutant_a_breaks_the_flow_monoid():
     rep = check_flow_monoid(broken, 3)
     assert not rep.passed
     assert rep.witness is not None
+
+
+def test_flow_monoid_builds_only_the_flows_its_splits_reach(monkeypatch):
+    calls = []
+    original = systems.flow
+    monkeypatch.setattr(systems, "flow", lambda *args: calls.append(args[1]) or original(*args))
+    broken = MonSys("b", get_instance("mutant-a"), X3, branch_sys().step)
+    rep = check_flow_monoid(broken, 17)
+    assert (rep.checked, rep.evaluated) == (10, 10)
+    assert rep.witness == {"m": "1", "n": "0", "x": "#0", "lhs": "[#0, #1]", "rhs": "[#1, #0]"}
+    # the unit and the splits of totals 0 and 1 need flows 0 and 1 only
+    assert calls == [0, 1]
 
 
 def test_repr_lemma_maybe_and_simpleprob():
