@@ -4,17 +4,13 @@ A process steps from state to state under chosen controls, collecting
 exact rewards. The monad shapes the uncertainty of each step;
 a measure turns a monadic structure of rewards into one number.
 
-Two value functions are implemented. `val` is the textbook backward
-recursion: it applies the measure at every node it evaluates. `val_spec`
-first builds the full monadic structure of accumulated reward sums and
-applies the measure exactly once at the root. The two agree exactly
-when the measure is compatible with shifting rewards by a constant, and
+Both value functions run backward induction, with no recursion. `val`
+measures at every node; `val_spec` measures once, at the root, the full
+structure of reward sums that `rews` builds. The two agree exactly when
+the measure is compatible with shifting rewards by a constant, and
 `check_val_equiv` refuses to compare them under a measure that fails
 that precondition, reporting the shift witness instead. An exhaustive
-check memoizes each node on all it reads: t, x, ps[0][x] and the later
-policies ps[1:], whose interned atoms hash in C. val keeps every node,
-rews the nodes below the root and val_spec each root's measured value.
-A sampled check keeps no memo, as its long tails seldom recur.
+check shares one memo of nodes per value function and one of roots.
 
 Rewards ride inside monadic values as bare leaves of no enumerated
 carrier, ints when integral and Fractions otherwise, so sums stay exact.
@@ -24,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
 from typing import Callable
 
 from .instances import MonadInstance
@@ -148,10 +143,8 @@ class Sdp:
         return ys
 
 
-# a policy assigns a control to every state; a policy sequence is one
-# policy per remaining step
-Policy = tuple[Atom, ...]
-PolicySeq = tuple[Policy, ...]
+# a policy sequence holds, for each remaining step, a control per state
+PolicySeq = tuple[tuple[Atom, ...], ...]
 
 
 def enumerate_policy_seqs(sdp: Sdp, steps: int) -> Product:
@@ -173,54 +166,56 @@ def render_policy_seq(ps: PolicySeq) -> str:
 # value functions
 
 
-def _memoized(keep: Callable[[int], bool]):
-    """Keep a value function's results in its memo at the times keep
-    passes, keyed on all that a node reads: the time, the state and the
-    control ps chooses there as ints, then the later policies ps[1:] as
-    they are, a tuple of tuples of atoms that hash by identity."""
-    def wrap(fn):
-        @wraps(fn)
-        def memoized(sdp, ps, x, t=0, memo=None):
-            if memo is None or not ps or not keep(t):
-                return fn(sdp, ps, x, t, memo)
-            key = (t, x.index, ps[0][x.index].index, ps[1:])
-            if key not in memo:
-                memo[key] = fn(sdp, ps, x, t, memo)
-            return memo[key]
-        return memoized
-    return wrap
-
-
-@_memoized(lambda t: True)
-def val(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Reward:
-    """Backward-recursive value: measure at every node. A memo dict, if
-    given, keeps every node's value, the root included, for later calls."""
+def _backward(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None, zero, node):
+    """The value of ps at (0, x): zero past the horizon, then each level
+    t = h-1 ... 1 over all states (node gives one from the level below),
+    and the root last. A memo, for one sdp and horizon, keeps a node under
+    its state, its control and an int id of ps[t+1:]; a suffix id is
+    interned from its head and its tail's id, beside its level."""
     if not ps:
-        return 0
-    y, tail = ps[0][x.index], ps[1:]
+        return zero
+    memo = {} if memo is None else memo
+    below, suffix = [zero] * sdp.states.size, -1  # -1 is the empty suffix's id
+    for t in range(len(ps) - 1, 0, -1):
+        policy = ps[t]
+        known = memo.get((policy, suffix))
+        if known is None:
+            level = []
+            for x1, y1 in zip(enumerate_domain(sdp.states), policy):
+                key = (x1, y1, suffix)
+                v = memo.get(key)
+                if v is None:
+                    v = memo[key] = node(sdp, t, x1, y1, below)
+                level.append(v)
+            known = memo[policy, suffix] = (len(memo), level)  # the memo only grows
+        suffix, below = known
+    return node(sdp, 0, x, ps[0][x.index], below)
+
+
+def _val_node(sdp: Sdp, t: int, x: Atom, y: Atom, below: list) -> Reward:
     return sdp.measure.apply(sdp.monad.map(
-        lambda x1: sdp.reward(t, x, y, x1) + val(sdp, tail, x1, t + 1, memo),
-        sdp.next(t, x, y),
-    ))
+        lambda x1: sdp.reward(t, x, y, x1) + below[x1.index], sdp.next(t, x, y)))
 
 
-@_memoized(lambda t: t > 0)
-def rews(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Value:
+def _rews_node(sdp: Sdp, t: int, x: Atom, y: Atom, below: list) -> Value:
+    return sdp.monad.bind(sdp.next(t, x, y), lambda x1: sdp.monad.map(
+        lambda r: sdp.reward(t, x, y, x1) + r, below[x1.index]))
+
+
+def val(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None = None) -> Reward:
+    """The textbook value: the measure applied at every node."""
+    return _backward(sdp, ps, x, memo, 0, _val_node)
+
+
+def rews(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None = None) -> Value:
     """The monadic structure of total rewards along every future the
-    policy sequence admits, with no measuring at all; memo below the root."""
-    m = sdp.monad
-    if not ps:
-        return m.pure(0)
-    y, tail = ps[0][x.index], ps[1:]
-    return m.bind(sdp.next(t, x, y), lambda x1: m.map(
-        lambda r: sdp.reward(t, x, y, x1) + r, rews(sdp, tail, x1, t + 1, memo)))
+    policy sequence admits, with no measuring at all."""
+    return _backward(sdp, ps, x, memo, sdp.monad.pure(0), _rews_node)
 
 
-@_memoized(lambda t: t == 0)
-def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, t: int = 0, memo: dict | None = None) -> Reward:
-    """Measure the whole reward structure once, at the root; a memo keeps
-    the measured value at t = 0, where rews keeps no structure."""
-    return sdp.measure.apply(rews(sdp, ps, x, t, memo))
+def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None = None) -> Reward:
+    """Measure the whole reward structure once, at the root."""
+    return sdp.measure.apply(rews(sdp, ps, x, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -282,30 +277,33 @@ def check_val_equiv(sdp: Sdp, q: Quantifier, cap: int = DEFAULT_CARRIER_CAP) -> 
     report = LawReport(
         law_id="valSpec",
         instance=sdp.monad.name,
-        sizes={
-            "X": sdp.states.size,
-            "Y": sdp.controls.size,
-            "horizon": sdp.horizon,
-        },
+        sizes={"X": sdp.states.size, "Y": sdp.controls.size, "horizon": sdp.horizon},
         detail=f"sdp={sdp.name} measure={sdp.measure.name}",
     )
-    memos = []  # val's and val_spec's, kept only when the scan is exhaustive
+    memos = []  # the roots', val's and val_spec's, shared when the scan is exhaustive
 
     def variables():
         n = sdp.states.size
         refuse_count("policy sequences", f"h={sdp.horizon} x X({n})", sdp.horizon * n, cap, "slots")
         seqs = enumerate_policy_seqs(sdp, sdp.horizon)
-        memos.extend(({}, {}) if exhaustive([seqs.size, n], q) else (None, None))
+        if exhaustive([seqs.size, n], q):
+            memos.extend(({}, {}, {}))
         return [
             Var("ps", f"policy sequences (h={sdp.horizon})", seqs, seqs.size,
                 render=render_policy_seq),
             Var("x", "X", enumerate_domain(sdp.states), n),
         ]
 
+    def sides(ps, x):
+        roots, val_memo, spec_memo = memos or ({}, {}, {})  # fresh per sampled evaluation
+        root = (x, ps and ps[0][x.index], ps[1:])  # all that a root reads
+        if (pair := roots.get(root)) is None:
+            pair = roots[root] = val(sdp, ps, x, val_memo), val_spec(sdp, ps, x, spec_memo)
+        return pair
+
     shift = check_measure_shift(sdp.monad, sdp.measure, cap)
     if shift.passed:
-        scan(report, variables,
-             lambda ps, x: (val(sdp, ps, x, 0, memos[0]), val_spec(sdp, ps, x, 0, memos[1])), q)
+        scan(report, variables, sides, q)
     else:
         report.witness = shift.witness
         report.diagnostic = shift.diagnostic or (

@@ -47,6 +47,7 @@ import re
 import threading
 import weakref
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -559,7 +560,7 @@ class Product(Sequence):
     def __init__(self, factors, build: Callable[[tuple], object]):
         self.factors = tuple(tuple(f) for f in factors)
         self.build = build
-        self.size = math.prod(len(f) for f in self.factors)
+        self.size = math.prod(n ** k for n, k in Counter(map(len, self.factors)).items())
 
     def __len__(self) -> int:
         return self.size

@@ -327,19 +327,27 @@ def test_refused_sdp_measure_fails_the_run(tmp_path, capsys):
     assert "mv = none" in out
 
 
-def test_deep_horizon_fails_with_a_diagnostic(tmp_path, capsys):
-    # val recurses about three frames per step, past the interpreter's limit
+@pytest.mark.parametrize("horizon,states,controls,mode", [
+    (400, 1, 1, "exhaustive"),
+    (10_000, 2, 1, "exhaustive"),
+    (10_000, 2, 2, "sampled"),
+])
+def test_deep_horizons_run_to_a_verdict(tmp_path, capsys, horizon, states, controls, mode):
+    # backward induction builds one level at a time, so no horizon
+    # nears the interpreter's recursion limit
+    step = [f"#{(x + 1) % states}" for x in range(states)]
     cfg = {"seed": 0, "budget": 10,
            "sdps": [{"name": "deep", "instance": "identity", "measure": "point",
-                     "horizon": 400, "states": 1, "controls": 1, "next": [["#0"]]}]}
+                     "horizon": horizon, "states": states, "controls": controls,
+                     "next": [step] * controls}]}
     out = tmp_path / "out.json"
     assert main(["--config", write_config(tmp_path, cfg), "--format", "json",
-                 "--out", str(out)]) == 1
+                 "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     (row,) = json.loads(out.read_text())["deterministic"]["results"]
-    assert not row["pass"] and row["checked"] == 1 and "witness" not in row
-    assert row["diagnostic"].startswith("recursion too deep: ")
-    assert "limit of" in row["diagnostic"]
+    assert row["pass"] and "diagnostic" not in row
+    assert row["checked"] == (states if mode == "exhaustive" else 10)
+    assert {q["mode"] for q in row["quantifiers"]} == {mode}
 
 
 @pytest.mark.parametrize("depth", [500, 2000])

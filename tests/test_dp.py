@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from finmon.cli import main
+from finmon.cli import load_config, main
 from finmon.dp import (
     MEASURES,
     Measure,
@@ -152,7 +152,8 @@ def test_measure_application_counts():
     ps = enumerate_policy_seqs(sdp, 3)[0]
     cm.count = 0
     val(sdp, ps, Atom(0))
-    # one application per visited node: 1 + 2 + 4 under branching 2
+    # one application per node built: the root, then levels 1 and 2 over
+    # all three states, 1 + 3 + 3
     assert cm.count == 7
     cm.count = 0
     val_spec(sdp, ps, Atom(0))
@@ -173,15 +174,11 @@ def test_memo_never_changes_a_value(mk, horizon, inst, measure):
     val_memo, rews_memo, spec_memo = {}, {}, {}
     for ps in enumerate_policy_seqs(sdp, horizon):
         for x in enumerate_domain(sdp.states):
-            assert val(sdp, ps, x, 0, val_memo) == val(sdp, ps, x)
-            assert rews(sdp, ps, x, 0, rews_memo) == rews(sdp, ps, x)
-            assert val_spec(sdp, ps, x, 0, spec_memo) == val_spec(sdp, ps, x)
-    # val keeps every node, the root included; rews only the nodes below
-    # the root; val_spec adds each root's measured value to rews's nodes
-    assert {key[0] for key in val_memo} == set(range(horizon))
-    assert rews_memo.keys() == {key for key in val_memo if key[0]}
-    assert spec_memo.keys() == val_memo.keys()
-    assert all(isinstance(v, Fraction) == (key[0] == 0) for key, v in spec_memo.items())
+            assert val(sdp, ps, x, val_memo) == val(sdp, ps, x)
+            assert rews(sdp, ps, x, rews_memo) == rews(sdp, ps, x)
+            assert val_spec(sdp, ps, x, spec_memo) == val_spec(sdp, ps, x)
+    # the three memos keep the same nodes and suffixes under the same keys
+    assert val_memo.keys() == rews_memo.keys() == spec_memo.keys()
 
 
 @pytest.mark.parametrize(
@@ -213,6 +210,11 @@ def test_default_zero_shift_witness():
 def test_val_equiv_green_cases():
     assert check_val_equiv(greedy_walk(horizon=2), Q).passed
     assert check_val_equiv(coin_walk(horizon=2), Q).passed
+    # horizon 0: the one empty sequence, worth 0 at every state, whether
+    # the three states are scanned or sampled
+    for q, mode in ((Q, "exhaustive"), (Quantifier(budget=2, seed=0), "sampled")):
+        rep = check_val_equiv(greedy_walk(horizon=0), q)
+        assert rep.passed and rep.quantifiers[1].mode == mode
 
 
 def test_val_equiv_refuses_incompatible_measure():
@@ -316,98 +318,109 @@ def test_val_equiv_sampled_mode():
     assert rep.checked == 100  # budget joint draws of (ps, x)
 
 
-def _root_memos(monkeypatch) -> list:
-    """Record the memo of every root call of val and val_spec, in order."""
+def _counting_next(sdp: Sdp) -> tuple[Sdp, list]:
+    """sdp with a next that counts its calls in the returned one-item list."""
+    calls = [0]
+
+    def counted(t, x, y):
+        calls[0] += 1
+        return sdp.next(t, x, y)
+
+    return dataclasses.replace(sdp, next=counted), calls
+
+
+@pytest.mark.parametrize("budget,exhaustive", [(64, True), (63, False)])
+def test_an_exhaustive_val_equiv_shares_memos_and_a_sampled_one_starts_fresh(
+        monkeypatch, budget, exhaustive):
+    # 64 policy sequences: a budget of 63 samples them
     import finmon.dp as dp
 
-    memos = []
+    memos, sizes = [], []  # each call's memo, and its size at the call
 
     def seen(real):
-        def wrapped(sdp, ps, x, t=0, memo=None):
-            if t == 0:
-                memos.append(memo)
-            return real(sdp, ps, x, t, memo)
+        def wrapped(sdp, ps, x, memo=None):
+            memos.append(memo)
+            sizes.append(len(memo))
+            return real(sdp, ps, x, memo)
         return wrapped
 
     monkeypatch.setattr(dp, "val", seen(dp.val))
     monkeypatch.setattr(dp, "val_spec", seen(dp.val_spec))
-    return memos
-
-
-@pytest.mark.parametrize("budget,memoized", [(64, True), (63, False)])
-def test_only_an_exhaustive_val_equiv_keeps_memos(monkeypatch, budget, memoized):
-    # 64 policy sequences: a budget of 63 samples them, and a sampled
-    # scan seldom meets a long tail twice, so it keeps no memo
-    memos = _root_memos(monkeypatch)
-    rep = check_val_equiv(greedy_walk(horizon=2), Quantifier(budget=budget, seed=0))
+    sdp, calls = _counting_next(greedy_walk(horizon=2))
+    rep = check_val_equiv(sdp, Quantifier(budget=budget, seed=0))
     assert rep.passed
-    assert rep.quantifiers[0].mode == ("exhaustive" if memoized else "sampled")
-    assert len(memos) == 2 * rep.checked
-    assert {type(m) for m in memos} == ({dict} if memoized else {type(None)})
-    if memoized:
-        # one dict for val, one for val_spec, each with a value at every
-        # root: 3 states, 2 controls there, 2^3 later policies
-        val_memo, spec_memo = {id(m): m for m in memos}.values()
-        roots = {key for key in val_memo if key[0] == 0}
-        assert roots == {key for key in spec_memo if key[0] == 0}
-        assert len(roots) == 3 * 2 * 2 ** 3
-        assert all(isinstance(spec_memo[key], Fraction) for key in roots)
+    assert rep.quantifiers[0].mode == ("exhaustive" if exhaustive else "sampled")
+    if exhaustive:
+        # one dict for val, one for val_spec, each called once per root:
+        # 3 states, 2 controls there, 2^3 later policies
+        assert len({id(m) for m in memos}) == 2
+        assert len(memos) == 2 * 3 * 2 * 2 ** 3 and max(sizes) > 0
+    else:
+        # every evaluation starts from empty memos, so it builds its root
+        # and the three nodes of level 1, for val and for val_spec's rews
+        assert len(memos) == 2 * rep.checked and set(sizes) == {0}
+        assert calls[0] == 2 * rep.checked * (3 + 1)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _config_sdp(config: str, name: str):
+    cfg = load_config(ROOT / config)
+    (sdp,) = [sdp for sdp, _ in cfg.sdps if sdp.name == name]
+    return sdp, Quantifier(budget=cfg.budget, seed=cfg.seed), cfg.carrier_cap
 
 
 def test_sequences_that_differ_only_at_other_states_share_a_root():
-    # the root at #0 reads only ps[0][#0] and ps[1:], so the second
-    # sequence is answered from the memo without a single measure
-    cm = CountingMeasure(get_measure("max"))
-    sdp = dataclasses.replace(greedy_walk(horizon=2), measure=cm)
-    y0, y1 = enumerate_domain(Y2)
-    first = ((y1, y0, y0), (y1, y1, y0))
-    other = ((y1, y1, y1), (y1, y1, y0))
-    for fn in (val, val_spec):
-        memo = {}
-        fn(sdp, first, Atom(0), 0, memo)
-        cm.count, entries = 0, len(memo)
-        got = fn(sdp, other, Atom(0), 0, memo)
-        assert cm.count == 0 and len(memo) == entries
-        assert got == fn(sdp, other, Atom(0))
+    # configs/dp.json's greedy-walk: a root reads only its state, ps[0]
+    # there and ps[1:], so of the 64 x 3 bindings only 3 x 2 x 2^3 roots
+    # are built, and the 3 x 2 nodes at t = 1 below them, once for val
+    # and once for val_spec's rews
+    sdp, q, cap = _config_sdp("configs/dp.json", "greedy-walk")
+    sdp, calls = _counting_next(sdp)
+    rep = check_val_equiv(sdp, q, cap)
+    assert rep.passed and rep.checked == 64 * 3
+    assert calls[0] == 2 * (3 * 2 * 2 ** 3 + 3 * 2) == 108
 
 
-@pytest.mark.parametrize("mk,horizon", [(greedy_walk, 3), (coin_walk, 6)])
-def test_memo_keys_hash_only_in_c(monkeypatch, mk, horizon):
-    # every key is (t, x, control, later policies): ints, then tuples of
-    # interned atoms, whose hash is object's, so no lookup runs Python code
-    memos = _root_memos(monkeypatch)
-    assert check_val_equiv(mk(horizon=horizon), Q).passed
-    keys = [key for memo in {id(m): m for m in memos}.values() for key in memo]
-    assert keys
-    for key in keys:
-        assert len(key) == 4 and all(type(i) is int for i in key[:3])
-        assert type(key[3]) is tuple and all(type(p) is tuple for p in key[3])
-        assert all(type(y) is Atom for p in key[3] for y in p)
-    assert Atom.__hash__ is object.__hash__
+@pytest.mark.parametrize("config,name,calls", [
+    pytest.param("perfbench/workloads/dynamics.json", "greedy-walk", 7_020, id="dynamics"),
+    # sampled: each of the 30 draws builds 7 levels of 3 states and a
+    # root, for val and for rews
+    pytest.param("configs/sampled.json", "walk2", 2 * 30 * (7 * 3 + 1), id="sampled"),
+])
+def test_next_call_counts(config, name, calls):
+    sdp, q, cap = _config_sdp(config, name)
+    sdp, counted = _counting_next(sdp)
+    assert check_val_equiv(sdp, q, cap).passed
+    assert counted[0] == calls
 
 
 def test_memo_entries_are_the_distinct_nodes():
-    # brute force: every (ps, x) walked down to its reachable nodes, each
-    # counted once as (t, x, ps[0][x], ps[1:])
-    sdp = greedy_walk(horizon=2)
+    # brute force: every (ps, x) walked down to its reachable nodes below
+    # the root, each counted once as (t, x, ps[t][x], ps[t+1:])
+    sdp = greedy_walk(horizon=3)
     nodes = set()
 
     def walk(ps, x, t):
-        if ps:
-            nodes.add((t, x, ps[0][x.index], ps[1:]))
-            for x1 in sdp.next(t, x, ps[0][x.index]).items:
-                walk(ps[1:], x1, t + 1)
+        if t < len(ps):
+            if t:
+                nodes.add((t, x, ps[t][x.index], ps[t + 1:]))
+            for x1 in sdp.next(t, x, ps[t][x.index]).items:
+                walk(ps, x1, t + 1)
 
-    val_memo, rews_memo, spec_memo = {}, {}, {}
-    for ps in enumerate_policy_seqs(sdp, 2):
+    memo = {}
+    for ps in enumerate_policy_seqs(sdp, 3):
         for x in enumerate_domain(sdp.states):
             walk(ps, x, 0)
-            val(sdp, ps, x, 0, val_memo)
-            rews(sdp, ps, x, 0, rews_memo)
-            val_spec(sdp, ps, x, 0, spec_memo)
-    assert len(nodes) == 3 * 2 * 2 ** 3 + 3 * 2  # the roots, then t = 1
-    assert len(val_memo) == len(spec_memo) == len(nodes)
-    assert len(rews_memo) == len({node for node in nodes if node[0]})
+            val(sdp, ps, x, memo)
+    assert len(nodes) == 3 * 2 * 2 ** 3 + 3 * 2  # t = 1, then t = 2
+    # a node's key is its state, its control and an int suffix id; the
+    # other entries intern one id per distinct suffix ps[t:], t >= 1
+    keys = [key for key in memo if len(key) == 3]
+    assert len(keys) == len(nodes)
+    assert all(type(x) is Atom and type(y) is Atom and type(i) is int for x, y, i in keys)
+    assert len(memo) - len(keys) == 2 ** 6 + 2 ** 3
 
 
 def test_val_equiv_samples_more_policy_sequences_than_sys_maxsize():
@@ -422,6 +435,16 @@ def test_val_equiv_samples_more_policy_sequences_than_sys_maxsize():
     assert rep.checked == 50
     assert rep.quantifiers[0].size == 2 ** 66
     assert rep.quantifiers[0].mode == "sampled"
+
+
+def test_policy_space_is_sized_in_closed_form():
+    # 80,000 steps over 2 states are 160,000 two-way slots; the space is
+    # sized with one pow per distinct choice-list length
+    sdp = Sdp("long-walk", 80_000, FiniteType("X", 2), Y2, get_instance("identity"),
+              get_measure("point"), lambda t, x, y: Atom((x.index + y.index) % 2), idx_reward)
+    seqs = enumerate_policy_seqs(sdp, 80_000)
+    assert seqs.size == 2 ** 160_000
+    assert seqs[0] == ((Atom(0),) * 2,) * 80_000
 
 
 def test_admissible_controls_respected():

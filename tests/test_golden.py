@@ -1,4 +1,4 @@
-"""Golden reports: the deterministic section of six runs, and the
+"""Golden reports: the deterministic section of seven runs, and the
 catalog listing, byte for byte.
 
 Each golden JSON file under tests/golden/ is the deterministic section
@@ -29,6 +29,7 @@ RUNS = {
     "suite-reader": ["--suite", "reader"],
     "config-systems": ["--config", str(ROOT / "configs" / "systems.json")],
     "config-dp": ["--config", str(ROOT / "configs" / "dp.json")],
+    "config-sampled": ["--config", str(ROOT / "configs" / "sampled.json")],
     "workload-dynamics": ["--config", str(ROOT / "perfbench" / "workloads" / "dynamics.json")],
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from finmon.cli import main
@@ -177,3 +178,18 @@ def test_overflow_is_a_diagnostic_and_counts_its_evaluation():
     rep = scan(_report(), lambda: [Var("x", "0..4", range(5), 5)], sides)
     assert not rep.passed and rep.witness is None
     assert rep.checked == 3 and rep.diagnostic == "too long"
+
+
+def test_unbounded_recursion_is_a_diagnostic_at_its_binding():
+    # a side that recurses past the interpreter's limit stops the scan
+    # at that binding with a diagnostic, never a traceback
+    def depth(n):
+        return depth(n + 1)
+
+    def sides(x):
+        return (depth(0) if x == 1 else x), x
+
+    rep = scan(_report(), lambda: [Var("x", "0..4", range(5), 5)], sides)
+    assert not rep.passed and rep.witness is None and rep.checked == 2
+    assert rep.diagnostic.startswith("recursion too deep: ")
+    assert f"limit of {sys.getrecursionlimit()} frames" in rep.diagnostic
