@@ -5,10 +5,10 @@ check runs through.
 A check declares, as scan's renamed, the atom types whose renamings
 commute with both of its sides: the role domains of a law on a
 parametric instance, the states of mapLastLemma on a parametric system.
-scan decides when to reduce: an exhaustive scan with no empty space
-evaluates only the least binding of each orbit under that group (Ip and
-Dill, 1996), and the witness is among them. checked counts logical
-bindings either way; evaluated counts the calls of sides."""
+scan decides when to reduce. One walk serves every exhaustive scan: it
+evaluates the least binding of each orbit (Ip and Dill, 1996), the
+witness among them; under the trivial group it is the lexicographic
+product. checked counts logical bindings, evaluated the calls of sides."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .values import (
     CarrierDesc,
@@ -101,9 +101,9 @@ class LawReport:
 class Var:
     """One bound variable of a scan: candidates in visiting order, the
     label and true size of their space, and the witness rendering of a
-    binding (a dict when one variable binds several names). Exhaustive
-    scans iterate the candidates, the outermost one value at a time, so
-    per-binding set-up computed there runs once; sampled scans index
+    binding (a dict when one variable binds several names). An exhaustive
+    scan iterates the outermost candidates once, lazily and never sized,
+    so per-binding set-up computed there runs once; sampled scans index
     them, so they must then be a Sequence of length size. carriers are
     the carrier descriptors whose values the candidates enumerate end to
     end; a scan that renames atoms reads them."""
@@ -114,15 +114,6 @@ class Var:
     size: int
     render: Callable[[Any], str | dict[str, str]] = render_value
     carriers: Sequence[CarrierDesc] = ()
-
-
-def _product(variables: Sequence[Var]) -> Iterable[tuple]:
-    """The lexicographic product of the candidates. The outermost
-    variable is consumed one value at a time, never materialized."""
-    inner = [tuple(v.candidates) for v in variables[1:]]
-    return itertools.chain.from_iterable(
-        itertools.product((head,), *inner) for head in variables[0].candidates
-    )
 
 
 def exhaustive(sizes: Sequence[int], q: Quantifier | None) -> bool:
@@ -157,24 +148,40 @@ def _images(variables: Sequence[Var], renamed: Sequence[FiniteType]) -> list[lis
     return [[image(v.carriers, g) for g in group] for v in variables]
 
 
-def _orbit_least(variables: Sequence[Var], images: list) -> Iterator[tuple[int, tuple]]:
-    """(rank in the full product, binding) of each binding that no
-    element of the group of images (as _images gives them) maps lower,
-    in order. Elements that fix the prefix stay live; a candidate that a
-    live one maps lower is pruned with its subtree."""
-    spaces = [tuple(v.candidates) for v in variables]
+def _walk(variables: Sequence[Var], images: list) -> Iterable[tuple[int, tuple]]:
+    """(rank in the full product, binding) of each binding that no element
+    of the group of images (as _images gives them, [] for the trivial
+    group) maps lower, in lexicographic order. A candidate that an element
+    fixing its prefix maps lower is pruned with its subtree; below a prefix
+    only the identity fixes, the rest of the product is taken whole. Inner
+    levels' survivors are listed once per (level, stabilizer)."""
+    inner = [tuple(v.candidates) for v in variables[1:]]
+    weights = [math.prod(map(len, inner[i:])) for i in range(len(variables))]
+    heads, n, survivors = variables[0].candidates, len(variables), {}
+    if not images:  # only the identity fixes the empty prefix
+        return enumerate(itertools.chain.from_iterable(
+            itertools.product((head,), *inner) for head in heads))
 
-    def visit(i, live, rank, prefix):
-        if i == len(spaces):
-            yield rank, prefix
-            return
-        for c, value in enumerate(spaces[i]):
-            moved = [(images[i][g][c], g) for g in live]
-            if all(d >= c for d, _ in moved):
-                fixing = [g for d, g in moved if d == c]
-                yield from visit(i + 1, fixing, rank * len(spaces[i]) + c, prefix + (value,))
+    def fixing(i, live, c):  # the stabilizer of candidate c, None if live maps it lower
+        moved = [images[i][g][c] for g in live]
+        if all(d >= c for d in moved):
+            return tuple(g for g, d in zip(live, moved) if d == c)
 
-    return visit(0, range(len(images[0])), 0, ())
+    def below(i, live, rank, prefix):  # runs of the bindings that extend prefix
+        if i == n:
+            yield ((rank, prefix),)
+        elif not live:  # zip(prefix) gives the prefix's values as 1-tuples
+            yield zip(itertools.count(rank), itertools.product(*zip(prefix), *inner[i - 1:]))
+        else:
+            if (i, live) not in survivors:
+                survivors[i, live] = [(c, x, stab) for c, x in enumerate(inner[i - 1])
+                                      if (stab := fixing(i, live, c)) is not None]
+            for c, x, stab in survivors[i, live]:
+                yield from below(i + 1, stab, rank + c * weights[i], prefix + (x,))
+
+    return itertools.chain.from_iterable(itertools.chain.from_iterable(
+        below(1, stab, c * weights[0], (head,)) for c, head in enumerate(heads)
+        if (stab := fixing(0, range(len(images[0])), c)) is not None))
 
 
 def _plan(
@@ -183,10 +190,10 @@ def _plan(
     """The bindings a scan visits with their ranks, how many bindings
     the scan stands for, and the stat of each variable.
 
-    Exhaustive, in lexicographic order, when exhaustive() says so, and
-    vacuous, visiting nothing of any space, when a space is empty. With
-    no empty space, one binding per orbit under renaming the atoms of
-    renamed, when _images gives the group's tables. Otherwise
+    Vacuous, visiting nothing of any space, when a space is empty.
+    Exhaustive when exhaustive() says so: _walk visits, in lexicographic
+    order, one binding per orbit under renaming the atoms of renamed, or
+    every binding when _images gives no tables (the trivial group). Otherwise
     q.budget joint bindings drawn up front: variable i draws uniformly
     with replacement from its own stream, seeded with sub_seed(q.seed,
     i), so every variable varies and the first k draws are the same
@@ -197,9 +204,7 @@ def _plan(
     if vacuous or exhaustive(sizes, q):
         stats = [QuantifierStat(v.name, v.space, v.size, "exhaustive",
                                 0 if vacuous else v.size) for v in variables]
-        images = [] if vacuous else _images(variables, renamed)
-        bindings = (() if vacuous else _orbit_least(variables, images) if images
-                    else enumerate(_product(variables)))
+        bindings = () if vacuous else _walk(variables, _images(variables, renamed))
         return bindings, math.prod(sizes), stats
     picks = []
     for i, n in enumerate(sizes):

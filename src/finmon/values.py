@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import threading
 import weakref
 from array import array
 from collections import Counter
@@ -358,6 +357,7 @@ def weight_tuples(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 # enumeration
 
 
+@lru_cache(maxsize=None)
 def enumerate_domain(d: FiniteType) -> tuple[Atom, ...]:
     return tuple(Atom(i) for i in range(d.size))
 
@@ -494,7 +494,6 @@ def relabeling(c: CarrierDesc, perms: dict[FiniteType, Sequence[int]]) -> array:
 
 
 _TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_TABLES_LOCK = threading.Lock()
 
 
 class FnTable(_Interned):
@@ -509,13 +508,12 @@ class FnTable(_Interned):
     def __new__(cls, domain: FiniteType, codomain: CarrierDesc,
                 entries: tuple[Value, ...]) -> "FnTable":
         key = (domain, codomain, entries)
-        with _TABLES_LOCK:
-            table = _TABLES.get(key)
-            if table is None:
-                if len(entries) != domain.size:
-                    raise ValueError(f"table over {domain.name} needs {domain.size} "
-                                     f"entries, got {len(entries)}")
-                table = _TABLES[key] = cls._build(key)
+        table = _TABLES.get(key)
+        if table is None:
+            if len(entries) != domain.size:
+                raise ValueError(f"table over {domain.name} needs {domain.size} "
+                                 f"entries, got {len(entries)}")
+            table = _TABLES[key] = cls._build(key)
         return table
 
 

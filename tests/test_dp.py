@@ -447,6 +447,12 @@ def test_policy_space_is_sized_in_closed_form():
     assert seqs[0] == ((Atom(0),) * 2,) * 80_000
 
 
+def test_without_admissible_every_slot_shares_one_choice_list():
+    seqs = enumerate_policy_seqs(greedy_walk(horizon=4), 4)
+    assert len(seqs.factors) == 4 * X3.size
+    assert all(f is enumerate_domain(Y2) for f in seqs.factors)
+
+
 def test_admissible_controls_respected():
     def only_stay_at_two(t, x):
         if x.index == 2:

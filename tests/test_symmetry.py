@@ -23,6 +23,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from finmon import laws, reports
+from finmon.reports import Var
 from finmon.cli import BUILTIN_SUITES, load_config, main, parse_config, run
 from finmon.instances import INSTANCE_NAMES, get_instance, reader_functor
 from finmon.laws import check_law, law_by_id, run_suite, suite_checks
@@ -412,3 +413,82 @@ def test_past_the_table_cap_a_check_scans_every_binding(monkeypatch):
             == [r.to_deterministic_dict() for r in reduced])
     assert all(r.evaluated == r.checked for r in capped)
     assert any(r.evaluated < r.checked for r in reduced)
+
+
+# ---------------------------------------------------------------------------
+# the walk against a brute-force filter of the full product
+
+
+def _scan_inputs(monkeypatch, name, law_id):
+    """The variables and renamed types check_law hands to scan."""
+    seen = {}
+
+    def capture(report, variables, sides, q=None, renamed=()):
+        seen.update(variables=variables(), renamed=renamed)
+        return report
+
+    monkeypatch.setattr(laws, "scan", capture)
+    check_law(law_by_id(law_id), get_instance(name), DOMS2, Q)
+    monkeypatch.undo()
+    return seen["variables"], seen["renamed"]
+
+
+def _least_of_orbits(variables, images):
+    """(rank, binding) of each index tuple of the full product that no
+    element of the group maps lower, by renaming every tuple."""
+    spaces = [list(v.candidates) for v in variables]
+    elements = list(zip(*images))  # per element, one image table per variable
+    return [(rank, tuple(s[k] for s, k in zip(spaces, ks)))
+            for rank, ks in enumerate(itertools.product(*(range(len(s)) for s in spaces)))
+            if all(tuple(t[k] for t, k in zip(g, ks)) >= ks for g in elements)]
+
+
+@pytest.mark.parametrize("name, law_id, orbits", [
+    ("nondet", "L2", 1_232), ("nondet", "T3", 1_660), ("simpleprob", "W3", 2_212),
+    ("maybe", "D3", 114),
+])
+def test_the_walk_keeps_the_least_binding_of_each_orbit(monkeypatch, name, law_id, orbits):
+    variables, renamed = _scan_inputs(monkeypatch, name, law_id)
+    images = reports._images(variables, renamed)
+    assert images
+    expected = _least_of_orbits(variables, images)
+    assert len(expected) == orbits
+    assert list(reports._walk(variables, images)) == expected
+    # the outermost candidates as a one-shot iterator, never sized
+    once = [dataclasses.replace(variables[0], candidates=iter(list(variables[0].candidates))),
+            *variables[1:]]
+    assert list(reports._walk(once, images)) == expected
+
+
+def test_under_the_trivial_group_the_walk_is_the_product(monkeypatch):
+    variables, _ = _scan_inputs(monkeypatch, "nondet", "L2")
+    product = list(enumerate(itertools.product(*(v.candidates for v in variables))))
+    assert _least_of_orbits(variables, []) == product
+    assert list(reports._walk(variables, [])) == product
+
+
+@pytest.mark.parametrize("renamed", [[], [DOMS2["A"]]], ids=["trivial", "renamed-A"])
+def test_the_walk_pulls_the_outermost_candidates_one_at_a_time(renamed):
+    a = DOMS2["A"]
+    pulled = []
+
+    def heads():
+        for x in enumerate_domain(a):
+            pulled.append(x)
+            yield x
+
+    inner = Var("y", "A", enumerate_domain(a), 2, carriers=(Base(a),))
+    variables = [Var("x", "A", heads(), 2, carriers=(Base(a),)), inner]
+    walk = reports._walk(variables, reports._images(variables, renamed))
+    assert next(walk) == (0, (Atom(0), Atom(0))) and pulled == [Atom(0)]
+    assert [rank for rank, _ in walk] == ([1] if renamed else [1, 2, 3])
+    assert pulled == [Atom(0), Atom(1)]
+
+
+@pytest.mark.parametrize("renamed", [[], [DOMS2["A"]]], ids=["trivial", "renamed-A"])
+def test_the_walk_over_an_empty_space_visits_nothing(renamed):
+    a, e = DOMS2["A"], FiniteType("E", 0)
+    full = Var("x", "A", enumerate_domain(a), 2, carriers=(Base(a),))
+    empty = Var("e", "E", (), 0, carriers=(Base(e),))
+    for variables in ([full, empty], [empty, full]):
+        assert list(reports._walk(variables, reports._images(variables, renamed))) == []
