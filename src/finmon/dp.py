@@ -167,20 +167,20 @@ def render_policy_seq(ps: PolicySeq) -> str:
 
 
 def _backward(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None, zero, node):
-    """The value of ps at (0, x): zero past the horizon, then each level
-    t = h-1 ... 1 over all states (node gives one from the level below),
-    and the root last. A memo, for one sdp and horizon, keeps a node under
-    its state, its control and an int id of ps[t+1:]; a suffix id is
-    interned from its head and its tail's id, beside its level."""
+    """The value of ps at (0, x): zero() past the horizon, built when read,
+    then each level t = h-1 ... 1 over all states (node gives one from the
+    level below), and the root last. A memo, for one sdp and horizon, keeps
+    a node under its state, its control and an int id of ps[t+1:]; a suffix
+    id is interned from its head and its tail's id, beside its level."""
     if not ps:
-        return zero
+        return zero()
     memo = {} if memo is None else memo
-    below, suffix = [zero] * sdp.states.size, -1  # -1 is the empty suffix's id
+    below, suffix = None, -1  # -1 is the empty suffix's id, None its unbuilt level
     for t in range(len(ps) - 1, 0, -1):
         policy = ps[t]
         known = memo.get((policy, suffix))
         if known is None:
-            level = []
+            level, below = [], below or [zero()] * sdp.states.size
             for x1, y1 in zip(enumerate_domain(sdp.states), policy):
                 key = (x1, y1, suffix)
                 v = memo.get(key)
@@ -189,7 +189,7 @@ def _backward(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None, zero, node):
                 level.append(v)
             known = memo[policy, suffix] = (len(memo), level)  # the memo only grows
         suffix, below = known
-    return node(sdp, 0, x, ps[0][x.index], below)
+    return node(sdp, 0, x, ps[0][x.index], below or [zero()] * sdp.states.size)
 
 
 def _val_node(sdp: Sdp, t: int, x: Atom, y: Atom, below: list) -> Reward:
@@ -204,13 +204,13 @@ def _rews_node(sdp: Sdp, t: int, x: Atom, y: Atom, below: list) -> Value:
 
 def val(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None = None) -> Reward:
     """The textbook value: the measure applied at every node."""
-    return _backward(sdp, ps, x, memo, 0, _val_node)
+    return _backward(sdp, ps, x, memo, lambda: 0, _val_node)
 
 
 def rews(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None = None) -> Value:
     """The monadic structure of total rewards along every future the
     policy sequence admits, with no measuring at all."""
-    return _backward(sdp, ps, x, memo, sdp.monad.pure(0), _rews_node)
+    return _backward(sdp, ps, x, memo, lambda: sdp.monad.pure(0), _rews_node)
 
 
 def val_spec(sdp: Sdp, ps: PolicySeq, x: Atom, memo: dict | None = None) -> Reward:

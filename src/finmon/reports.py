@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -151,16 +152,21 @@ def _images(variables: Sequence[Var], renamed: Sequence[FiniteType]) -> list[lis
 def _walk(variables: Sequence[Var], images: list) -> Iterable[tuple[int, tuple]]:
     """(rank in the full product, binding) of each binding that no element
     of the group of images (as _images gives them, [] for the trivial
-    group) maps lower, in lexicographic order. A candidate that an element
+    group) maps lower, in lexicographic order. An outermost candidate, pulled
+    one at a time, is kept iff its least image is not below it, and gets its
+    stabilizer only if inner levels follow. Below, a candidate that an element
     fixing its prefix maps lower is pruned with its subtree; below a prefix
-    only the identity fixes, the rest of the product is taken whole. Inner
-    levels' survivors are listed once per (level, stabilizer)."""
+    only the identity fixes, the rest of the product is taken whole."""
     inner = [tuple(v.candidates) for v in variables[1:]]
     weights = [math.prod(map(len, inner[i:])) for i in range(len(variables))]
-    heads, n, survivors = variables[0].candidates, len(variables), {}
+    heads, n, survivors = variables[0].candidates, len(variables), {}  # per (level, stabilizer)
     if not images:  # only the identity fixes the empty prefix
         return enumerate(itertools.chain.from_iterable(
             itertools.product((head,), *inner) for head in heads))
+    kept = ((c, head) for c, head, least in zip(itertools.count(), heads, map(min, zip(*images[0])))
+            if least >= c)
+    if n == 1:
+        return ((c, (head,)) for c, head in kept)
 
     def fixing(i, live, c):  # the stabilizer of candidate c, None if live maps it lower
         moved = [images[i][g][c] for g in live]
@@ -180,15 +186,23 @@ def _walk(variables: Sequence[Var], images: list) -> Iterable[tuple[int, tuple]]
                 yield from below(i + 1, stab, rank + c * weights[i], prefix + (x,))
 
     return itertools.chain.from_iterable(itertools.chain.from_iterable(
-        below(1, stab, c * weights[0], (head,)) for c, head in enumerate(heads)
-        if (stab := fixing(0, range(len(images[0])), c)) is not None))
+        below(1, tuple(g for g, image in enumerate(images[0]) if image[c] == c),
+              c * weights[0], (head,)) for c, head in kept))
+
+
+def _orbits(variables: Sequence[Var], images: list) -> int:
+    """The orbits of the group of images on the variables' product, by Burnside's
+    lemma: the mean over the group of the bindings each element fixes."""
+    fixed = sum(math.prod(sum(map(operator.eq, image, range(len(image)))) for image in g)
+                for g in zip(*images))
+    return (math.prod(v.size for v in variables) + fixed) // (len(images[0]) + 1)
 
 
 def _plan(
     variables: Sequence[Var], q: Quantifier | None, renamed: Sequence[FiniteType] = ()
-) -> tuple[Iterable[tuple[int, tuple]], int, list[QuantifierStat]]:
+) -> tuple[Iterable[tuple[int, tuple]], int, list[QuantifierStat], list]:
     """The bindings a scan visits with their ranks, how many bindings
-    the scan stands for, and the stat of each variable.
+    the scan stands for, each variable's stat and the group's image tables.
 
     Vacuous, visiting nothing of any space, when a space is empty.
     Exhaustive when exhaustive() says so: _walk visits, in lexicographic
@@ -204,8 +218,8 @@ def _plan(
     if vacuous or exhaustive(sizes, q):
         stats = [QuantifierStat(v.name, v.space, v.size, "exhaustive",
                                 0 if vacuous else v.size) for v in variables]
-        bindings = () if vacuous else _walk(variables, _images(variables, renamed))
-        return bindings, math.prod(sizes), stats
+        images = [] if vacuous else _images(variables, renamed)
+        return () if vacuous else _walk(variables, images), math.prod(sizes), stats, images
     picks = []
     for i, n in enumerate(sizes):
         rng = random.Random(sub_seed(q.seed, i))
@@ -213,7 +227,7 @@ def _plan(
     stats = [QuantifierStat(v.name, v.space, v.size, "sampled", len(set(p)))
              for v, p in zip(variables, picks)]
     return enumerate(tuple(v.candidates[k] for v, k in zip(variables, ks))
-                     for ks in zip(*picks)), q.budget, stats
+                     for ks in zip(*picks)), q.budget, stats, []
 
 
 def scan(
@@ -231,14 +245,14 @@ def scan(
     variables() builds the variables inside the scan, so a carrier past
     its cap stops the check before its first evaluation. sides(*binding)
     returns (lhs, rhs), optionally with a dict of extra witness entries.
-    A carrier past its cap, an overflowing operation or an evaluation
-    nested past the interpreter's recursion limit fails the report with
-    a diagnostic instead of a witness."""
+    A carrier past its cap, an overflowing operation, an evaluation nested
+    past the recursion limit, or a passing reduced scan whose evaluations
+    miss _orbits' count fails the report with a diagnostic, not a witness."""
     t0 = time.perf_counter()
     rank, evaluated = -1, 0
     try:
         bound = variables()
-        bindings, total, report.quantifiers = _plan(bound, q, renamed)
+        bindings, total, report.quantifiers, images = _plan(bound, q, renamed)
         for rank, binding in bindings:
             evaluated += 1
             out = sides(*binding)
@@ -256,6 +270,9 @@ def scan(
                 break
         else:
             rank = total - 1
+            if images and evaluated != (orbits := _orbits(bound, images)):
+                report.diagnostic = (f"orbit count: the scan evaluated {evaluated} bindings, "
+                                     f"but Burnside's lemma counts {orbits} orbits")
     except (CarrierTooLarge, CarrierOverflow) as exc:
         report.diagnostic = str(exc)
     except RecursionError:

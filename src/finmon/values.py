@@ -37,6 +37,8 @@ no enumerable carrier; an int keys and renders as the equal Fraction.
 Value identity is one rule: atoms and tables are interned (hash-consed,
 Filliâtre and Conchon, 2006), so equality and hash are identity, in C;
 every other value is a frozen dataclass, equal and hashed by its fields.
+Every value holds its canonical key: an atom from birth, a composite from
+its first sort, in a key slot outside its fields that repr, == and hash skip.
 """
 
 from __future__ import annotations
@@ -125,18 +127,25 @@ class Atom(_Interned):
         return _ATOMS.get(index) or _ATOMS.setdefault(index, cls._build((index, (0, index))))
 
 
+class _Keyed:
+    """Base of the composite values: canonical_key's slot, no field, so repr,
+    ==, hash, copies and pickles skip it and building a value never writes it."""
+
+    __slots__ = ("key",)
+
+
 @dataclass(frozen=True, slots=True)
-class Opt:
+class Opt(_Keyed):
     content: Union["Value", None]
 
 
 @dataclass(frozen=True, slots=True)
-class Seq:
+class Seq(_Keyed):
     items: tuple["Value", ...]
 
 
 @dataclass(frozen=True, slots=True)
-class Dist:
+class Dist(_Keyed):
     """Finite distribution in integer form: support[i] has weight
     nums[i] / den. Canonical form: support sorted by canonical value
     order, no duplicate values, numerators positive and summing to den,
@@ -155,40 +164,39 @@ class Dist:
 
 
 @dataclass(frozen=True, slots=True)
-class Vec:
+class Vec(_Keyed):
     items: tuple["Value", ...]
 
 
 Value = Union[Atom, Opt, Seq, Dist, Vec, int, Fraction]
+_TAGS = {Atom: 0, Opt: 2, Seq: 3, Dist: 4, Vec: 5}  # each key's first entry; ints and Fractions 1
 
 
 def canonical_key(v: Value):
-    """Total-order sort key. Shorter sequences sort before longer ones,
-    then lexicographically; dist entries compare as (value, weight) pairs,
-    each weight n / den keyed by (n << 64) // den before its interned
-    Fraction: the floor is monotone, so the order is the Fractions' own,
-    and only a tie compares them."""
+    """Total-order sort key, kept on a composite by its first call. Shorter
+    sequences sort before longer ones, then lexicographically; dist entries
+    compare as (value, weight) pairs, each weight n / den keyed by (n << 64)
+    // den before its interned Fraction: the floor is monotone, so the order
+    is the Fractions' own, and only a tie compares them."""
     t = type(v)
-    if t is Atom:
-        return v.key
     if t is int or t is Fraction:
         return (1, v)
-    if t is Opt:
-        if v.content is None:
-            return (2, 0)
-        return (2, 1, canonical_key(v.content))
-    if t is Seq:
-        return (3, len(v.items),
-                tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
-    if t is Dist:
-        den = v.den
-        return (4, len(v.nums), tuple([
-            (x.key if type(x) is Atom else canonical_key(x), (n << 64) // den, _WEIGHTS[n, den])
-            for x, n in zip(v.support, v.nums)]))
-    if t is Vec:
-        return (5, len(v.items),
-                tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
-    raise TypeError(f"not a Value: {v!r}")
+    if t not in _TAGS:
+        raise TypeError(f"not a Value: {v!r}")
+    key = getattr(v, "key", None)  # a composite's slot is unset until its first key
+    if key is None:
+        if t is Opt:
+            key = (2, 0) if v.content is None else (2, 1, canonical_key(v.content))
+        elif t is Dist:
+            den = v.den
+            key = (4, len(v.nums), tuple([
+                (x.key if type(x) is Atom else canonical_key(x), (n << 64) // den, _WEIGHTS[n, den])
+                for x, n in zip(v.support, v.nums)]))
+        else:
+            key = (_TAGS[t], len(v.items),
+                   tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
+        object.__setattr__(v, "key", key)
+    return key
 
 
 class _Weights(dict):

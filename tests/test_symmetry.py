@@ -7,15 +7,19 @@ mapLastLemma, which never reads the step, one per orbit under renaming
 the states. These tests pin the renaming tables against renamed values,
 the number of bindings evaluated against brute-force orbit counts, the
 declaration against a property test (with mutant-b as its negative
-control), and every report against the same run with the reduction off.
+control), every report against the same run with the reduction off, and
+Burnside's orbit count, which certifies each reduced scan, against walks
+broken on purpose.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -419,7 +423,7 @@ def test_past_the_table_cap_a_check_scans_every_binding(monkeypatch):
 # the walk against a brute-force filter of the full product
 
 
-def _scan_inputs(monkeypatch, name, law_id):
+def _scan_inputs(monkeypatch, name, law_id, doms=DOMS2):
     """The variables and renamed types check_law hands to scan."""
     seen = {}
 
@@ -428,7 +432,7 @@ def _scan_inputs(monkeypatch, name, law_id):
         return report
 
     monkeypatch.setattr(laws, "scan", capture)
-    check_law(law_by_id(law_id), get_instance(name), DOMS2, Q)
+    check_law(law_by_id(law_id), get_instance(name), doms, Q)
     monkeypatch.undo()
     return seen["variables"], seen["renamed"]
 
@@ -443,14 +447,18 @@ def _least_of_orbits(variables, images):
             if all(tuple(t[k] for t, k in zip(g, ks)) >= ks for g in elements)]
 
 
-@pytest.mark.parametrize("name, law_id, orbits", [
-    ("nondet", "L2", 1_232), ("nondet", "T3", 1_660), ("simpleprob", "W3", 2_212),
-    ("maybe", "D3", 114),
-])
-def test_the_walk_keeps_the_least_binding_of_each_orbit(monkeypatch, name, law_id, orbits):
-    variables, renamed = _scan_inputs(monkeypatch, name, law_id)
+@pytest.mark.parametrize("name, law_id, orbits, size", [
+    ("nondet", "L2", 1_232, 2), ("nondet", "T3", 1_660, 2), ("simpleprob", "W3", 2_212, 2),
+    ("maybe", "D3", 114, 2),
+    ("nondet", "T3", 5_708, 3),  # one variable under S_3: five tables besides the identity
+], ids=["nondet-L2-1232", "nondet-T3-1660", "simpleprob-W3-2212", "maybe-D3-114",
+        "nondet-T3-sizes3-5708"])
+def test_the_walk_keeps_the_least_binding_of_each_orbit(monkeypatch, name, law_id, orbits, size):
+    doms = {r: FiniteType(r, size) for r in "ABCD"}
+    variables, renamed = _scan_inputs(monkeypatch, name, law_id, doms)
     images = reports._images(variables, renamed)
-    assert images
+    assert images and (len(variables) > 1 or len(images[0]) == math.factorial(size) - 1)
+    assert reports._orbits(variables, images) == orbits
     expected = _least_of_orbits(variables, images)
     assert len(expected) == orbits
     assert list(reports._walk(variables, images)) == expected
@@ -492,3 +500,33 @@ def test_the_walk_over_an_empty_space_visits_nothing(renamed):
     empty = Var("e", "E", (), 0, carriers=(Base(e),))
     for variables in ([full, empty], [empty, full]):
         assert list(reports._walk(variables, reports._images(variables, renamed))) == []
+
+
+# ---------------------------------------------------------------------------
+# Burnside's count certifies each reduced scan
+
+
+def _broken_walk(monkeypatch, *edits):
+    """reports._walk rebuilt from its source with each (old, new) text
+    edit made once, in place of the walk."""
+    source = inspect.getsource(reports._walk)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(reports))
+    exec(compile(source, reports.__file__, "exec"), namespace)
+    monkeypatch.setattr(reports, "_walk", namespace["_walk"])
+
+
+@pytest.mark.parametrize("name, law_id, orbits, edits", [
+    ("nondet", "T3", 1_660, [("least >= c", "least > c")]),
+    ("nondet", "D3", 15_148, [(" if d == c)", ")"), (" if image[c] == c)", ")")]),
+], ids=["strict-outermost-filter", "every-live-element-stabilizes"])
+def test_a_broken_walk_fails_burnside_s_count(monkeypatch, name, law_id, orbits, edits):
+    law, inst = law_by_id(law_id), get_instance(name)
+    assert check_law(law, inst, DOMS2, Q).evaluated == orbits
+    _broken_walk(monkeypatch, *edits)
+    rep = check_law(law, inst, DOMS2, Q)
+    assert rep.witness is None and not rep.passed and rep.evaluated < orbits
+    assert rep.diagnostic == (f"orbit count: the scan evaluated {rep.evaluated} bindings, "
+                              f"but Burnside's lemma counts {orbits} orbits")

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from finmon import values
 from finmon.instances import mutant_b_monad, nondet_monad, simpleprob_monad
+from finmon.laws import check_law, law_by_id
 from finmon.reports import LawReport, Var, scan
 from finmon.values import (
     Atom,
@@ -601,7 +602,16 @@ def test_a_value_hashes_alike_before_and_after_its_first_hash():
         assert hash(fresh) == first
         assert hash(other) == first  # built apart, hashed afresh
         if type(v) is not FnTable:
-            assert all(f.compare and f.hash is None for f in dataclasses.fields(v))
+            # every field is compared, hashed and shown; the canonical key is
+            # a slot outside them, so repr, == and hash skip it
+            fields = dataclasses.fields(v)
+            assert all(f.compare and f.repr and f.hash is None for f in fields)
+            assert "key" not in {f.name for f in fields}
+            keyed, unkeyed = rebuild(v), rebuild(v)
+            canonical_key(keyed)
+            assert keyed.key == canonical_key(v) and not hasattr(unkeyed, "key")
+            assert keyed == unkeyed and unkeyed == keyed
+            assert hash(keyed) == hash(unkeyed) == first and repr(keyed) == repr(unkeyed)
 
 
 def test_a_dist_hashes_no_weight(monkeypatch):
@@ -794,6 +804,34 @@ def random_value_twins(rng, depth):
         return tuple(Dist(side, nums, den) for side in zip(*twins))
     cls = Seq if kind == 4 else Vec
     return tuple(cls(tuple(side)) for side in zip(*twins))
+
+
+def test_a_value_holds_its_canonical_key():
+    for v in VALUES:
+        if type(v) is not FnTable:
+            assert canonical_key(v) is canonical_key(v) is v.key
+    assert canonical_key(2) == (1, 2)
+    for bad in (None, "#0", (Atom(0),), FnTable(A2, Base(A2), (Atom(0), Atom(1)))):
+        with pytest.raises(TypeError, match="not a Value"):
+            canonical_key(bad)
+
+
+def test_a_square_check_computes_few_keys(monkeypatch):
+    # simpleprob T3 at sizes 2 sorts about 120,000 values, nearly all of
+    # them the enumerated M A objects: each is keyed once, on its first sort
+    key, computed = values.canonical_key, []
+
+    def counting(v):
+        if type(v) not in (int, Fraction) and getattr(v, "key", None) is None:
+            computed.append(v)
+        return key(v)
+
+    monkeypatch.setattr(values, "canonical_key", counting)
+    values._enumerate_carrier_cached.cache_clear()  # every value unkeyed, whatever ran before
+    rep = check_law(law_by_id("T3"), simpleprob_monad(), {r: A2 for r in "ABCD"},
+                    Quantifier(budget=100_000))
+    assert (rep.passed, rep.evaluated) == (True, 15_640)
+    assert len(computed) < 1_000  # 119; the parent keyed 82,774 composites
 
 
 def test_canonical_key_keeps_the_seed_order():
