@@ -46,7 +46,7 @@ def show(name: str, instance: str, step_src: list[str]) -> None:
     sys_ = mon_sys(name, inst, X3, lambda a: step[a.index])
     print(f"== {name} ({instance}) ==")
     for n in range(4):
-        cells = [render_value(flow(sys_, n).entries[i]) for i in range(3)]
+        cells = [render_value(v) for v in flow(sys_, n)]
         print(f"  flow n={n}: " + "  ".join(cells))
     bundle = trj(sys_, 3, Atom(0))
     print(f"  trj n=3 from #0: {render_value(bundle)}")

@@ -69,7 +69,6 @@ from .values import (
     Base,
     CarrierDesc,
     FiniteType,
-    FnTable,
     Quantifier,
     Seq,
     Value,
@@ -235,7 +234,7 @@ def _parse_system(entry, i: int) -> tuple[MonSys, dict]:
     monad, domain = _monad(echo), FiniteType("X", echo["size"])
     carrier = monad.carrier_of(Base(domain))
     step = _parse_step_values(echo["step"], domain.size, f"{where}.step", carrier)
-    return MonSys(echo["name"], monad, domain, FnTable(domain, carrier, step)), echo
+    return MonSys(echo["name"], monad, domain, step), echo
 
 
 def _reward_cell(cell) -> int | Fraction:

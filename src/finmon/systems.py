@@ -22,7 +22,7 @@ Conventions, fixed once:
 * a check declares the atom types whose renamings commute with its
   sides, and scan decides when to reduce: mapLastLemma, which never
   reads the step, declares the states on a parametric monad. A renaming
-  moves the step table, so the flow checks declare none.
+  moves the step, so the flow checks declare none.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .values import (
     Base,
     FiniteType,
     FnOf,
-    FnTable,
     Value,
     Vec,
     carrier_size,
@@ -48,9 +47,11 @@ from .values import (
     refuse_count,
     render_value,
     table_fn,
-    tabulate,
     DEFAULT_CARRIER_CAP,
+    EXACT_BITS,
 )
+
+Level = tuple[Value, ...]  # a value per state, slot i at atom #i
 
 __all__ = [
     "MonSys", "flow_mon_left", "flow_mon_right",
@@ -63,19 +64,18 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True, eq=False)
 class MonSys:
-    """A monadic dynamical system: a step table into M over the states."""
+    """A monadic dynamical system: its step is the M X value of each
+    state, slot i for atom #i."""
 
     name: str
     monad: MonadInstance
     domain: FiniteType
-    step: FnTable
+    step: Level
 
     def __post_init__(self):
-        want = self.monad.carrier_of(Base(self.domain))
-        if self.step.domain != self.domain or self.step.codomain != want:
-            raise ValueError(
-                f"monadic step must map {self.domain} into {want}"
-            )
+        if len(self.step) != self.domain.size:
+            raise ValueError(f"monadic step over {self.domain.name} needs "
+                             f"{self.domain.size} values, got {len(self.step)}")
 
 
 def mon_sys(
@@ -84,39 +84,37 @@ def mon_sys(
     domain: FiniteType,
     fn: Callable[[Atom], Value],
 ) -> MonSys:
-    carrier = monad.carrier_of(Base(domain))
-    return MonSys(name, monad, domain, tabulate(domain, carrier, fn))
+    return MonSys(name, monad, domain, tuple(map(fn, enumerate_domain(domain))))
 
 
 # ---------------------------------------------------------------------------
 # monadic flows
 
 
-def _flow(sys: MonSys, n: int, prev: FnTable | None, grow) -> FnTable:
+def _flow(sys: MonSys, n: int, prev: Level | None, grow) -> Level:
     """The flow at n, grown one step by grow from prev, the flow at
     n - 1, when the caller holds it, else n steps from pure."""
-    level, done = ((prev.entries, n - 1) if prev is not None else
+    level, done = ((prev, n - 1) if prev is not None else
                    (tuple(sys.monad.pure(y) for y in enumerate_domain(sys.domain)), 0))
     for _ in range(done, n):
         level = grow(level)
-    return FnTable(sys.domain, sys.step.codomain, level)
+    return level
 
 
-def flow_mon_left(sys: MonSys, n: int, prev: FnTable | None = None) -> FnTable:
+def flow_mon_left(sys: MonSys, n: int, prev: Level | None = None) -> Level:
     """Iterate by taking the flow so far, then one more step; prev, the
     flow at n - 1, saves all steps but the last."""
     m, step_fn = sys.monad, table_fn(sys.step)
     return _flow(sys, n, prev, lambda level: tuple(m.bind(mv, step_fn) for mv in level))
 
 
-def flow_mon_right(sys: MonSys, n: int, prev: FnTable | None = None) -> FnTable:
+def flow_mon_right(sys: MonSys, n: int, prev: Level | None = None) -> Level:
     """Iterate by taking one step, then the flow of the rest; prev as above."""
     m = sys.monad
-    return _flow(sys, n, prev, lambda level: tuple(
-        m.bind(mv, lambda z: level[z.index]) for mv in sys.step.entries))
+    return _flow(sys, n, prev, lambda level: tuple(m.bind(mv, table_fn(level)) for mv in sys.step))
 
 
-def flow(sys: MonSys, n: int, prev: FnTable | None = None) -> FnTable:
+def flow(sys: MonSys, n: int, prev: Level | None = None) -> Level:
     """The flow of a monadic system; the left recursion is canonical."""
     return flow_mon_left(sys, n, prev)
 
@@ -155,7 +153,7 @@ def check_flow_lr(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> La
 
     def sides(nb, a):
         _, left, right = nb
-        return left.entries[a.index], right.entries[a.index]
+        return left[a.index], right[a.index]
 
     return scan(
         _base_report("flowLR", sys),
@@ -173,8 +171,7 @@ def check_flow_mon_r_lem(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP
 
     def sides(nb, a):
         _, flow_n = nb
-        lhs = m.bind(flow_n.entries[a.index], step_fn)
-        return lhs, m.bind(sys.step.entries[a.index], table_fn(flow_n))
+        return m.bind(flow_n[a.index], step_fn), m.bind(sys.step[a.index], table_fn(flow_n))
 
     return scan(
         _base_report("flowMonRLem", sys),
@@ -191,7 +188,7 @@ def check_flow_monoid(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -
     The split variable visits the unit first, then every split (m, n)
     by increasing total, building flow f total when it first needs it."""
     m = sys.monad
-    flows: list[FnTable] = []
+    flows: list[Level] = []
 
     def splits():  # quadratically many, so yielded one at a time
         for total in range(n_max + 1):
@@ -212,8 +209,8 @@ def check_flow_monoid(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -
     def sides(split, a):
         mm, nn, unit = split
         if unit:
-            return flows[0].entries[a.index], m.pure(a)
-        return flows[mm + nn].entries[a.index], m.bind(flows[mm].entries[a.index], table_fn(flows[nn]))
+            return flows[0][a.index], m.pure(a)
+        return flows[mm + nn][a.index], m.bind(flows[mm][a.index], table_fn(flows[nn]))
 
     return scan(_base_report("flowMonoid", sys), variables, sides)
 
@@ -263,7 +260,7 @@ def _prepend(x: Atom):
     return lambda vec: Vec((x,) + vec.items)
 
 
-def trj(sys: MonSys, n: int, x: Atom, prev: tuple[Value, ...] | None = None) -> Value:
+def trj(sys: MonSys, n: int, x: Atom, prev: Level | None = None) -> Value:
     """All n-step trajectories from x: an M-structure of state vectors
     of length n + 1, heads first. Level k at y, built over all states at
     once from level k - 1, is map (prepend y) (step y >>= level k - 1)."""
@@ -271,7 +268,7 @@ def trj(sys: MonSys, n: int, x: Atom, prev: tuple[Value, ...] | None = None) -> 
 
     def at(y, below):
         return m.map(_prepend(y), m.pure(Vec(())) if below is None else
-                     m.bind(sys.step.entries[y.index], lambda z: below[z.index]))
+                     m.bind(sys.step[y.index], table_fn(below)))
 
     if prev is None:
         for _ in range(n):
@@ -304,10 +301,7 @@ def check_map_last_lemma(
         carriers, total = [], 0
         for ln in range(1, n_max + 1):
             carriers.append(m.carrier_of(FnOf(FiniteType("T", ln), Base(sys.domain))))
-            size = carrier_size(carriers[-1], cap.bit_length())  # exact up to the cap
-            if size > cap:
-                enumerate_carrier(carriers[-1], cap)  # refused with its exact count
-            total += size
+            total += carrier_size(carriers[-1], EXACT_BITS)  # as enumerate_carrier counts
             refuse_count("carrier", f"M Vec[X;len=1..{ln}]", total, cap)
         values = tuple(itertools.chain.from_iterable(enumerate_carrier(c, cap) for c in carriers))
         return [_x_var(sys.domain),
@@ -326,7 +320,7 @@ def check_flow_trj(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) -> L
 
     def sides(nb, x):
         _, flow_n, trj_n = nb
-        return flow_n.entries[x.index], map_last(sys, trj_n[x.index])
+        return flow_n[x.index], map_last(sys, trj_n[x.index])
 
     def trj_level(n, prev):
         return tuple(trj(sys, n, y, prev) for y in enumerate_domain(sys.domain))

@@ -27,16 +27,18 @@ reports, and the syntax accepted by parse_value):
     vectors        <> | <v, v, ...>
     rationals      p/q or p                (int or Fraction leaves, reward sums)
 
-Function-valued carriers (FnOf) have no constructor of their own: a table
-over a domain of size n is encoded as a Vec of n entries, slot i holding
-the output at atom #i; so a vector of length n is a value of FnOf(T(n), X),
-and a table renders as its Vec.
+A function is its outputs, slot i at atom #i, held by role: a table a
+law quantifies over is an interned FnTable, rendered as its Vec; a value
+of a function-valued carrier (FnOf) inside a structure is a Vec, so a
+vector of length n is a value of FnOf(T(n), X); and a level over the
+states (a system's step, a flow) is a plain tuple, applied by table_fn.
 Rewards are bare ints when integral and Fractions otherwise, values of
 no enumerable carrier; an int keys and renders as the equal Fraction.
 
-Value identity is one rule: atoms and tables are interned (hash-consed,
-Filliâtre and Conchon, 2006), so equality and hash are identity, in C;
-every other value is a frozen dataclass, equal and hashed by its fields.
+Value identity is one rule: atoms and quantified tables are interned
+(hash-consed, Filliâtre and Conchon, 2006), so equality and hash are
+identity, in C; every other value is a frozen dataclass, equal and hashed
+by its fields.
 Every value holds its canonical key: an atom from birth, a composite from
 its first sort, in a key slot outside its fields that repr, == and hash skip.
 """
@@ -64,9 +66,9 @@ __all__ = [
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_count", "refuse_wide", "enumerate_carrier", "carrier_size",
     "relabeling", "enumerate_functions", "shown_count",
-    "tabulate", "table_fn",
+    "table_fn",
     "render_value", "parse_value",
-    "DEFAULT_CARRIER_CAP",
+    "DEFAULT_CARRIER_CAP", "EXACT_BITS",
 ]
 
 # Refuse to materialize carriers beyond this many values unless the caller
@@ -383,7 +385,7 @@ def refuse_wide(d: FiniteType, cap: int) -> FiniteType:
     return d
 
 
-_EXACT_BITS = 1 << 20  # counts below 2^(2^20) are exact: a pow that size takes about 0.1 s
+EXACT_BITS = 1 << 20  # counts below 2^(2^20) are exact: a pow that size takes about 0.1 s
 
 
 def carrier_size(c: CarrierDesc, bits: int | None = None) -> int:
@@ -424,7 +426,7 @@ def shown_count(n: int) -> int | str:
 
 @lru_cache(maxsize=None)
 def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
-    refuse_count("carrier", render_carrier(c), carrier_size(c, _EXACT_BITS), cap)
+    refuse_count("carrier", render_carrier(c), carrier_size(c, EXACT_BITS), cap)
     if isinstance(c, Base):
         return enumerate_domain(c.domain)
     if isinstance(c, FnOf):
@@ -505,33 +507,20 @@ _TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class FnTable(_Interned):
-    """A function represented extensionally: entry i is the output at
-    atom #i of the domain. The unit of every pointwise-equality check.
-    Interned in a weak pool: equal tables are one object while any is
-    alive, and a table no one holds leaves the pool."""
+    """A table a law quantifies over: entry i is the output at atom #i.
+    Interned on its entries in a weak pool: equal tables are one object
+    while any is alive, and a table no one holds leaves the pool."""
 
-    _fields = ("domain", "codomain", "entries")
+    _fields = ("entries",)
     __slots__ = _fields + ("__weakref__",)
 
-    def __new__(cls, domain: FiniteType, codomain: CarrierDesc,
-                entries: tuple[Value, ...]) -> "FnTable":
-        key = (domain, codomain, entries)
-        table = _TABLES.get(key)
-        if table is None:
-            if len(entries) != domain.size:
-                raise ValueError(f"table over {domain.name} needs {domain.size} "
-                                 f"entries, got {len(entries)}")
-            table = _TABLES[key] = cls._build(key)
-        return table
+    def __new__(cls, entries: tuple[Value, ...]) -> "FnTable":
+        return _TABLES.get(entries) or _TABLES.setdefault(entries, cls._build((entries,)))
 
 
-def tabulate(dom: FiniteType, cod: CarrierDesc, fn: Callable[[Atom], Value]) -> FnTable:
-    return FnTable(dom, cod, tuple(fn(a) for a in enumerate_domain(dom)))
-
-
-def table_fn(t: FnTable) -> Callable[[Value], Value]:
-    entries = t.entries
-    return lambda v: entries[v.index]
+def table_fn(level: Sequence[Value]) -> Callable[[Value], Value]:
+    """The function whose output at atom #i is level[i]."""
+    return lambda v: level[v.index]
 
 
 @dataclass(frozen=True, slots=True)
@@ -592,7 +581,7 @@ def enumerate_functions(
     domain is refused past the cap, before the space is sized."""
     return Product(
         (enumerate_carrier(cod, cap),) * refuse_wide(dom, cap).size,
-        lambda combo: FnTable(dom, cod, combo),
+        FnTable,
     )
 
 

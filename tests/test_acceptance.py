@@ -126,7 +126,7 @@ def test_criterion_03_det_flow_equality():
     # a deterministic system is an identity system: one per endofunction
     ident = get_instance("identity")
     t0 = time.perf_counter()
-    reports = [check_flow_lr(MonSys("det", ident, X3, f), 5)
+    reports = [check_flow_lr(MonSys("det", ident, X3, f.entries), 5)
                for f in enumerate_functions(X3, Base(X3))]
     elapsed = time.perf_counter() - t0
     checked = sum(r.checked for r in reports)

@@ -10,9 +10,7 @@ from finmon.cli import main
 from finmon.reports import LawReport, Var, scan
 from finmon.systems import MonSys, check_map_last_lemma
 from finmon.instances import get_instance
-from finmon.values import (
-    Base, CarrierOverflow, FiniteType, Quantifier, parse_value, tabulate,
-)
+from finmon.values import CarrierOverflow, FiniteType, Quantifier, parse_value
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -49,8 +47,7 @@ def walk_sys():
     sp = get_instance("simpleprob")
     X3 = FiniteType("X", 3)
     outs = ["{#0: 1/2, #1: 1/2}", "{#1: 1/2, #2: 1/2}", "{#0: 1/2, #2: 1/2}"]
-    return MonSys("walk", sp, X3, tabulate(X3, sp.carrier_of(Base(X3)),
-                                           lambda a: parse_value(outs[a.index])))
+    return MonSys("walk", sp, X3, tuple(map(parse_value, outs)))
 
 
 def test_carrier_cap_stops_before_the_first_evaluation():
@@ -60,11 +57,11 @@ def test_carrier_cap_stops_before_the_first_evaluation():
     assert rep.diagnostic.startswith("carrier too large")
 
 
-def test_map_last_lemma_names_its_carrier_as_functions_of_time():
-    # vectors of length 2 over X(3) are the tables T(2) -> X(3)
+def test_map_last_lemma_refuses_its_carrier_under_the_quantifier_s_space():
+    # distributions of vectors of length 1 (18) and 2 (189) over X(3), named
+    # as the mvx quantifier's space is
     rep = check_map_last_lemma(walk_sys(), 2, cap=100)
-    assert rep.diagnostic == (
-        "carrier too large: Dist[Fn[T(2)->X(3)];maxSupport=2] has 189 values, cap 100")
+    assert rep.diagnostic == "carrier too large: M Vec[X;len=1..2] has 207 values, cap 100"
 
 
 def test_carrier_cap_from_the_command_line(tmp_path):

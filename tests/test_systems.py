@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from finmon import systems
+from finmon import systems, values
 from finmon.instances import get_instance
 from finmon.systems import (
     SYSTEM_CHECKS,
@@ -29,18 +29,13 @@ from finmon.values import (
     Atom,
     Base,
     FiniteType,
-    FnTable,
+    enumerate_domain,
     enumerate_functions,
     parse_value,
     render_value,
-    tabulate,
 )
 
 X3 = FiniteType("X", 3)
-
-
-def identity_table(d: FiniteType) -> FnTable:
-    return tabulate(d, Base(d), lambda a: a)
 
 
 def rot(a: Atom) -> Atom:
@@ -77,8 +72,8 @@ def drop_sys() -> MonSys:
 def test_det_flow_oracle():
     sys = rotate()
     f2 = flow(sys, 2)
-    assert [v.index for v in f2.entries] == [2, 0, 1]
-    assert flow(sys, 0) == identity_table(X3)
+    assert [v.index for v in f2] == [2, 0, 1]
+    assert flow(sys, 0) == enumerate_domain(X3)
     assert flow_mon_right(sys, 2) == f2
 
 
@@ -86,7 +81,7 @@ def test_det_flow_lr_covers_all_162_comparisons():
     # flowLR on the identity system of each of the 27 endofunctions: each
     # of the 27 * 6 (f, n) table comparisons is 3 pointwise ones
     ident = get_instance("identity")
-    reports = [check_flow_lr(MonSys("det", ident, X3, f), 5)
+    reports = [check_flow_lr(MonSys("det", ident, X3, f.entries), 5)
                for f in enumerate_functions(X3, Base(X3))]
     assert all(r.passed for r in reports)
     assert sum(r.checked for r in reports) == 27 * 6 * 3
@@ -94,38 +89,41 @@ def test_det_flow_lr_covers_all_162_comparisons():
 
 def test_det_sys_validates_shape():
     with pytest.raises(ValueError):
-        MonSys("bad", get_instance("identity"), X3, identity_table(FiniteType("Y", 2)))
+        MonSys("bad", get_instance("identity"), X3, enumerate_domain(FiniteType("Y", 2)))
 
 
-def test_mon_sys_validates_codomain():
+def test_mon_sys_rejects_a_step_of_the_wrong_length():
     nd = get_instance("nondet")
-    with pytest.raises(ValueError):
-        MonSys("bad", nd, X3, identity_table(X3))
+    step = tuple(nd.pure(a) for a in enumerate_domain(X3))
+    assert MonSys("ok", nd, X3, step).step == step
+    for bad in (step[:2], step + step[:1], ()):
+        with pytest.raises(ValueError, match=f"needs 3 values, got {len(bad)}"):
+            MonSys("bad", nd, X3, bad)
 
 
 def test_nondet_flow_oracle():
     sys = branch_sys()
     f2 = flow(sys, 2)
-    assert render_value(f2.entries[0]) == "[#0, #1, #1, #2]"
+    assert render_value(f2[0]) == "[#0, #1, #1, #2]"
 
 
 def test_flow_zero_is_pure():
     sys = branch_sys()
     f0 = flow(sys, 0)
-    assert [render_value(v) for v in f0.entries] == ["[#0]", "[#1]", "[#2]"]
+    assert [render_value(v) for v in f0] == ["[#0]", "[#1]", "[#2]"]
 
 
 def test_left_and_right_flows_differ_only_intensionally():
     sys = branch_sys()
     for n in range(4):
         left, right = flow_mon_left(sys, n), flow_mon_right(sys, n)
-        assert left.entries == right.entries
+        assert left == right
 
 
 def test_embed_wraps_pure():
     m = get_instance("nondet")
     sys = mon_sys("rot", m, X3, lambda a: m.pure(rot(a)))
-    assert render_value(sys.step.entries[0]) == "[#1]"
+    assert render_value(sys.step[0]) == "[#1]"
     rep = check_flow_lr(sys, 4)
     assert rep.passed
 
@@ -140,7 +138,7 @@ def test_deep_flows_iterate_without_recursion():
     sys = swap_sys()
     left, right = flow_mon_left(sys, 2000), flow_mon_right(sys, 2000)
     assert left == right
-    assert [render_value(v) for v in left.entries] == ["some #0", "some #1"]
+    assert [render_value(v) for v in left] == ["some #0", "some #1"]
 
 
 def test_deep_trajectory_is_one_vector():
@@ -283,7 +281,7 @@ def test_coin_trajectories_quarter_weights():
 def test_map_last_extracts_final_states():
     sys = branch_sys()
     assert render_value(map_last(sys, trj(sys, 2, Atom(0)))) == render_value(
-        flow(sys, 2).entries[0]
+        flow(sys, 2)[0]
     )
 
 
@@ -344,12 +342,12 @@ def test_cap_bounds_the_flow_monoid_splits():
 
 
 def test_cap_bounds_the_map_last_carriers_together():
-    # vectors of lengths 1..3 over 3 states: 3 + 9 + 27 values, and the
-    # 81 of length 4 alone pass the cap
+    # vectors of lengths 1..3 over 3 states: 3 + 9 + 27 values; with the
+    # 81 of length 4 the total passes the cap, and is named as the space
     assert check_map_last_lemma(rotate(), 3, 39).passed
     rep = check_map_last_lemma(rotate(), 4, 39)
     assert rep.checked == 0
-    assert rep.diagnostic == "carrier too large: Fn[T(4)->X(3)] has 81 values, cap 39"
+    assert rep.diagnostic == "carrier too large: M Vec[X;len=1..4] has 120 values, cap 39"
     # one state: each length has one vector, and only their total passes
     assert check_map_last_lemma(one_state(), 6, 6).passed
     rep = check_map_last_lemma(one_state(), 7, 6)
@@ -364,3 +362,17 @@ def test_a_huge_n_max_is_refused_at_once(check):
     rep = run_system_check(check, branch_sys(), 1 << 62)
     assert rep.checked == 0 and rep.witness is None and rep.quantifiers == []
     assert "too large" in rep.diagnostic
+
+
+def test_no_system_check_builds_a_table(monkeypatch):
+    # a step and every flow level are plain tuples read by index: only the
+    # tables a law quantifies over are interned
+    built = []
+    new = values.FnTable.__new__
+    monkeypatch.setattr(values.FnTable, "__new__",
+                        lambda cls, *args: built.append(args) or new(cls, *args))
+    for mk in (rotate, branch_sys, walk_sys, drop_sys):
+        sys = mk()
+        for name in SYSTEM_CHECKS:
+            assert run_system_check(name, sys, 3).passed, (name, sys.name)
+    assert built == []
