@@ -73,6 +73,7 @@ from .values import (
     enumerate_functions,
     refuse_wide,
     render_carrier,
+    stream_carrier,
     DEFAULT_CARRIER_CAP,
 )
 
@@ -235,6 +236,9 @@ def _compile(law: Law, inst: Instance) -> Callable[..., tuple[Value, Value]]:
 
     lhs, rhs = (code(side.arrow, side.var, every_table, True, root=True)
                 for side in (law.lhs, law.rhs))
+    # code reaches itself through its cell, and make (popped below) through its
+    # globals: cycles that only the collector would free
+    del code
     source = (f"def make({', '.join(_INSTANCE_OPS)}, lru_cache):\n{''.join(defs)}"
               f"    def sides({', '.join(order)}):\n"
               f"        return {lhs}, {rhs}\n"
@@ -242,7 +246,7 @@ def _compile(law: Law, inst: Instance) -> Callable[..., tuple[Value, Value]]:
     namespace: dict = {}
     exec(source, namespace)
     ops = (getattr(inst, op, None) for op in _INSTANCE_OPS)
-    return namespace["make"](*ops, functools.lru_cache)
+    return namespace.pop("make")(*ops, functools.lru_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +335,9 @@ def _variable(
 ) -> Var:
     """The scan variable for one bound variable: its whole space in
     canonical order, with the space's description and size, and the
-    carrier it ranges over, FnOf(dom, cod) for tables. A domain or
-    carrier past cap raises CarrierTooLarge."""
+    carrier it ranges over, FnOf(dom, cod) for tables; a carrier's is a
+    one-shot stream. A domain or carrier past cap raises CarrierTooLarge
+    before the space is sized."""
     if vs.kind == "fn":
         dom = domains[vs.dom]
         cod = resolve_carrier(vs.cod, inst, domains)
@@ -345,11 +350,11 @@ def _variable(
         space = vs.dom
     elif vs.kind == "carrier":
         desc = resolve_carrier(vs.cod, inst, domains)
-        full = enumerate_carrier(desc, cap)
+        full = stream_carrier(desc, cap)
         space = render_carrier(desc)
     else:
         raise ValueError(f"unknown variable kind {vs.kind!r}")
-    return Var(vs.name, space, full, len(full), carriers=(desc,))
+    return Var(vs.name, space, full, carrier_size(desc), carriers=(desc,))
 
 
 def check_law(

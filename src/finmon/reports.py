@@ -8,11 +8,14 @@ parametric instance, the states of mapLastLemma on a parametric system.
 scan decides when to reduce. One walk serves every exhaustive scan: it
 evaluates the least binding of each orbit (Ip and Dill, 1996), the
 witness among them; under the trivial group it is the lexicographic
-product. checked counts logical bindings, evaluated the calls of sides."""
+product. checked counts logical bindings, evaluated the calls of sides.
+A scan keeps only what it visits: values and its own bookkeeping are
+acyclic, so the cyclic collector is paused while it runs."""
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import math
 import operator
@@ -102,12 +105,13 @@ class LawReport:
 class Var:
     """One bound variable of a scan: candidates in visiting order, the
     label and true size of their space, and the witness rendering of a
-    binding (a dict when one variable binds several names). An exhaustive
-    scan iterates the outermost candidates once, lazily and never sized,
-    so per-binding set-up computed there runs once; sampled scans index
-    them, so they must then be a Sequence of length size. carriers are
-    the carrier descriptors whose values the candidates enumerate end to
-    end; a scan that renames atoms reads them."""
+    binding (a dict when one variable binds several names). candidates,
+    iterated once, may be a one-shot stream: an exhaustive scan pulls the
+    outermost lazily, never sized, so per-binding set-up computed there
+    runs once, and makes a tuple of each inner level; a sampled scan
+    indexes a Sequence (a Product) and makes a tuple of anything else.
+    carriers are the carrier descriptors whose values the candidates
+    enumerate end to end; a scan that renames atoms reads them."""
 
     name: str
     space: str
@@ -174,16 +178,19 @@ def _walk(variables: Sequence[Var], images: list) -> Iterable[tuple[int, tuple]]
             return tuple(g for g, d in zip(live, moved) if d == c)
 
     def below(i, live, rank, prefix):  # runs of the bindings that extend prefix
-        if i == n:
-            yield ((rank, prefix),)
-        elif not live:  # zip(prefix) gives the prefix's values as 1-tuples
-            yield zip(itertools.count(rank), itertools.product(*zip(prefix), *inner[i - 1:]))
-        else:
-            if (i, live) not in survivors:
-                survivors[i, live] = [(c, x, stab) for c, x in enumerate(inner[i - 1])
-                                      if (stab := fixing(i, live, c)) is not None]
-            for c, x, stab in survivors[i, live]:
-                yield from below(i + 1, stab, rank + c * weights[i], prefix + (x,))
+        stack = [(i, live, rank, prefix)]  # no recursion: a closure calling itself is a cycle
+        while stack:
+            i, live, rank, prefix = stack.pop()
+            if i == n:
+                yield ((rank, prefix),)
+            elif not live:  # zip(prefix) gives the prefix's values as 1-tuples
+                yield zip(itertools.count(rank), itertools.product(*zip(prefix), *inner[i - 1:]))
+            else:
+                if (i, live) not in survivors:
+                    survivors[i, live] = [(c, x, stab) for c, x in enumerate(inner[i - 1])
+                                          if (stab := fixing(i, live, c)) is not None]
+                stack.extend((i + 1, stab, rank + c * weights[i], prefix + (x,))
+                             for c, x, stab in reversed(survivors[i, live]))
 
     return itertools.chain.from_iterable(itertools.chain.from_iterable(
         below(1, tuple(g for g, image in enumerate(images[0]) if image[c] == c),
@@ -226,7 +233,8 @@ def _plan(
         picks.append([rng.randrange(n) for _ in range(q.budget)])
     stats = [QuantifierStat(v.name, v.space, v.size, "sampled", len(set(p)))
              for v, p in zip(variables, picks)]
-    return enumerate(tuple(v.candidates[k] for v, k in zip(variables, ks))
+    spaces = [c if isinstance(c := v.candidates, Sequence) else tuple(c) for v in variables]
+    return enumerate(tuple(s[k] for s, k in zip(spaces, ks))
                      for ks in zip(*picks)), q.budget, stats, []
 
 
@@ -243,13 +251,17 @@ def scan(
     none by default; every variable then carries its carriers.
 
     variables() builds the variables inside the scan, so a carrier past
-    its cap stops the check before its first evaluation. sides(*binding)
+    its cap stops the check before its first evaluation. The cyclic
+    collector is paused from then on, and enabled again at the end, also
+    when the scan raises, iff it was enabled on entry. sides(*binding)
     returns (lhs, rhs), optionally with a dict of extra witness entries.
     A carrier past its cap, an overflowing operation, an evaluation nested
     past the recursion limit, or a passing reduced scan whose evaluations
     miss _orbits' count fails the report with a diagnostic, not a witness."""
     t0 = time.perf_counter()
     rank, evaluated = -1, 0
+    collecting = gc.isenabled()
+    gc.disable()  # values are acyclic: reference counting frees all a scan drops
     try:
         bound = variables()
         bindings, total, report.quantifiers, images = _plan(bound, q, renamed)
@@ -278,6 +290,9 @@ def scan(
     except RecursionError:
         report.diagnostic = (f"recursion too deep: evaluation passed the interpreter's "
                              f"limit of {sys.getrecursionlimit()} frames")
+    finally:
+        if collecting:
+            gc.enable()
     # checked counts the bindings up to the one the scan stopped at
     report.checked, report.evaluated = rank + 1, evaluated
     report.elapsed_ms = (time.perf_counter() - t0) * 1000

@@ -55,7 +55,7 @@ from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 __all__ = [
     "Atom", "Opt", "Seq", "Dist", "Vec", "Value",
@@ -65,7 +65,7 @@ __all__ = [
     "WEIGHT_GRID", "weight_tuples",
     "canonical_key", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_count", "refuse_wide", "enumerate_carrier", "carrier_size",
-    "relabeling", "enumerate_functions", "shown_count",
+    "relabeling", "enumerate_functions", "shown_count", "stream_carrier",
     "table_fn",
     "render_value", "parse_value",
     "DEFAULT_CARRIER_CAP", "EXACT_BITS",
@@ -424,26 +424,33 @@ def shown_count(n: int) -> int | str:
     return f"2^{k}" if n.bit_count() == 1 else f"more than 2^{k}"
 
 
-@lru_cache(maxsize=None)
-def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
+def stream_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> Iterator[Value]:
+    """enumerate_carrier(c, cap)'s values, built one at a time as they are
+    pulled and kept by no cache: the one enumeration rule. c, and every
+    carrier inside it, whose cached tuple the stream reads, is refused past
+    the cap at the call."""
     refuse_count("carrier", render_carrier(c), carrier_size(c, EXACT_BITS), cap)
     if isinstance(c, Base):
-        return enumerate_domain(c.domain)
+        return iter(enumerate_domain(c.domain))
+    inner = _enumerate_carrier_cached(c.codomain if isinstance(c, FnOf) else c.inner, cap)
     if isinstance(c, FnOf):
-        inner = _enumerate_carrier_cached(c.codomain, cap)
-        return tuple(map(Vec, itertools.product(inner, repeat=c.domain.size)))
-    inner = _enumerate_carrier_cached(c.inner, cap)
+        return map(Vec, itertools.product(inner, repeat=c.domain.size))
     if isinstance(c, MaybeOf):
-        return (Opt(None),) + tuple(Opt(v) for v in inner)
+        return itertools.chain((Opt(None),), map(Opt, inner))
     if isinstance(c, SeqOf):
-        return tuple(Seq(combo) for k in range(c.max_len + 1)
-                     for combo in itertools.product(inner, repeat=k))
+        return (Seq(combo) for k in range(c.max_len + 1)
+                for combo in itertools.product(inner, repeat=k))
     if isinstance(c, DistOf):
-        return tuple(Dist(support, nums, den)
-                     for k in range(1, min(c.max_support, len(inner), 4) + 1)
-                     for support in itertools.combinations(inner, k)
-                     for nums, den in weight_tuples(k))
+        return (Dist(support, nums, den)
+                for k in range(1, min(c.max_support, len(inner), 4) + 1)
+                for support in itertools.combinations(inner, k)
+                for nums, den in weight_tuples(k))
     raise TypeError(f"not a carrier descriptor: {c!r}")
+
+
+@lru_cache(maxsize=None)
+def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
+    return tuple(stream_carrier(c, cap))
 
 
 def enumerate_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> tuple[Value, ...]:
@@ -451,7 +458,8 @@ def enumerate_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> tuple[V
     Base by atom index; MaybeOf none first; SeqOf by length then
     lexicographically; DistOf by support size, then support combination,
     then grid tuple order; FnOf lexicographically with the last
-    slot varying fastest. Re-running yields the identical sequence."""
+    slot varying fastest. Re-running yields the identical, cached tuple;
+    stream_carrier builds the same values without keeping them."""
     return _enumerate_carrier_cached(c, cap)
 
 

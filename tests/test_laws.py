@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from finmon import values
 from finmon.instances import INSTANCE_NAMES, FunctorInstance, get_instance, reader_functor
 from finmon.laws import (
     ID,
@@ -29,6 +30,7 @@ from finmon.values import (
     Atom,
     Base,
     CarrierTooLarge,
+    Dist,
     FiniteType,
     FnOf,
     Quantifier,
@@ -184,6 +186,47 @@ def test_sampling_refutes_mutant_a_associativity():
     assert held["W3"].count(True) <= 1
 
 
+# sampled scans over a carrier variable, which no golden file covers: the
+# draws index the carrier, so these reports pin its enumeration order
+SAMPLED_T3 = {
+    "simpleprob": {"pass": True, "checked": 500},
+    "mutant-b": {"pass": False, "checked": 2, "witness": {
+        "mmma": "{{{#0: 1/3, #1: 2/3}: 1/3, {#0: 2/3, #1: 1/3}: 2/3}: 1/4, "
+                "{{#0: 2/3, #1: 1/3}: 1/3, {#0: 1/4, #1: 3/4}: 2/3}: 3/4}",
+        "lhs": "{#0: 1/8, #0: 1/36, #0: 1/9, #0: 1/6, #1: 3/8, #1: 1/18, #1: 1/18, #1: 1/12}",
+        "rhs": "{#0: 1/36, #0: 1/9, #0: 1/6, #0: 1/8, #1: 1/18, #1: 1/18, #1: 1/12, #1: 3/8}"}},
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_T3)
+def test_sampled_scans_over_a_carrier_variable_are_pinned(name):
+    rep = check_law(law_by_id("T3"), get_instance(name), DOMS2, Quantifier(budget=500, seed=0))
+    space = "Dist[Dist[Dist[A(2);maxSupport=2];maxSupport=2];maxSupport=2]"
+    assert rep.to_deterministic_dict() == {
+        "law": "T3", "instance": name, "sizes": {r: 2 for r in "ABCD"},
+        "quantifiers": [{"var": "mmma", "space": space, "size": 31_192, "mode": "sampled",
+                         "count": 498}],
+        **SAMPLED_T3[name],
+    }
+
+
+def test_a_refuted_scan_builds_only_the_outermost_values_it_visits(monkeypatch):
+    built, init = [], Dist.__init__
+
+    def counting(self, *fields):
+        built.append(self)
+        init(self, *fields)
+
+    values._enumerate_carrier_cached.cache_clear()
+    monkeypatch.setattr(Dist, "__init__", counting)
+    rep = check_law(law_by_id("T3"), get_instance("mutant-b"), DOMS2, Quantifier(budget=100_000))
+    assert not rep.passed and rep.checked == 63
+    # M M M A has 31,192 values; each binding's evaluation builds a few more
+    assert len(built) < 31_192 // 10
+    # cached: A, M A and M M A, the levels inside the streamed M M M A
+    assert values._enumerate_carrier_cached.cache_info().currsize == 3
+
+
 def test_mutant_a_triangle_right_least_witness():
     rep = check_law(law_by_id("T2"), get_instance("mutant-a"), DOMS2, Quantifier(budget=1000))
     assert not rep.passed
@@ -315,9 +358,9 @@ def test_reports_are_deterministic():
 
 def _bindings(law, inst):
     """Every binding of the law at sizes 2, in scan order, and their count."""
-    spaces = [_variable(vs, inst, DOMS2, DEFAULT_CARRIER_CAP).candidates
-              for vs in law.variables]
-    return itertools.product(*spaces), math.prod(len(s) for s in spaces)
+    variables = [_variable(vs, inst, DOMS2, DEFAULT_CARRIER_CAP) for vs in law.variables]
+    return (itertools.product(*(v.candidates for v in variables)),
+            math.prod(v.size for v in variables))
 
 
 @pytest.mark.parametrize("name", INSTANCE_NAMES)

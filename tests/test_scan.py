@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from finmon.cli import main
+from finmon.laws import check_law, law_by_id, reader_pres_ee2_report
 from finmon.reports import LawReport, Var, scan
 from finmon.systems import MonSys, check_map_last_lemma
-from finmon.instances import get_instance
-from finmon.values import CarrierOverflow, FiniteType, Quantifier, parse_value
+from finmon.instances import get_instance, reader_functor
+from finmon.values import (
+    CarrierOverflow,
+    FiniteType,
+    Quantifier,
+    parse_value,
+    refuse_count,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -190,3 +200,57 @@ def test_unbounded_recursion_is_a_diagnostic_at_its_binding():
     assert not rep.passed and rep.witness is None and rep.checked == 2
     assert rep.diagnostic.startswith("recursion too deep: ")
     assert f"limit of {sys.getrecursionlimit()} frames" in rep.diagnostic
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector pauses while a scan runs
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_a_scan_pauses_the_collector_and_restores_the_caller_s_state(collecting):
+    seen = []
+    (gc.enable if collecting else gc.disable)()
+    try:
+        rep = scan(_report(), lambda: [Var("x", "0..2", range(3), 3)],
+                   lambda x: seen.append(gc.isenabled()) or (x, x))
+        assert rep.passed and seen == [False] * 3
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+
+
+def test_a_refused_carrier_restores_the_collector():
+    def variables():
+        refuse_count("carrier", "X(2)", 2, 1)
+
+    assert gc.isenabled()
+    rep = scan(_report(), variables, lambda x: (x, x))
+    assert rep.diagnostic == "carrier too large: X(2) has 2 values, cap 1"
+    assert gc.isenabled()
+
+
+BRANCH = MonSys("branch", get_instance("nondet"), FiniteType("X", 3),
+                tuple(map(parse_value, ["[#0, #1]", "[#1, #2]", "[#2, #0]"])))
+DOMS2 = {r: FiniteType(r, 2) for r in "ABCDE"}
+Q = Quantifier(budget=100_000)
+
+# the checks that left objects to the collector: every law's compiled
+# sides, and the walk's survivor lists wherever a group reduces the scan
+CYCLIC_BEFORE = {
+    "law-F1": lambda: check_law(law_by_id("F1"), get_instance("nondet"), DOMS2, Q),
+    "reader-F3L2": lambda: reader_pres_ee2_report(reader_functor(DOMS2["E"]), DOMS2, Q),
+    "nondet-D3": lambda: check_law(law_by_id("D3"), get_instance("nondet"), DOMS2, Q),
+    "branch-mapLastLemma": lambda: check_map_last_lemma(BRANCH, 4),
+}
+
+
+@pytest.mark.parametrize("check", CYCLIC_BEFORE.values(), ids=CYCLIC_BEFORE)
+def test_a_warm_check_leaves_no_cyclic_garbage(check):
+    assert check().passed  # the carrier caches fill
+    gc.collect()
+    gc.disable()
+    try:
+        check()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -424,11 +424,13 @@ def test_past_the_table_cap_a_check_scans_every_binding(monkeypatch):
 
 
 def _scan_inputs(monkeypatch, name, law_id, doms=DOMS2):
-    """The variables and renamed types check_law hands to scan."""
+    """The variables and renamed types check_law hands to scan, a carrier's
+    one-shot stream held as a tuple, so that a test can walk them again."""
     seen = {}
 
     def capture(report, variables, sides, q=None, renamed=()):
-        seen.update(variables=variables(), renamed=renamed)
+        seen.update(variables=[dataclasses.replace(v, candidates=tuple(v.candidates))
+                               for v in variables()], renamed=renamed)
         return report
 
     monkeypatch.setattr(laws, "scan", capture)
