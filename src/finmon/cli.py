@@ -239,6 +239,8 @@ def _parse_system(entry, i: int) -> tuple[MonSys, dict]:
 
 def _reward_cell(cell) -> int | Fraction:
     """An integral reward as an int, so sums of them stay C arithmetic."""
+    if isinstance(cell, bool):  # as check_value holds, a bool is never a number
+        raise TypeError("expected a rational, got bool")
     r = Fraction(cell)
     return r.numerator if r.denominator == 1 else r
 

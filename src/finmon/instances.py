@@ -1,13 +1,14 @@
 """Uncertainty-monad instances as first-class records of operations.
 
 Each instance packages pure, map, join and bind over the closed value
-universe, plus a carrier constructor so the law suite can
-enumerate M A, M (M A) and deeper nestings. Distributions are put in
-canonical form as they are built, so an instance carries no canonicalizer
-of its own: map, bind and join (bind with the identity) hand integer
-numerators over one denominator to dist_of_terms. Four lawful instances are registered
-(identity, maybe, nondet, simpleprob) together with two deliberately
-broken ones used to prove the harness can refute:
+universe, plus a carrier constructor so the law suite can enumerate
+M A, M (M A) and deeper nestings. Distributions are put in canonical
+form as they are built: map and bind hand integer numerators over one
+denominator to dist_of_terms, and the join of maybe, nondet and
+simpleprob is their builder's own bind with the identity. One table maps
+each name to its builder: four lawful instances (identity, maybe, nondet,
+simpleprob) and two deliberately broken ones that prove the harness
+can refute:
 
   mutant-a  nondet whose join concatenates the reversed outer sequence
   mutant-b  simpleprob whose canonical form skips merging equal values
@@ -107,11 +108,6 @@ def maybe_monad() -> MonadInstance:
             return mv
         return Opt(fn(mv.content))
 
-    def mjoin(mmv: Value) -> Value:
-        if mmv.content is None:
-            return Opt(None)
-        return mmv.content
-
     def mbind(mv: Value, fn: MapFn) -> Value:
         if mv.content is None:
             return mv
@@ -122,7 +118,7 @@ def maybe_monad() -> MonadInstance:
         carrier_of=MaybeOf,
         pure=lambda v: Opt(v),
         map=mmap,
-        join=mjoin,
+        join=lambda mmv: mbind(mmv, lambda m: m),
         bind=mbind,
         parametric=True,
     )
@@ -252,24 +248,22 @@ def reader_functor(env: FiniteType) -> FunctorInstance:
 # ---------------------------------------------------------------------------
 # registry
 
-INSTANCE_NAMES = (
-    "identity", "maybe", "nondet", "simpleprob", "mutant-a", "mutant-b",
-)
+_BUILDERS: dict[str, Callable[[int, int], MonadInstance]] = {
+    "identity": lambda max_len, max_support: identity_monad(),
+    "maybe": lambda max_len, max_support: maybe_monad(),
+    "nondet": lambda max_len, max_support: nondet_monad(max_len),
+    "simpleprob": lambda max_len, max_support: simpleprob_monad(max_support),
+    "mutant-a": lambda max_len, max_support: mutant_a_monad(max_len),
+    "mutant-b": lambda max_len, max_support: mutant_b_monad(max_support),
+}
+
+INSTANCE_NAMES = tuple(_BUILDERS)
 
 
 def get_instance(
     name: str, max_len: int = 2, max_support: int = 2
 ) -> MonadInstance:
-    if name == "identity":
-        return identity_monad()
-    if name == "maybe":
-        return maybe_monad()
-    if name == "nondet":
-        return nondet_monad(max_len=max_len)
-    if name == "simpleprob":
-        return simpleprob_monad(max_support=max_support)
-    if name == "mutant-a":
-        return mutant_a_monad(max_len=max_len)
-    if name == "mutant-b":
-        return mutant_b_monad(max_support=max_support)
-    raise KeyError(f"unknown instance {name!r}; known: {', '.join(INSTANCE_NAMES)}")
+    build = _BUILDERS.get(name)
+    if build is None:
+        raise KeyError(f"unknown instance {name!r}; known: {', '.join(INSTANCE_NAMES)}")
+    return build(max_len, max_support)

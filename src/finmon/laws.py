@@ -1,12 +1,12 @@
 """The law catalog: every functor/monad property as a finite check.
 
 A law is data: its bound variables (domain elements, carrier values or
-function tables) and two terms, lhs and rhs. A term is a point-free
-arrow applied to the law's one atom or carrier variable. Arrows are
-built from table leaves (one per fn variable), id, pure, join, ∘
-(written @), map and >>= (Bind); f >=> g (written >>) is
-(join ∘ map g) ∘ f, so that join ∘ map g is a subterm of its own. A law
-needs the instance operations its terms apply.
+function tables) and two sides, lhs and rhs: point-free arrows, both
+applied to the law's one atom or carrier variable. Arrows are built from
+table leaves (one per fn variable), id, pure, join, ∘ (written @), map
+and >>= (Bind); f >=> g (written >>) is (join ∘ map g) ∘ f, so that
+join ∘ map g is a subterm of its own. A law needs the instance
+operations its sides apply.
 
 Premise laws (mapPresEE, kleisliPresEE, liftPresEE) quantify over
 pointwise-equality classes of arrows. Tables are extensional by
@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .instances import FunctorInstance, MonadInstance
 from .reports import LawReport, Var, scan
@@ -78,7 +78,7 @@ from .values import (
 )
 
 __all__ = [
-    "Arrow", "Term", "VarSpec", "Law", "law_catalog", "law_by_id",
+    "Arrow", "VarSpec", "Law", "law_catalog", "law_by_id",
     "check_law", "suite_checks", "run_suite", "reader_pres_ee2_report", "LAW_IDS",
 ]
 
@@ -120,9 +120,6 @@ class Arrow:
     def __rshift__(self, then: "Arrow") -> "Arrow":
         return JOIN @ Map(then) @ self
 
-    def __call__(self, var: str) -> "Term":
-        return Term(self, var)
-
     @property
     def table(self) -> str | None:
         return None if self.args or self.op in ("id", "pure", "join") else self.op.rstrip("'")
@@ -147,24 +144,20 @@ def Bind(arrow: Arrow) -> Arrow:
     return Arrow("bind", (arrow,))
 
 
-# an arrow applied to one atom or carrier variable, named
-Term = NamedTuple("Term", [("arrow", Arrow), ("var", str)])
-
-
 @dataclass(frozen=True, eq=False)
 class Law:
     id: str
     name: str
     statement: str
     variables: tuple[VarSpec, ...]
-    lhs: Term
-    rhs: Term
+    lhs: Arrow
+    rhs: Arrow
     views: tuple[str, ...] = ("thin", "fat")
 
     @property
     def needs(self) -> tuple[str, ...]:
-        """The instance operations the terms apply."""
-        used = {n.op for side in (self.lhs, self.rhs) for n in side.arrow.nodes()}
+        """The instance operations the sides apply."""
+        used = {n.op for side in (self.lhs, self.rhs) for n in side.nodes()}
         return tuple(op for op in _INSTANCE_OPS if op in used)
 
 
@@ -202,6 +195,7 @@ def _compile(law: Law, inst: Instance) -> Callable[..., tuple[Value, Value]]:
     subterm it misses."""
     order = [v.name for v in law.variables]
     every_table = frozenset(v.name for v in law.variables if v.kind == "fn")
+    (var,) = (v.name for v in law.variables if v.kind != "fn")
     defs: list[str] = []
     fresh = itertools.count()
 
@@ -234,8 +228,7 @@ def _compile(law: Law, inst: Instance) -> Callable[..., tuple[Value, Value]]:
         fn = called if called != body and called.isidentifier() else f"lambda {v}: {body}"
         return f"map({fn}, {x})" if t.op == "map" else f"bind({x}, {fn})"
 
-    lhs, rhs = (code(side.arrow, side.var, every_table, True, root=True)
-                for side in (law.lhs, law.rhs))
+    lhs, rhs = (code(side, var, every_table, True, root=True) for side in (law.lhs, law.rhs))
     # code reaches itself through its cell, and make (popped below) through its
     # globals: cycles that only the collector would free
     del code
@@ -262,55 +255,48 @@ def law_catalog() -> tuple[Law, ...]:
     f_ab, f_amb = V("fn", "f", dom="A", cod="B"), V("fn", "f", dom="A", cod="M B")
     g_bc, g_bmc = V("fn", "g", dom="B", cod="C"), V("fn", "g", dom="B", cod="M C")
     return (
-        Law("F1", "mapPresId", "map id ≐ id", (ma,), Map(ID)("ma"), ID("ma")),
+        Law("F1", "mapPresId", "map id ≐ id", (ma,), Map(ID), ID),
         Law("F2", "mapPresComp", "map (g ∘ f) ≐ map g ∘ map f", (f_ab, g_bc, ma),
-            Map(g @ f)("ma"), (Map(g) @ Map(f))("ma")),
-        Law("F3", "mapPresEE", "f ≐ g -> map f ≐ map g", (f_ab, ma),
-            Map(f)("ma"), Map(f_)("ma")),
-        Law("T1", "triangleLeft", "join ∘ pure ≐ id", (ma,), (JOIN @ PURE)("ma"), ID("ma")),
-        Law("T2", "triangleRight", "join ∘ map pure ≐ id", (ma,),
-            (JOIN @ Map(PURE))("ma"), ID("ma")),
+            Map(g @ f), Map(g) @ Map(f)),
+        Law("F3", "mapPresEE", "f ≐ g -> map f ≐ map g", (f_ab, ma), Map(f), Map(f_)),
+        Law("T1", "triangleLeft", "join ∘ pure ≐ id", (ma,), JOIN @ PURE, ID),
+        Law("T2", "triangleRight", "join ∘ map pure ≐ id", (ma,), JOIN @ Map(PURE), ID),
         Law("T3", "square", "join ∘ join ≐ join ∘ map join", (mmma,),
-            (JOIN @ JOIN)("mmma"), (JOIN @ Map(JOIN))("mmma")),
-        Law("T4", "pureNatTrans", "map f ∘ pure ≐ pure ∘ f", (f_ab, a),
-            (Map(f) @ PURE)("a"), (PURE @ f)("a")),
+            JOIN @ JOIN, JOIN @ Map(JOIN)),
+        Law("T4", "pureNatTrans", "map f ∘ pure ≐ pure ∘ f", (f_ab, a), Map(f) @ PURE, PURE @ f),
         Law("T5", "joinNatTrans", "map f ∘ join ≐ join ∘ map (map f)", (f_ab, mma),
-            (Map(f) @ JOIN)("mma"), (JOIN @ Map(Map(f)))("mma")),
+            Map(f) @ JOIN, JOIN @ Map(Map(f))),
         Law("KJ", "kleisliJoinMapSpec", "(f >=> g) ≐ join ∘ map g ∘ f", (f_amb, g_bmc, a),
-            (f >> g)("a"), (JOIN @ Map(g) @ f)("a"), fat),
+            f >> g, JOIN @ Map(g) @ f, fat),
         Law("BJ", "bindJoinMapSpec", "(>>= f) ≐ join ∘ map f", (f_amb, ma),
-            Bind(f)("ma"), (JOIN @ Map(f))("ma"), fat),
-        Law("D1", "pureLeftIdKleisli", "(pure >=> f) ≐ f", (f_amb, a), (PURE >> f)("a"), f("a")),
-        Law("D2", "pureRightIdKleisli", "(f >=> pure) ≐ f", (f_amb, a),
-            (f >> PURE)("a"), f("a")),
+            Bind(f), JOIN @ Map(f), fat),
+        Law("D1", "pureLeftIdKleisli", "(pure >=> f) ≐ f", (f_amb, a), PURE >> f, f),
+        Law("D2", "pureRightIdKleisli", "(f >=> pure) ≐ f", (f_amb, a), f >> PURE, f),
         Law("D3", "kleisliAssoc", "((f >=> g) >=> h) ≐ (f >=> (g >=> h))",
             (f_amb, g_bmc, V("fn", "h", dom="C", cod="M D"), a),
-            ((f >> g) >> h)("a"), (f >> (g >> h))("a")),
+            (f >> g) >> h, f >> (g >> h)),
         Law("D4", "kleisliPresEE", "f ≐ f', g ≐ g' -> (f >=> g) ≐ (f' >=> g')",
-            (f_amb, g_bmc, a), (f >> g)("a"), (f_ >> g_)("a")),
+            (f_amb, g_bmc, a), f >> g, f_ >> g_),
         Law("D5", "kleisliLeapfrog", "(f >=> g) ≐ (id >=> g) ∘ f", (f_amb, g_bmc, a),
-            (f >> g)("a"), ((ID >> g) @ f)("a")),
-        Law("W1", "pureLeftIdBind", "(λ a => pure a >>= f) ≐ f", (f_amb, a),
-            (Bind(f) @ PURE)("a"), f("a")),
-        Law("W2", "pureRightIdBind", "(>>= pure) ≐ id", (ma,), Bind(PURE)("ma"), ID("ma")),
+            f >> g, (ID >> g) @ f),
+        Law("W1", "pureLeftIdBind", "(λ a => pure a >>= f) ≐ f", (f_amb, a), Bind(f) @ PURE, f),
+        Law("W2", "pureRightIdBind", "(>>= pure) ≐ id", (ma,), Bind(PURE), ID),
         Law("W3", "bindAssoc", "(ma >>= f) >>= g ≐ ma >>= (λ a => f a >>= g)",
-            (f_amb, g_bmc, ma), (Bind(g) @ Bind(f))("ma"), Bind(Bind(g) @ f)("ma")),
-        Law("W4", "liftPresEE", "f ≐ g -> (>>= f) ≐ (>>= g)", (f_amb, ma),
-            Bind(f)("ma"), Bind(f_)("ma")),
+            (f_amb, g_bmc, ma), Bind(g) @ Bind(f), Bind(Bind(g) @ f)),
+        Law("W4", "liftPresEE", "f ≐ g -> (>>= f) ≐ (>>= g)", (f_amb, ma), Bind(f), Bind(f_)),
         Law("W5", "triangleRightFromBind", "(λ ma => (ma >>= pure ∘ pure) >>= id) ≐ id",
-            (ma,), (Bind(ID) @ Bind(PURE @ PURE))("ma"), ID("ma")),
+            (ma,), Bind(ID) @ Bind(PURE @ PURE), ID),
         Law("E1", "mapFromBindAgrees", "map f ≐ (>>= pure ∘ f)", (f_ab, ma),
-            Map(f)("ma"), Bind(PURE @ f)("ma"), fat),
-        Law("E2", "joinFromBindAgrees", "join ≐ (>>= id)", (mma,),
-            JOIN("mma"), Bind(ID)("mma"), fat),
+            Map(f), Bind(PURE @ f), fat),
+        Law("E2", "joinFromBindAgrees", "join ≐ (>>= id)", (mma,), JOIN, Bind(ID), fat),
         Law("E3", "kleisliFromBindAgrees", "(f >=> g) ≐ (λ a => f a >>= g)",
-            (f_amb, g_bmc, a), (f >> g)("a"), (Bind(g) @ f)("a"), fat),
+            (f_amb, g_bmc, a), f >> g, Bind(g) @ f, fat),
         Law("L1", "mapJoinLemma", "(map f ∘ join ∘ map g) ≐ (join ∘ map (map f ∘ g))",
             (V("fn", "g", dom="A", cod="M B"), V("fn", "f", dom="B", cod="C"), ma),
-            (Map(f) @ JOIN @ Map(g))("ma"), (JOIN @ Map(Map(f) @ g))("ma")),
+            Map(f) @ JOIN @ Map(g), JOIN @ Map(Map(f) @ g)),
         Law("L2", "mapKleisliLemma", "(map h ∘ (f >=> g)) ≐ (f >=> map h ∘ g)",
             (f_amb, g_bmc, V("fn", "h", dom="C", cod="D"), a),
-            (Map(h) @ (f >> g))("a"), (f >> (Map(h) @ g))("a")),
+            Map(h) @ (f >> g), f >> (Map(h) @ g)),
     )
 
 

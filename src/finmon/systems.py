@@ -227,27 +227,26 @@ def check_repr_lemma(sys: MonSys, n_max: int, cap: int = DEFAULT_CARRIER_CAP) ->
     applies the lift n times by functional iteration; materializing it
     as an index-table composition would require every intermediate bind
     to land back inside the bounded carrier, which fails for stochastic
-    weights and growing sequences. As n ascends, the right side keeps
-    each mx's latest iterate and lifts it once more."""
+    weights and growing sequences. The iterates ride with n: the carrier
+    at 0, then every value bound through the step once more per level."""
     m = sys.monad
     step_fn = table_fn(sys.step)
-    iterates: list[Value] = []
 
     def variables():
         carrier_vals = enumerate_carrier(m.carrier_of(Base(sys.domain)), cap)
-        iterates.extend(carrier_vals)
+
+        def lifted(n, prev):
+            return carrier_vals if prev is None else tuple(m.bind(mx, step_fn) for mx in prev)
+
         return [
-            _n_var(n_max, cap, partial(flow, sys)),
+            _n_var(n_max, cap, partial(flow, sys), lifted),
             Var("mx", "M X", tuple(enumerate(carrier_vals)), len(carrier_vals),
                 render=lambda im: render_value(im[1])),
         ]
 
     def sides(nb, im):
-        (n, flow_n), (i, mx) = nb, im
-        lhs = m.bind(mx, table_fn(flow_n))
-        if n:
-            iterates[i] = m.bind(iterates[i], step_fn)
-        return lhs, iterates[i]
+        (_, flow_n, lifted_n), (i, mx) = nb, im
+        return m.bind(mx, table_fn(flow_n)), lifted_n[i]
 
     return scan(_base_report("reprLemma", sys), variables, sides)
 

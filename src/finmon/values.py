@@ -18,7 +18,7 @@ canonical_key, which keys each weight by an integer and compares its
 interned Fraction only when two integer keys tie.
 
 Canonical textual rendering (the bit-exact witness format used in
-reports, and the syntax accepted by parse_value):
+reports, read back by one recursive reader over the tokens, parse_value):
 
     atoms          #0  #1  ...
     optionals      none | some v
@@ -636,69 +636,58 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+_CLOSE = {"[": "]", "<": ">", "{": "}"}
+
+
+def _expect(tokens: list[str], i: int, token: str) -> int:
+    """The index past tokens[i], which must be token."""
+    if tokens[i] != token:
+        raise ValueError(f"expected {token!r}, got {tokens[i]!r}" if tokens[i]
+                         else "unexpected end of value text")
+    return i + 1
+
+
+def _read(tokens: list[str], i: int, rational: bool = False) -> tuple[Value, int]:
+    """The value whose text starts at tokens[i], or with rational the
+    rational token there, and the index past it. tokens end with "",
+    which no text reaches: a weight is a rational token, never a value."""
+    tok = tokens[i]
+    if not tok:
+        raise ValueError("unexpected end of value text")
+    i += 1
+    if rational or re.fullmatch(r"-?\d+(/\d+)?", tok):
+        try:
+            return Fraction(tok), i
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {tok!r}") from None
+    if tok.startswith("#"):
+        return Atom(int(tok[1:])), i
+    if tok == "none":
+        return Opt(None), i
+    if tok == "some":
+        content, i = _read(tokens, i)
+        return Opt(content), i
+    if tok not in _CLOSE:
+        raise ValueError(f"unexpected token {tok!r}")
+    items, more = [], tokens[i] != _CLOSE[tok]
+    while more:
+        item, i = _read(tokens, i)
+        if tok == "{":
+            weight, i = _read(tokens, _expect(tokens, i, ":"), rational=True)
+            item = (item, weight)
+        items.append(item)
+        more = tokens[i] == ","
+        i += more
+    i = _expect(tokens, i, _CLOSE[tok])
+    return mk_dist(items) if tok == "{" else (Seq if tok == "[" else Vec)(tuple(items)), i
+
+
 def parse_value(text: str) -> Value:
     """Parse the canonical textual rendering back into a Value. Accepts
     exactly the grammar render_value emits; distributions are
     canonicalized (and validated) on the way in."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of value text")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def rational(tok: str) -> Fraction:
-        try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {tok!r}") from None
-
-    def node() -> Value:
-        tok = take()
-        if tok.startswith("#"):
-            return Atom(int(tok[1:]))
-        if tok == "none":
-            return Opt(None)
-        if tok == "some":
-            return Opt(node())
-        if tok in ("[", "<"):
-            close = "]" if tok == "[" else ">"
-            items = []
-            if peek() != close:
-                items.append(node())
-                while peek() == ",":
-                    take(",")
-                    items.append(node())
-            take(close)
-            return Seq(tuple(items)) if tok == "[" else Vec(tuple(items))
-        if tok == "{":
-            pairs = []
-            if peek() != "}":
-                while True:
-                    v = node()
-                    take(":")
-                    w = rational(take())
-                    pairs.append((v, w))
-                    if peek() == ",":
-                        take(",")
-                        continue
-                    break
-            take("}")
-            return mk_dist(pairs)
-        if re.fullmatch(r"-?\d+(/\d+)?", tok):
-            return rational(tok)
-        raise ValueError(f"unexpected token {tok!r}")
-
-    result = node()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens after value: {tokens[pos:]!r}")
-    return result
+    tokens = _tokenize(text) + [""]
+    value, i = _read(tokens, 0)
+    if i != len(tokens) - 1:
+        raise ValueError(f"trailing tokens after value: {tokens[i:-1]!r}")
+    return value

@@ -691,7 +691,12 @@ def _with_leaf(path, value):
     (("systems", 0, "checks", 0), ["flowLR"], "systems[0].checks"),
     (("systems", 0, "step", 0), "{#0: 1/0}", "systems[0].step[0]"),
     (("sdps", 0, "next", 0, 1), "1/0", "sdps[0].next[0][1]"),
-], ids=["infinite-reward", "list-as-check", "zero-weight-denominator", "bare-1/0"])
+    (("systems", 0, "step", 0), "{#0: #1}", "systems[0].step[0]"),
+    (("systems", 0, "step", 0), "{#0: none}", "systems[0].step[0]"),
+    (("systems", 0, "step", 0), "{#0: [1/2]}", "systems[0].step[0]"),
+    (("sdps", 0, "reward", 0, 0, 0), True, "sdps[0].reward"),
+], ids=["infinite-reward", "list-as-check", "zero-weight-denominator", "bare-1/0",
+        "atom-weight", "none-weight", "sequence-weight", "bool-reward"])
 def test_hostile_leaves_are_config_errors_at_their_field(tmp_path, capsys, path, value, where):
     assert main(["--config", write_config(tmp_path, _with_leaf(path, value))]) == 2
     assert f"configuration error: {where}: " in capsys.readouterr().err

@@ -78,8 +78,7 @@ def test_checker_parameters_are_the_law_variables_in_order(law):
 def test_terms_apply_leaves_to_the_one_bound_variable(law):
     tables = {v.name for v in law.variables if v.kind == "fn"}
     (bound,) = [v.name for v in law.variables if v.kind != "fn"]
-    assert law.lhs.var == law.rhs.var == bound
-    leaves = [n for side in (law.lhs, law.rhs) for n in side.arrow.nodes() if n.table]
+    leaves = [n for side in (law.lhs, law.rhs) for n in side.nodes() if n.table]
     assert {n.table for n in leaves} <= tables
     # every declared variable is read by some side
     assert {n.table for n in leaves} | {bound} == {v.name for v in law.variables}
@@ -399,8 +398,8 @@ def test_primed_side_makes_its_own_operation_calls():
 
     for law_id in ("F3", "W4", "D4"):
         law = law_by_id(law_id)
-        unprimed = calls_over_all_bindings(dataclasses.replace(law, rhs=ID(law.rhs.var)))
-        primed = calls_over_all_bindings(dataclasses.replace(law, lhs=ID(law.lhs.var)))
+        unprimed = calls_over_all_bindings(dataclasses.replace(law, rhs=ID))
+        primed = calls_over_all_bindings(dataclasses.replace(law, lhs=ID))
         assert primed == unprimed > 0, law_id
         # next to the unprimed side, the primed one hits no cache of it
         assert calls_over_all_bindings(law) == unprimed + primed, law_id

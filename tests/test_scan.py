@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from finmon.cli import main
+from finmon import cli, dp, laws, systems
+from finmon.cli import load_config, main
 from finmon.laws import check_law, law_by_id, reader_pres_ee2_report
 from finmon.reports import LawReport, Var, scan
 from finmon.systems import MonSys, check_map_last_lemma
@@ -22,7 +23,10 @@ from finmon.values import (
     refuse_count,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SHIPPED = sorted([*(ROOT / "configs").glob("*.json"),
+                  *(ROOT / "perfbench" / "workloads").glob("*.json")])
 
 # the bound variables of each system and DP check, outermost first
 BOUND = {
@@ -254,3 +258,31 @@ def test_a_warm_check_leaves_no_cyclic_garbage(check):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_loading_a_shipped_config_leaves_no_cyclic_garbage(path):
+    gc.collect()
+    gc.disable()
+    try:
+        load_config(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_every_check_s_sides_are_a_function_of_the_binding(path, monkeypatch):
+    # shrinking and replaying a witness evaluate a binding again: a scan
+    # that evaluates each binding twice and keeps the second result
+    # reports what a plain scan reports
+    def reports():
+        return [rep.to_deterministic_dict() for _, rep in cli._execute(load_config(path))[0]]
+
+    def twice(report, variables, sides, *args, **kwargs):
+        return scan(report, variables, lambda *b: (sides(*b), sides(*b))[1], *args, **kwargs)
+
+    once = reports()
+    for module in (laws, systems, dp):
+        monkeypatch.setattr(module, "scan", twice)
+    assert reports() == once

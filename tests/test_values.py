@@ -258,9 +258,29 @@ def test_render_parse_round_trip_exhaustive(desc):
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "#", "[#0", "{#0: 0/1}", "{#0: 1/2}", "some", "<#0,>"]:
-        with pytest.raises(ValueError):
+    # a weight is read as a rational token, never as a value: a value there
+    # would reach mk_dist, whose Fraction(w) raises TypeError, not ValueError
+    for text, message in {
+        "": "unexpected end of value text",
+        "#": "cannot tokenize value text at: '#'",
+        "[#0": "unexpected end of value text",
+        "{#0: 0/1}": "distribution weight must be positive, got 0",
+        "{#0: 1/2}": "distribution weights must sum to 1, got 1/2",
+        "some": "unexpected end of value text",
+        "<#0,>": "unexpected token '>'",
+        "{#0: #1}": "Invalid literal for Fraction: '#1'",
+        "{#0: none}": "Invalid literal for Fraction: 'none'",
+        "{#0: [1/2]}": "Invalid literal for Fraction: '['",
+        "{#0: }": "Invalid literal for Fraction: '}'",
+        "{#0:": "unexpected end of value text",
+        "[#0 #1]": "expected ']', got '#1'",
+        "{#0 1}": "expected ':', got '1'",
+        "{#0: 1/2 #1: 1/2}": "expected '}', got '#1'",
+        "#0 #1": "trailing tokens after value: ['#1']",
+    }.items():
+        with pytest.raises(ValueError) as exc:
             parse_value(text)
+        assert str(exc.value) == message, text
 
 
 def test_zero_denominator_is_a_value_error():
