@@ -35,12 +35,11 @@ states (a system's step, a flow) is a plain tuple, applied by table_fn.
 Rewards are bare ints when integral and Fractions otherwise, values of
 no enumerable carrier; an int keys and renders as the equal Fraction.
 
-Value identity is one rule: atoms and quantified tables are interned
+Value identity is decided in C: atoms and quantified tables are interned
 (hash-consed, Filliâtre and Conchon, 2006), so equality and hash are
-identity, in C; every other value is a frozen dataclass, equal and hashed
-by its fields.
-Every value holds its canonical key: an atom from birth, a composite from
-its first sort, in a key slot outside its fields that repr, == and hash skip.
+identity; every other value is the tuple (tag, *fields), the tag keeping
+types apart. An atom holds its canonical key from birth, a Dist from its
+first sort, outside the fields that repr, == and hash read.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import math
 import re
 import weakref
 from array import array
-from collections import Counter
+from collections import Counter, _tuplegetter  # namedtuple's field descriptor, in C
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -88,10 +87,10 @@ class CarrierOverflow(Exception):
 # values
 
 
-class _Interned:
-    """Base of hash-consed values: immutable, compared and hashed by
-    identity, and copied or unpickled by building again, which returns
-    the interned object."""
+class _Frozen:
+    """Base of every value but ints and Fractions: immutable, shown as
+    Type(field=value, ...), and copied or unpickled by building again from
+    its fields, which returns the one object of an interned type."""
 
     __slots__ = ()
 
@@ -107,18 +106,19 @@ class _Interned:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({args})"
 
-    @classmethod
-    def _build(cls, values):
-        obj = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(obj, name, value)
-        return obj
+
+def _interned(cls, values):
+    """A new object of the interned type cls, its slots set to values."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 _ATOMS: dict[int, "Atom"] = {}
 
 
-class Atom(_Interned):
+class Atom(_Frozen):
     """The domain element #index, one object per index, holding its
     canonical_key (0, index) in a slot that repr and pickling skip."""
 
@@ -126,36 +126,50 @@ class Atom(_Interned):
     __slots__ = ("index", "key")
 
     def __new__(cls, index: int) -> "Atom":
-        return _ATOMS.get(index) or _ATOMS.setdefault(index, cls._build((index, (0, index))))
+        return _ATOMS.get(index) or _ATOMS.setdefault(index, _interned(cls, (index, (0, index))))
 
 
-class _Keyed:
-    """Base of the composite values: canonical_key's slot, no field, so repr,
-    ==, hash, copies and pickles skip it and building a value never writes it."""
-
-    __slots__ = ("key",)
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Opt(_Keyed):
-    content: Union["Value", None]
+class _Tagged(_Frozen, tuple):
+    """Base of the composite values: the tuple (tag, *fields), the tag being
+    the first entry of the type's canonical_key, so == and hash are the
+    tuple's, in C, and equal fields under two types compare unequal."""
+
+    __slots__ = ()
+    key = None  # canonical_key's cache: only a Dist keeps its key
 
 
-@dataclass(frozen=True, slots=True)
-class Seq(_Keyed):
-    items: tuple["Value", ...]
+class Opt(_Tagged):
+    __slots__ = ()
+    _fields = ("content",)
+    content = _tuplegetter(1, None)
+
+    def __new__(cls, content: Union["Value", None]) -> "Opt":
+        return _new(cls, (2, content))
 
 
-@dataclass(frozen=True, slots=True)
-class Dist(_Keyed):
+class Seq(_Tagged):
+    __slots__ = ()
+    _fields = ("items",)
+    items = _tuplegetter(1, None)
+
+    def __new__(cls, items: tuple["Value", ...]) -> "Seq":
+        return _new(cls, (3, items))
+
+
+class Dist(_Tagged):
     """Finite distribution in integer form: support[i] has weight
     nums[i] / den. Canonical form: support sorted by canonical value
     order, no duplicate values, numerators positive and summing to den,
     gcd(den, *nums) == 1. Enumerated values share nums with the grid."""
 
-    support: tuple["Value", ...]
-    nums: tuple[int, ...]
-    den: int
+    _fields = ("support", "nums", "den")
+    support, nums, den = (_tuplegetter(i, None) for i in (1, 2, 3))
+
+    def __new__(cls, support: tuple["Value", ...], nums: tuple[int, ...], den: int) -> "Dist":
+        return _new(cls, (4, support, nums, den))
 
     @property
     def entries(self) -> tuple[tuple["Value", Fraction], ...]:
@@ -165,9 +179,13 @@ class Dist(_Keyed):
         return tuple([(x, _WEIGHTS[n, den]) for x, n in zip(self.support, self.nums)])
 
 
-@dataclass(frozen=True, slots=True)
-class Vec(_Keyed):
-    items: tuple["Value", ...]
+class Vec(_Tagged):
+    __slots__ = ()
+    _fields = ("items",)
+    items = _tuplegetter(1, None)
+
+    def __new__(cls, items: tuple["Value", ...]) -> "Vec":
+        return _new(cls, (5, items))
 
 
 Value = Union[Atom, Opt, Seq, Dist, Vec, int, Fraction]
@@ -175,7 +193,7 @@ _TAGS = {Atom: 0, Opt: 2, Seq: 3, Dist: 4, Vec: 5}  # each key's first entry; in
 
 
 def canonical_key(v: Value):
-    """Total-order sort key, kept on a composite by its first call. Shorter
+    """Total-order sort key, kept on an atom and on a Dist. Shorter
     sequences sort before longer ones, then lexicographically; dist entries
     compare as (value, weight) pairs, each weight n / den keyed by (n << 64)
     // den before its interned Fraction: the floor is monotone, so the order
@@ -185,7 +203,7 @@ def canonical_key(v: Value):
         return (1, v)
     if t not in _TAGS:
         raise TypeError(f"not a Value: {v!r}")
-    key = getattr(v, "key", None)  # a composite's slot is unset until its first key
+    key = v.key
     if key is None:
         if t is Opt:
             key = (2, 0) if v.content is None else (2, 1, canonical_key(v.content))
@@ -194,10 +212,10 @@ def canonical_key(v: Value):
             key = (4, len(v.nums), tuple([
                 (x.key if type(x) is Atom else canonical_key(x), (n << 64) // den, _WEIGHTS[n, den])
                 for x, n in zip(v.support, v.nums)]))
+            v.__dict__["key"] = key
         else:
             key = (_TAGS[t], len(v.items),
                    tuple([x.key if type(x) is Atom else canonical_key(x) for x in v.items]))
-        object.__setattr__(v, "key", key)
     return key
 
 
@@ -514,7 +532,7 @@ def relabeling(c: CarrierDesc, perms: dict[FiniteType, Sequence[int]]) -> array:
 _TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-class FnTable(_Interned):
+class FnTable(_Frozen):
     """A table a law quantifies over: entry i is the output at atom #i.
     Interned on its entries in a weak pool: equal tables are one object
     while any is alive, and a table no one holds leaves the pool."""
@@ -523,7 +541,7 @@ class FnTable(_Interned):
     __slots__ = _fields + ("__weakref__",)
 
     def __new__(cls, entries: tuple[Value, ...]) -> "FnTable":
-        return _TABLES.get(entries) or _TABLES.setdefault(entries, cls._build((entries,)))
+        return _TABLES.get(entries) or _TABLES.setdefault(entries, _interned(cls, (entries,)))
 
 
 def table_fn(level: Sequence[Value]) -> Callable[[Value], Value]:

@@ -210,14 +210,14 @@ def test_sampled_scans_over_a_carrier_variable_are_pinned(name):
 
 
 def test_a_refuted_scan_builds_only_the_outermost_values_it_visits(monkeypatch):
-    built, init = [], Dist.__init__
+    built, new = [], Dist.__new__
 
-    def counting(self, *fields):
-        built.append(self)
-        init(self, *fields)
+    def counting(cls, *fields):
+        built.append(fields)
+        return new(cls, *fields)
 
     values._enumerate_carrier_cached.cache_clear()
-    monkeypatch.setattr(Dist, "__init__", counting)
+    monkeypatch.setattr(Dist, "__new__", staticmethod(counting))
     rep = check_law(law_by_id("T3"), get_instance("mutant-b"), DOMS2, Quantifier(budget=100_000))
     assert not rep.passed and rep.checked == 63
     # M M M A has 31,192 values; each binding's evaluation builds a few more

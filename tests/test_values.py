@@ -633,14 +633,15 @@ def test_a_value_hashes_alike_before_and_after_its_first_hash():
         assert hash(fresh) == first
         assert hash(other) == first  # built apart, hashed afresh
         if type(v) is not FnTable:
-            # every field is compared, hashed and shown; the canonical key is
-            # a slot outside them, so repr, == and hash skip it
-            fields = dataclasses.fields(v)
-            assert all(f.compare and f.repr and f.hash is None for f in fields)
-            assert "key" not in {f.name for f in fields}
+            # the value is the tuple of its tag and every field, so every field
+            # is compared, hashed and shown; a Dist keeps its canonical key
+            # outside them, so repr, == and hash skip it
+            assert "key" not in v._fields
+            assert tuple(v) == (canonical_key(v)[0], *[getattr(v, name) for name in v._fields])
             keyed, unkeyed = rebuild(v), rebuild(v)
             canonical_key(keyed)
-            assert keyed.key == canonical_key(v) and not hasattr(unkeyed, "key")
+            assert keyed.key == (canonical_key(v) if type(v) is Dist else None)
+            assert unkeyed.key is None
             assert keyed == unkeyed and unkeyed == keyed
             assert hash(keyed) == hash(unkeyed) == first and repr(keyed) == repr(unkeyed)
 
@@ -670,6 +671,11 @@ def test_equal_values_built_apart_agree_whichever_is_hashed_first():
         assert {c: 1}[d] == 1
 
 
+def rebuilt_from_fields(v, **changes):
+    """v built again by its constructor from its named fields, some changed."""
+    return type(v)(**{name: getattr(v, name) for name in v._fields} | changes)
+
+
 def test_repr_eq_and_replace_go_by_the_fields():
     for v in VALUES:
         fresh = rebuild(v)
@@ -678,9 +684,9 @@ def test_repr_eq_and_replace_go_by_the_fields():
         assert repr(fresh) == before
         assert fresh == rebuild(v)
         if type(v) is FnTable:
-            continue  # interned, not a dataclass: see the interning tests
-        replaced = dataclasses.replace(fresh)
-        assert replaced == fresh and repr(replaced) == before
+            continue  # interned: see the interning tests
+        again = rebuilt_from_fields(fresh)
+        assert again == fresh and repr(again) == before
 
 
 def test_replaced_and_copied_values_rehash():
@@ -691,12 +697,12 @@ def test_replaced_and_copied_values_rehash():
             assert all(twin is v for twin in twins)
             assert FnTable(v.entries) is v
             continue
-        for twin in twins + [dataclasses.replace(v)]:
+        for twin in twins + [rebuilt_from_fields(v)]:
             assert twin == v and hash(twin) == hash(v)
             assert hash(twin) == hash(rebuild(twin))
     for v in VALUES:
         if type(v) is Seq and len(v.items) == 2 and v.items[0] != v.items[1]:
-            swapped = dataclasses.replace(v, items=v.items[::-1])
+            swapped = rebuilt_from_fields(v, items=v.items[::-1])
             assert swapped != v
             assert hash(swapped) == hash(rebuild(swapped))
     table = identity_table(A2)
@@ -724,6 +730,59 @@ def test_atoms_and_tables_built_apart_are_one_object():
         Atom(0).key = (0, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         identity_table(A2).entries = ()
+
+
+def test_values_are_equal_iff_they_render_alike_and_equal_ones_hash_alike():
+    # a table renders as its Vec, so the rendering decides among values of one type
+    shown = [(v, (type(v), render_value(v)), hash(v)) for v in VALUES]
+    for a, shown_a, hash_a in shown:
+        for b, shown_b, hash_b in shown:
+            assert (a == b) is (shown_a == shown_b), (shown_a, shown_b)
+            if a == b:
+                assert hash_a == hash_b
+
+
+def test_equal_fields_under_two_tags_are_unequal():
+    field_tuples = [(), (Atom(0),), (Atom(0), Atom(1))]
+    field_tuples += [v.items for v in VALUES if type(v) in (Seq, Vec)]
+    for fields in field_tuples:
+        for one, other in itertools.combinations((Opt, Seq, Vec), 2):
+            assert one(fields) != other(fields) and other(fields) != one(fields)
+        assert len({Opt(fields), Seq(fields), Vec(fields)}) == 3
+
+
+def test_pickles_and_copies_keep_eq_hash_and_repr_with_and_without_a_kept_key():
+    for v in VALUES:
+        if type(v) is FnTable:
+            continue  # interned: see the interning tests
+        for kept in (False, True):
+            value = rebuild(v)
+            if kept:
+                canonical_key(value)
+            twins = [copy.copy(value), copy.deepcopy(value)]
+            twins += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(6)]
+            for twin in twins:
+                assert type(twin) is type(value)
+                assert twin == value and value == twin and hash(twin) == hash(value)
+                assert repr(twin) == repr(value) and canonical_key(twin) == canonical_key(v)
+
+
+def test_a_dist_keeps_its_key_and_no_value_can_be_assigned_to():
+    for v in VALUES:
+        if type(v) is FnTable:
+            continue
+        value = rebuild(v)
+        canonical_key(value)
+        if type(v) is Dist:
+            assert vars(value) == {"key": canonical_key(v)}
+        else:
+            assert not hasattr(value, "__dict__")
+        for name in value._fields + ("key", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert value == v
 
 
 def test_a_table_no_one_holds_leaves_the_pool():
@@ -830,9 +889,13 @@ def random_value_twins(rng, depth):
 
 
 def test_a_value_holds_its_canonical_key():
+    # a Dist keeps its key from the first call; Opt, Seq and Vec build an
+    # equal one on each call
     for v in VALUES:
-        if type(v) is not FnTable:
+        if type(v) is Dist:
             assert canonical_key(v) is canonical_key(v) is v.key
+        elif type(v) is not FnTable:
+            assert canonical_key(v) == canonical_key(v) and v.key is None
     assert canonical_key(2) == (1, 2)
     for bad in (None, "#0", (Atom(0),), FnTable((Atom(0), Atom(1)))):
         with pytest.raises(TypeError, match="not a Value"):
