@@ -533,6 +533,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg.budget = check_value("--budget", args.budget, TOP["budget"])
         if args.jobs < 1:
             raise ConfigError("--jobs: must be at least 1")
+        if args.out:
+            try:  # append mode: creates a missing file, truncates none
+                Path(args.out).open("a").close()
+            except OSError as exc:
+                raise ConfigError(f"--out: cannot write {args.out}: {exc}")
         return run(cfg, fmt=args.format, out_path=args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -3,12 +3,12 @@
 Each instance packages pure, map, join and bind over the closed value
 universe, plus a carrier constructor so the law suite can enumerate
 M A, M (M A) and deeper nestings. Distributions are put in canonical
-form as they are built: map and bind hand integer numerators over one
-denominator to dist_of_terms, and the join of maybe, nondet and
-simpleprob is their builder's own bind with the identity. One table maps
-each name to its builder: four lawful instances (identity, maybe, nondet,
-simpleprob) and two deliberately broken ones that prove the harness
-can refute:
+form as they are built: map, bind and join add integer numerators over
+one denominator into a dict keyed by value, closed by canonical_dist, and
+the join of maybe and nondet is their own bind with the identity. One
+table maps each name to its builder: four lawful instances (identity,
+maybe, nondet, simpleprob) and two deliberately broken ones that prove
+the harness can refute:
 
   mutant-a  nondet whose join concatenates the reversed outer sequence
   mutant-b  simpleprob whose canonical form skips merging equal values
@@ -44,6 +44,7 @@ from .values import (
     SeqOf,
     Value,
     Vec,
+    canonical_dist,
     dist_of_terms,
     mk_dist,  # noqa: F401  perfbench/tracer.py wraps instances.mk_dist
 )
@@ -154,29 +155,40 @@ def nondet_monad(max_len: int = 2) -> MonadInstance:
 
 
 def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
-    """Finite probability over the integer core of values; merge=False
-    is the broken canonical form used by mutant-b."""
+    """Finite probability over the integer core of values; merge=False is
+    mutant-b's broken canonical form, its terms unmerged by dist_of_terms."""
 
     def pmap(fn: MapFn, mv: Value) -> Value:
-        return dist_of_terms(list(zip(map(fn, mv.support), mv.nums)), mv.den, merge)
+        if not merge:
+            return dist_of_terms(list(zip(map(fn, mv.support), mv.nums)), mv.den, merge)
+        acc: dict[Value, int] = {}
+        for y, n in zip(map(fn, mv.support), mv.nums):
+            acc[y] = acc.get(y, 0) + n
+        return canonical_dist(acc, mv.den)
 
-    def pbind(mv: Value, fn: MapFn) -> Value:
-        inner = [fn(x) for x in mv.support]
-        dens = {d.den for d in inner}
-        den = dens.pop() if len(dens) == 1 else math.lcm(*dens)
-        terms: list[tuple[Value, int]] = []
-        for w, d in zip(mv.nums, inner):
-            w *= den // d.den
-            terms.extend([(y, w * p) for y, p in zip(d.support, d.nums)])
-        return dist_of_terms(terms, mv.den * den, merge)
+    def mix(nums: tuple[int, ...], den: int, inner) -> Value:
+        """The mixture of the inner distributions, the i-th weighted nums[i] / den."""
+        common = inner[0].den if inner else 1
+        for d in inner:
+            if d.den != common:
+                common = math.lcm(common, d.den)
+        if not merge:
+            return dist_of_terms([(y, w * (common // d.den) * p) for w, d in zip(nums, inner)
+                                  for y, p in zip(d.support, d.nums)], den * common, merge)
+        acc: dict[Value, int] = {}
+        for w, d in zip(nums, inner):
+            w *= common // d.den
+            for y, p in zip(d.support, d.nums):
+                acc[y] = acc.get(y, 0) + w * p
+        return canonical_dist(acc, den * common)
 
     return MonadInstance(
         name=name,
         carrier_of=lambda c: DistOf(c, max_support),
         pure=lambda v: Dist((v,), (1,), 1),
         map=pmap,
-        join=lambda mmv: pbind(mmv, lambda d: d),
-        bind=pbind,
+        join=lambda mmv: mix(mmv.nums, mmv.den, mmv.support),
+        bind=lambda mv, fn: mix(mv.nums, mv.den, [fn(x) for x in mv.support]),
         # unmerged entries of one value keep an order set by the atoms' names
         parametric=merge,
     )
@@ -185,7 +197,7 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
 def simpleprob_monad(max_support: int = 2) -> MonadInstance:
     """Finite probability with exact rational weights. All operations
     return canonical distributions: sorted, merged, total weight exactly 1
-    (non-normalized inputs are rejected by construction in dist_of_terms)."""
+    (canonical_dist checks each result; no input is trusted as canonical)."""
     if max_support < 1:
         raise ValueError("simpleprob needs max_support >= 1")
     return _prob_monad("simpleprob", max_support, merge=True)

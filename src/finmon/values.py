@@ -11,10 +11,10 @@ function equality decidable: two tables agree everywhere iff their entry
 tuples are equal. Distributions carry exact rationals in integer form,
 so every equality check is a decision, never a tolerance: a support
 tuple, positive integer numerators and one denominator, reduced so that
-equal distributions have one representation. One integer core,
-dist_of_terms, builds them. Fractions appear at the edges (rendering,
-parsing, the expected measure and the read-only entries) and in
-canonical_key, which keys each weight by an integer and compares its
+equal distributions have one representation. One closer, canonical_dist,
+builds them from numerators merged by value. Fractions appear at the edges
+(rendering, parsing, the expected measure and the read-only entries) and
+in canonical_key, which keys each weight by an integer and compares its
 interned Fraction only when two integer keys tie.
 
 Canonical textual rendering (the bit-exact witness format used in
@@ -62,7 +62,7 @@ __all__ = [
     "CarrierDesc", "FnTable", "Quantifier", "Product", "sub_seed",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
-    "canonical_key", "dist_of_terms", "mk_dist", "check_member",
+    "canonical_key", "canonical_dist", "dist_of_terms", "mk_dist", "check_member",
     "enumerate_domain", "refuse_count", "refuse_wide", "enumerate_carrier", "carrier_size",
     "relabeling", "enumerate_functions", "shown_count", "stream_carrier",
     "table_fn",
@@ -231,26 +231,39 @@ class _Weights(dict):
 _WEIGHTS = _Weights()
 
 
+def canonical_dist(acc: dict[Value, int], den: int) -> Dist:
+    """The canonical Dist of acc, each value's merged numerator over the
+    common denominator den > 0: the one closer of every distribution built.
+    The support is sorted once, two values by one key comparison."""
+    support = tuple(sorted(acc, key=canonical_key) if len(acc) > 2 else acc)
+    if len(support) == 2 and canonical_key(support[1]) < canonical_key(support[0]):
+        support = support[::-1]
+    return _checked(support, tuple(map(acc.__getitem__, support)), den)
+
+
 def dist_of_terms(terms: list[tuple[Value, int]], den: int, merge: bool = True) -> Dist:
-    """The canonical Dist of terms (value, numerator) over the common
-    denominator den > 0: numerators summing to den and, once equal values
-    are merged (merge=False is mutant-b's hook), positive; sorted once and
-    reduced by gcd(den, *nums)."""
+    """canonical_dist of the terms (value, numerator) over den; merge=False,
+    mutant-b's hook, keeps duplicates apart in the order they came in."""
     if merge:
         acc: dict[Value, int] = {}
         for v, n in terms:
             acc[v] = acc.get(v, 0) + n
-        support = tuple(sorted(acc, key=canonical_key) if len(acc) > 1 else acc)
-        nums = tuple([acc[v] for v in support])
-    else:  # a stable sort: duplicates keep the order they came in
-        support, nums = tuple(zip(*sorted(terms, key=lambda e: canonical_key(e[0])))) or ((), ())
+        return canonical_dist(acc, den)
+    support, nums = tuple(zip(*sorted(terms, key=lambda e: canonical_key(e[0])))) or ((), ())
+    return _checked(support, nums, den)
+
+
+def _checked(support: tuple[Value, ...], nums: tuple[int, ...], den: int) -> Dist:
+    """The Dist of the sorted support once its numerators are checked to
+    be positive and to sum to den, reduced by gcd(den, *nums)."""
     if sum(nums) != den:
         raise ValueError(f"distribution weights must sum to 1, got {Fraction(sum(nums), den)}")
     if min(nums) <= 0:
         raise ValueError(f"distribution weight must be positive, got {Fraction(min(nums), den)}")
     g = math.gcd(den, *nums)
-    return Dist(support, nums, den) if g == 1 else Dist(
-        support, tuple([n // g for n in nums]), den // g)
+    if g != 1:
+        nums, den = tuple([n // g for n in nums]), den // g
+    return _new(Dist, (4, support, nums, den))
 
 
 def mk_dist(pairs) -> Dist:

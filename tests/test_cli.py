@@ -208,6 +208,20 @@ def test_main_builtin_suite_flag(tmp_path):
     assert laws == ["F1", "F2", "F3", "F3L2"]
 
 
+@pytest.mark.parametrize("where", ["missing/r.json", "."], ids=["missing-dir", "a-dir"])
+def test_an_unwritable_out_is_a_config_error_before_any_check(tmp_path, capsys, monkeypatch,
+                                                              where):
+    def no_checks(cfg):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("finmon.cli._execute", no_checks)
+    out = tmp_path / where
+    assert main(["--suite", "reader", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: --out: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_f3l2_on_a_non_reader_instance_is_a_config_error(tmp_path, capsys):
     cfg = {"seed": 0, "budget": 1000,
            "suites": [{"name": "m", "instance": "maybe", "laws": ["F3L2"]}]}

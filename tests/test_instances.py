@@ -228,6 +228,27 @@ def test_integer_core_rejects_what_mk_dist_rejects(terms, message, merge):
         assert str(exc.value) == message
 
 
+SHORT = dist_of_entries([(Atom(0), Fraction(1, 2)), (Atom(1), Fraction(1, 4))])
+ZERO = dist_of_entries([(Atom(0), 0), (Atom(1), 1)])
+SHORT_MESSAGE = "distribution weights must sum to 1, got 3/4"
+ZERO_MESSAGE = "distribution weight must be positive, got 0"
+
+
+@pytest.mark.parametrize("m", [m for m, _ in PROB_OPS], ids=lambda m: m.name)
+@pytest.mark.parametrize("bad,message", [(SHORT, SHORT_MESSAGE), (ZERO, ZERO_MESSAGE)],
+                         ids=["mass-3/4", "zero-weight"])
+def test_prob_ops_check_every_result_they_build(m, bad, message):
+    # the operations merge their terms into the closer directly; none may
+    # trust an input to be canonical and skip the mass or positivity check
+    point = dist_of_entries([(Atom(0), 1)])
+    for op in (lambda: m.join(dist_of_entries([(bad, 1)])),
+               lambda: m.bind(point, lambda a: bad),
+               lambda: m.map(lambda a: a, bad)):
+        with pytest.raises(ValueError) as exc:
+            op()
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("name", ["identity", "maybe", "nondet", "simpleprob"])
 def test_bind_pure_is_identity_on_whole_carrier(name):
     inst = get_instance(name)
