@@ -34,7 +34,8 @@ and binds leave the bounded carrier anyway. A value outside the carrier
 is a configuration error (exit 2), and so are a measure that cannot
 measure the instance's structures, an empty next list under max, and a
 next or reward of the wrong shape: reward is "next-index" or a nested
-[controls][states][states] table of rationals.
+[controls][states][states] table of rationals, each a JSON number or a
+"p" or "p/q" string.
 
 Each suite, like each system and sdp, is built once at load: its
 instance, its domains and the checks laws.suite_checks chooses. The
@@ -62,7 +63,7 @@ from pathlib import Path
 from . import __version__
 from .dp import MEASURES, Sdp, check_val_equiv, get_measure
 from .instances import INSTANCE_NAMES, MonadInstance, get_instance, reader_functor
-from .laws import Instance, law_catalog, run_suite, suite_checks
+from .laws import law_catalog, run_suite, suite_checks
 from .reports import LawReport
 from .systems import SYSTEM_CHECKS, MonSys, run_system_check
 from .values import (
@@ -75,6 +76,7 @@ from .values import (
     check_member,
     parse_value,
     DEFAULT_CARRIER_CAP,
+    RATIONAL,
 )
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run", "main", "BUILTIN_SUITES"]
@@ -97,7 +99,7 @@ class RunConfig:
     carrier_cap: int
     # each suite's instance, checks and domains with its echo; each system
     # with its echo, whose checks and n_max it runs
-    suites: list[tuple[Instance, tuple[str, ...], dict, dict]]
+    suites: list[tuple[MonadInstance, tuple[str, ...], dict, dict]]
     systems: list[tuple[MonSys, dict]]
     sdps: list[tuple[Sdp, dict]]
 
@@ -189,7 +191,7 @@ def _monad(echo: dict) -> MonadInstance:
                         max_support=echo["max_support"])
 
 
-def _parse_suite(entry, i: int) -> tuple[Instance, tuple[str, ...], dict, dict]:
+def _parse_suite(entry, i: int) -> tuple[MonadInstance, tuple[str, ...], dict, dict]:
     where = f"suites[{i}]"
     echo = check_fields(entry, SUITE, where)
     sizes = echo["sizes"]
@@ -238,9 +240,12 @@ def _parse_system(entry, i: int) -> tuple[MonSys, dict]:
 
 
 def _reward_cell(cell) -> int | Fraction:
-    """An integral reward as an int, so sums of them stay C arithmetic."""
+    """A JSON number, or a string in the value grammar's rational syntax
+    (p or p/q); an integral reward as an int, so sums stay C arithmetic."""
     if isinstance(cell, bool):  # as check_value holds, a bool is never a number
         raise TypeError("expected a rational, got bool")
+    if isinstance(cell, str) and not RATIONAL.fullmatch(cell):
+        raise ValueError(f"expected p or p/q, got {cell!r}")
     r = Fraction(cell)
     return r.numerator if r.denominator == 1 else r
 
@@ -315,6 +320,8 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"config: invalid JSON in {path}: {exc}")
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ConfigError(f"config: invalid JSON in {path}: nests too deeply")
     return parse_config(data)
 
 

@@ -1,17 +1,18 @@
 """Uncertainty-monad instances as first-class records of operations.
 
-Each instance packages pure, map, join and bind over the closed value
-universe, plus a carrier constructor so the law suite can enumerate
-M A, M (M A) and deeper nestings. Distributions are put in canonical
-form as they are built: map, bind and join add integer numerators over
-one denominator into a dict keyed by value, closed by canonical_dist, and
-the join of maybe and nondet is their own bind with the identity. One
-table maps each name to its builder: four lawful instances (identity,
-maybe, nondet, simpleprob) and two deliberately broken ones that prove
-the harness can refute:
+Every instance is one MonadInstance: pure, map, join and bind over the
+closed value universe, plus a carrier constructor so the law suite can
+enumerate M A, M (M A) and deeper nestings. Distributions are put in
+canonical form as they are built: map, bind and join add integer
+numerators over one denominator into a dict keyed by value, closed by
+canonical_dist, and the join of maybe and nondet is their own bind with
+the identity. One table maps each name to its builder: four lawful
+instances (identity, maybe, nondet, simpleprob) and two deliberately
+broken ones, each its lawful instance with the broken operations
+replaced, that prove the harness can refute:
 
   mutant-a  nondet whose join concatenates the reversed outer sequence
-  mutant-b  simpleprob whose canonical form skips merging equal values
+  mutant-b  simpleprob whose closer sorts its terms but never merges them
 
 map and bind take plain value-to-value callables rather than tables:
 compiled law terms look quantified tables up by atom index, and
@@ -19,16 +20,16 @@ operations like "map join" need callables whose domain is itself a
 carrier. Kleisli composition is not an operation: the law terms write
 f >=> g as join . map g . f.
 
-The Reader functor is exposed functor-only. Its mapped values are
-functions of the environment, so map respecting pointwise equality is
-also checked at level 2, as functions of the reader; see
-laws.reader_pres_ee2_report.
+The Reader functor is a functor-only record: pure, join and bind are
+None. Its mapped values are functions of the environment, so map
+respecting pointwise equality is also checked at level 2, as functions
+of the reader; see laws.reader_pres_ee2_report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .values import (
@@ -45,13 +46,13 @@ from .values import (
     Value,
     Vec,
     canonical_dist,
-    dist_of_terms,
+    canonical_key,
+    checked_dist,
     mk_dist,  # noqa: F401  perfbench/tracer.py wraps instances.mk_dist
 )
 
 __all__ = [
-    "MonadInstance", "FunctorInstance",
-    "identity_monad", "maybe_monad", "nondet_monad", "simpleprob_monad",
+    "MonadInstance", "identity_monad", "maybe_monad", "nondet_monad", "simpleprob_monad",
     "reader_functor", "get_instance",
     "INSTANCE_NAMES", "DEFAULT_SEQ_LENGTH_CAP",
 ]
@@ -66,24 +67,18 @@ MapFn = Callable[[Value], Value]
 
 @dataclass(frozen=True, eq=False)
 class MonadInstance:
-    """parametric declares that the operations never look at which atom
-    they hold, inside the carrier bounds or past them. Law scans then
+    """A functor's map, and a monad's pure, join and bind, None on a
+    functor. parametric declares that the operations never look at which
+    atom they hold, inside the carrier bounds or past them. Law scans then
     skip renamed bindings, so a false declaration can hide a witness."""
 
     name: str
     carrier_of: Callable[[CarrierDesc], CarrierDesc]
-    pure: Callable[[Value], Value]
     map: Callable[[MapFn, Value], Value]
-    join: Callable[[Value], Value]
-    bind: Callable[[Value, MapFn], Value]
+    pure: Callable[[Value], Value] | None = None
+    join: Callable[[Value], Value] | None = None
+    bind: Callable[[Value, MapFn], Value] | None = None
     parametric: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class FunctorInstance:
-    name: str
-    carrier_of: Callable[[CarrierDesc], CarrierDesc]
-    map: Callable[[MapFn, Value], Value]
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +149,15 @@ def nondet_monad(max_len: int = 2) -> MonadInstance:
     )
 
 
-def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
-    """Finite probability over the integer core of values; merge=False is
-    mutant-b's broken canonical form, its terms unmerged by dist_of_terms."""
+def simpleprob_monad(max_support: int = 2) -> MonadInstance:
+    """Finite probability with exact rational weights over the integer
+    core of values. All operations return canonical distributions:
+    sorted, merged, total weight exactly 1 (canonical_dist checks each
+    result; no input is trusted as canonical)."""
+    if max_support < 1:
+        raise ValueError("simpleprob needs max_support >= 1")
 
     def pmap(fn: MapFn, mv: Value) -> Value:
-        if not merge:
-            return dist_of_terms(list(zip(map(fn, mv.support), mv.nums)), mv.den, merge)
         acc: dict[Value, int] = {}
         for y, n in zip(map(fn, mv.support), mv.nums):
             acc[y] = acc.get(y, 0) + n
@@ -172,9 +169,6 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
         for d in inner:
             if d.den != common:
                 common = math.lcm(common, d.den)
-        if not merge:
-            return dist_of_terms([(y, w * (common // d.den) * p) for w, d in zip(nums, inner)
-                                  for y, p in zip(d.support, d.nums)], den * common, merge)
         acc: dict[Value, int] = {}
         for w, d in zip(nums, inner):
             w *= common // d.den
@@ -183,24 +177,14 @@ def _prob_monad(name: str, max_support: int, merge: bool) -> MonadInstance:
         return canonical_dist(acc, den * common)
 
     return MonadInstance(
-        name=name,
+        name="simpleprob",
         carrier_of=lambda c: DistOf(c, max_support),
         pure=lambda v: Dist((v,), (1,), 1),
         map=pmap,
         join=lambda mmv: mix(mmv.nums, mmv.den, mmv.support),
         bind=lambda mv, fn: mix(mv.nums, mv.den, [fn(x) for x in mv.support]),
-        # unmerged entries of one value keep an order set by the atoms' names
-        parametric=merge,
+        parametric=True,
     )
-
-
-def simpleprob_monad(max_support: int = 2) -> MonadInstance:
-    """Finite probability with exact rational weights. All operations
-    return canonical distributions: sorted, merged, total weight exactly 1
-    (canonical_dist checks each result; no input is trusted as canonical)."""
-    if max_support < 1:
-        raise ValueError("simpleprob needs max_support >= 1")
-    return _prob_monad("simpleprob", max_support, merge=True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +204,40 @@ def mutant_a_monad(max_len: int = 2) -> MonadInstance:
             out.extend(inner.items)
         return Seq(tuple(out))
 
-    return MonadInstance(
-        name="mutant-a",
-        carrier_of=good.carrier_of,
-        pure=good.pure,
-        map=good.map,
-        join=bad_join,
-        bind=lambda mv, fn: bad_join(good.map(fn, mv)),
-    )
+    return replace(
+        good, name="mutant-a", join=bad_join,
+        bind=lambda mv, fn: bad_join(good.map(fn, mv)), parametric=False)
 
 
 def mutant_b_monad(max_support: int = 2) -> MonadInstance:
     """simpleprob whose canonical form skips merging equal values:
     mixtures that hit the same point twice keep duplicate entries, which
     no longer compare equal to the properly merged result."""
-    return _prob_monad("mutant-b", max_support, merge=False)
+
+    def close(terms: list[tuple[Value, int]], den: int) -> Value:
+        """The terms (value, numerator) over den, stably sorted and checked, never merged."""
+        terms.sort(key=lambda e: canonical_key(e[0]))
+        return checked_dist(tuple([v for v, _ in terms]), tuple([n for _, n in terms]), den)
+
+    def mix(nums: tuple[int, ...], den: int, inner) -> Value:
+        common = math.lcm(*[d.den for d in inner])
+        return close([(y, w * (common // d.den) * p) for w, d in zip(nums, inner)
+                      for y, p in zip(d.support, d.nums)], den * common)
+
+    return replace(
+        simpleprob_monad(max_support), name="mutant-b",
+        map=lambda fn, mv: close(list(zip(map(fn, mv.support), mv.nums)), mv.den),
+        join=lambda mmv: mix(mmv.nums, mmv.den, mmv.support),
+        bind=lambda mv, fn: mix(mv.nums, mv.den, [fn(x) for x in mv.support]),
+        # unmerged entries of one value keep an order set by the atoms' names
+        parametric=False)
 
 
 # ---------------------------------------------------------------------------
 # Reader, functor-only
 
 
-def reader_functor(env: FiniteType) -> FunctorInstance:
+def reader_functor(env: FiniteType) -> MonadInstance:
     """Functions out of a fixed finite environment. map post-composes:
     mapped values transform the reader's outputs, they do not inspect the
     environment. Function values use the Vec encoding (slot i = output at
@@ -250,11 +246,7 @@ def reader_functor(env: FiniteType) -> FunctorInstance:
     def rmap(fn: MapFn, r: Value) -> Value:
         return Vec(tuple(fn(x) for x in r.items))
 
-    return FunctorInstance(
-        name="reader",
-        carrier_of=lambda c: FnOf(env, c),
-        map=rmap,
-    )
+    return MonadInstance(name="reader", carrier_of=lambda c: FnOf(env, c), map=rmap)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
-from .instances import FunctorInstance, MonadInstance
+from .instances import MonadInstance
 from .reports import LawReport, Var, scan
 from .values import (
     Atom,
@@ -81,8 +81,6 @@ __all__ = [
     "Arrow", "VarSpec", "Law", "law_catalog", "law_by_id",
     "check_law", "suite_checks", "run_suite", "reader_pres_ee2_report", "LAW_IDS",
 ]
-
-Instance = Union[MonadInstance, FunctorInstance]
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +159,7 @@ class Law:
         return tuple(op for op in _INSTANCE_OPS if op in used)
 
 
-def resolve_carrier(expr: str, inst: Instance, domains: dict[str, FiniteType]) -> CarrierDesc:
+def resolve_carrier(expr: str, inst: MonadInstance, domains: dict[str, FiniteType]) -> CarrierDesc:
     parts = expr.split()
     role = parts[-1]
     if role not in domains:
@@ -187,7 +185,7 @@ MEMO_TABLE_READING = 1 << 15
 MEMO_TABLE_FREE = 1 << 10
 
 
-def _compile(law: Law, inst: Instance) -> Callable[..., tuple[Value, Value]]:
+def _compile(law: Law, inst: MonadInstance) -> Callable[..., tuple[Value, Value]]:
     """sides(*binding) -> (lhs, rhs) for law on inst, with fresh caches.
 
     The terms are compiled to source, not to a closure per node, so that
@@ -238,8 +236,7 @@ def _compile(law: Law, inst: Instance) -> Callable[..., tuple[Value, Value]]:
               f"    return sides\n")
     namespace: dict = {}
     exec(source, namespace)
-    ops = (getattr(inst, op, None) for op in _INSTANCE_OPS)
-    return namespace.pop("make")(*ops, functools.lru_cache)
+    return namespace.pop("make")(*(getattr(inst, op) for op in _INSTANCE_OPS), functools.lru_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +314,7 @@ def law_by_id(law_id: str) -> Law:
 
 
 def _variable(
-    vs: VarSpec, inst: Instance, domains: dict[str, FiniteType], cap: int
+    vs: VarSpec, inst: MonadInstance, domains: dict[str, FiniteType], cap: int
 ) -> Var:
     """The scan variable for one bound variable: its whole space in
     canonical order, with the space's description and size, and the
@@ -345,7 +342,7 @@ def _variable(
 
 def check_law(
     law: Law,
-    inst: Instance,
+    inst: MonadInstance,
     domains: dict[str, FiniteType],
     q: Quantifier,
     cap: int = DEFAULT_CARRIER_CAP,
@@ -354,10 +351,10 @@ def check_law(
     the first (least, when exhaustive) counterexample."""
     report = LawReport(
         law_id=law.id,
-        instance=getattr(inst, "name", "?"),
+        instance=inst.name,
         sizes={k: d.size for k, d in sorted(domains.items())},
     )
-    missing = [op for op in law.needs if not hasattr(inst, op)]
+    missing = [op for op in law.needs if getattr(inst, op) is None]
     if missing:
         raise ValueError(
             f"law {law.id} needs operations {missing} that instance "
@@ -367,7 +364,7 @@ def check_law(
     roles = sorted({vs.dom for vs in law.variables if vs.dom}
                    | {vs.cod.split()[-1] for vs in law.variables if vs.cod})
     renamed = (list(dict.fromkeys(domains[r] for r in roles if r in domains))
-               if getattr(inst, "parametric", False) else [])
+               if inst.parametric else [])
     return scan(report, lambda: [_variable(vs, inst, domains, cap) for vs in law.variables],
                 _compile(law, inst), q, renamed)
 
@@ -376,7 +373,8 @@ def check_law(
 # suites
 
 
-def suite_checks(inst: Instance, ids: Sequence[str] = (), view: str = "fat") -> tuple[str, ...]:
+def suite_checks(inst: MonadInstance, ids: Sequence[str] = (),
+                 view: str = "fat") -> tuple[str, ...]:
     """The ids of the checks a suite runs on inst, in catalog order: the
     laws that ids names or, when ids is empty, every law of the view that
     inst can run. The reader's level-2 check F3L2 follows when F3 runs or
@@ -387,7 +385,7 @@ def suite_checks(inst: Instance, ids: Sequence[str] = (), view: str = "fat") -> 
     reader, and a named law whose operations inst lacks."""
     if view not in ("thin", "fat"):
         raise ValueError(f"view: unknown suite view {view!r}")
-    is_reader = isinstance(inst, FunctorInstance) and inst.name == "reader"
+    is_reader = inst.name == "reader"
     for law_id in ids:
         if law_id not in LAW_IDS and law_id != "F3L2":
             raise ValueError(f"laws: unknown law id {law_id!r} (known: {', '.join(LAW_IDS)})")
@@ -396,7 +394,7 @@ def suite_checks(inst: Instance, ids: Sequence[str] = (), view: str = "fat") -> 
     checks = []
     for law in _CATALOG_BY_ID.values():
         if law.id in ids if ids else view in law.views:
-            if all(hasattr(inst, op) for op in law.needs):
+            if all(getattr(inst, op) is not None for op in law.needs):
                 checks.append(law.id)
             elif ids:
                 raise ValueError(f"laws: instance {inst.name!r} lacks an operation "
@@ -407,7 +405,7 @@ def suite_checks(inst: Instance, ids: Sequence[str] = (), view: str = "fat") -> 
 
 
 def run_suite(
-    inst: Instance,
+    inst: MonadInstance,
     checks: tuple[str, ...],
     domains: dict[str, FiniteType],
     q: Quantifier,
@@ -422,7 +420,7 @@ def run_suite(
 
 
 def reader_pres_ee2_report(
-    inst: FunctorInstance,
+    inst: MonadInstance,
     domains: dict[str, FiniteType],
     q: Quantifier | None = None,
     cap: int = DEFAULT_CARRIER_CAP,

@@ -12,10 +12,11 @@ tuples are equal. Distributions carry exact rationals in integer form,
 so every equality check is a decision, never a tolerance: a support
 tuple, positive integer numerators and one denominator, reduced so that
 equal distributions have one representation. One closer, canonical_dist,
-builds them from numerators merged by value. Fractions appear at the edges
-(rendering, parsing, the expected measure and the read-only entries) and
-in canonical_key, which keys each weight by an integer and compares its
-interned Fraction only when two integer keys tie.
+builds them from numerators merged by value; checked_dist, the checked
+constructor it ends in, also closes a mutant's unmerged terms. Fractions
+appear at the edges (rendering, parsing, the expected measure and the
+read-only entries) and in canonical_key, which keys each weight by an
+integer and compares its interned Fraction only when two integer keys tie.
 
 Canonical textual rendering (the bit-exact witness format used in
 reports, read back by one recursive reader over the tokens, parse_value):
@@ -62,12 +63,12 @@ __all__ = [
     "CarrierDesc", "FnTable", "Quantifier", "Product", "sub_seed",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
-    "canonical_key", "canonical_dist", "dist_of_terms", "mk_dist", "check_member",
+    "canonical_key", "canonical_dist", "checked_dist", "mk_dist", "check_member",
     "enumerate_domain", "refuse_count", "refuse_wide", "enumerate_carrier", "carrier_size",
     "relabeling", "enumerate_functions", "shown_count", "stream_carrier",
     "table_fn",
     "render_value", "parse_value",
-    "DEFAULT_CARRIER_CAP", "EXACT_BITS",
+    "DEFAULT_CARRIER_CAP", "EXACT_BITS", "RATIONAL",
 ]
 
 # Refuse to materialize carriers beyond this many values unless the caller
@@ -233,27 +234,15 @@ _WEIGHTS = _Weights()
 
 def canonical_dist(acc: dict[Value, int], den: int) -> Dist:
     """The canonical Dist of acc, each value's merged numerator over the
-    common denominator den > 0: the one closer of every distribution built.
+    common denominator den > 0: the one closer of every lawful distribution.
     The support is sorted once, two values by one key comparison."""
     support = tuple(sorted(acc, key=canonical_key) if len(acc) > 2 else acc)
     if len(support) == 2 and canonical_key(support[1]) < canonical_key(support[0]):
         support = support[::-1]
-    return _checked(support, tuple(map(acc.__getitem__, support)), den)
+    return checked_dist(support, tuple(map(acc.__getitem__, support)), den)
 
 
-def dist_of_terms(terms: list[tuple[Value, int]], den: int, merge: bool = True) -> Dist:
-    """canonical_dist of the terms (value, numerator) over den; merge=False,
-    mutant-b's hook, keeps duplicates apart in the order they came in."""
-    if merge:
-        acc: dict[Value, int] = {}
-        for v, n in terms:
-            acc[v] = acc.get(v, 0) + n
-        return canonical_dist(acc, den)
-    support, nums = tuple(zip(*sorted(terms, key=lambda e: canonical_key(e[0])))) or ((), ())
-    return _checked(support, nums, den)
-
-
-def _checked(support: tuple[Value, ...], nums: tuple[int, ...], den: int) -> Dist:
+def checked_dist(support: tuple[Value, ...], nums: tuple[int, ...], den: int) -> Dist:
     """The Dist of the sorted support once its numerators are checked to
     be positive and to sum to den, reduced by gcd(den, *nums)."""
     if sum(nums) != den:
@@ -267,15 +256,16 @@ def _checked(support: tuple[Value, ...], nums: tuple[int, ...], den: int) -> Dis
 
 
 def mk_dist(pairs) -> Dist:
-    """The canonical Dist of (value, weight) pairs: weights that are not
-    Fractions are converted and each must be positive, then
-    dist_of_terms sums, merges and sorts them over their lcm."""
+    """The canonical Dist of (value, weight) pairs, each weight positive
+    and made a Fraction if it is not one, merged by value over the lcm."""
     pairs = [(v, w if type(w) is Fraction else Fraction(w)) for v, w in pairs]
-    for _, w in pairs:
+    den = math.lcm(*[w.denominator for _, w in pairs])
+    acc: dict[Value, int] = {}
+    for v, w in pairs:
         if w <= 0:
             raise ValueError(f"distribution weight must be positive, got {w}")
-    den = math.lcm(*[w.denominator for _, w in pairs])
-    return dist_of_terms([(v, w.numerator * (den // w.denominator)) for v, w in pairs], den)
+        acc[v] = acc.get(v, 0) + w.numerator * (den // w.denominator)
+    return canonical_dist(acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +641,7 @@ def render_value(v: Value) -> str:
 _TOKEN_RE = re.compile(
     r"\s*(#\d+|none|some|[\[\]{}<>,:]|-?\d+/\d+|-?\d+)"
 )
+RATIONAL = re.compile(r"-?\d+(/\d+)?")  # the text of a rational leaf
 
 
 def _tokenize(text: str) -> list[str]:
@@ -686,7 +677,7 @@ def _read(tokens: list[str], i: int, rational: bool = False) -> tuple[Value, int
     if not tok:
         raise ValueError("unexpected end of value text")
     i += 1
-    if rational or re.fullmatch(r"-?\d+(/\d+)?", tok):
+    if rational or RATIONAL.fullmatch(tok):
         try:
             return Fraction(tok), i
         except ZeroDivisionError:

@@ -143,6 +143,16 @@ def test_load_config_bad_json(tmp_path):
         load_config(p)
 
 
+def test_load_config_deeply_nested_json(tmp_path, capsys):
+    # the decoder recurses once per level: past the interpreter's limit it
+    # raised RecursionError, which ended in a traceback and exit 1
+    p = tmp_path / "deep.json"
+    p.write_text('{"seed": 0, "budget": 1, "suites": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: config: invalid JSON in {p}: nests too deeply\n"
+
+
 def test_builtin_suites_parse():
     assert set(BUILTIN_SUITES) == {"full", "mutants", "reader"}
     for name, data in BUILTIN_SUITES.items():
@@ -709,10 +719,18 @@ def _with_leaf(path, value):
     (("systems", 0, "step", 0), "{#0: none}", "systems[0].step[0]"),
     (("systems", 0, "step", 0), "{#0: [1/2]}", "systems[0].step[0]"),
     (("sdps", 0, "reward", 0, 0, 0), True, "sdps[0].reward"),
+    # a reward string is the value grammar's p or p/q, so an exponent is
+    # refused before Fraction could expand it; the rest loaded before too
+    *[(("sdps", 0, "reward", 0, 0, 0), cell, "sdps[0].reward")
+      for cell in ("1e400", "1e999999999", "0.5", " 1/2 ", "1_000", "1e3")],
 ], ids=["infinite-reward", "list-as-check", "zero-weight-denominator", "bare-1/0",
-        "atom-weight", "none-weight", "sequence-weight", "bool-reward"])
+        "atom-weight", "none-weight", "sequence-weight", "bool-reward",
+        "exponent-reward", "huge-exponent-reward", "decimal-reward", "spaced-reward",
+        "underscored-reward", "small-exponent-reward"])
 def test_hostile_leaves_are_config_errors_at_their_field(tmp_path, capsys, path, value, where):
+    t0 = time.perf_counter()
     assert main(["--config", write_config(tmp_path, _with_leaf(path, value))]) == 2
+    assert time.perf_counter() - t0 < 5
     assert f"configuration error: {where}: " in capsys.readouterr().err
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from finmon.instances import (
     INSTANCE_NAMES,
-    FunctorInstance,
     get_instance,
     identity_monad,
     maybe_monad,
@@ -21,7 +21,7 @@ from finmon.instances import (
     reader_functor,
     simpleprob_monad,
 )
-from finmon.laws import reader_pres_ee2_report
+from finmon.laws import check_law, law_by_id, reader_pres_ee2_report, suite_checks
 from finmon.values import (
     Atom,
     Base,
@@ -30,11 +30,11 @@ from finmon.values import (
     FiniteType,
     MaybeOf,
     Opt,
+    Quantifier,
     Seq,
     SeqOf,
     Vec,
     canonical_key,
-    dist_of_terms,
     enumerate_carrier,
     enumerate_domain,
     mk_dist,
@@ -42,7 +42,7 @@ from finmon.values import (
     render_value,
 )
 
-from dist_helpers import dist_of_entries
+from dist_helpers import dist_of_entries, dist_of_terms
 
 A2 = FiniteType("A", 2)
 A3 = FiniteType("A", 3)
@@ -284,6 +284,40 @@ def test_mutant_instance_names():
     assert [get_instance(n).name for n in ("mutant-a", "mutant-b")] == ["mutant-a", "mutant-b"]
 
 
+@pytest.mark.parametrize("mutant,good,kept", [
+    (mutant_a_monad(), nondet_monad(), ("pure", "map")),
+    (mutant_b_monad(), simpleprob_monad(), ("pure",)),
+], ids=["mutant-a", "mutant-b"])
+def test_a_mutant_is_its_lawful_instance_with_the_broken_operations_replaced(mutant, good, kept):
+    # a seeded fault replaces join and bind (and mutant-b's map); the
+    # rest is the lawful instance's, on every A and M A value at sizes 2
+    a = Base(A2)
+    ma = good.carrier_of(a)
+    assert mutant.carrier_of(a) == ma and mutant.carrier_of(ma) == good.carrier_of(ma)
+    for v in enumerate_domain(A2) + enumerate_carrier(ma):
+        assert mutant.pure(v) == good.pure(v)
+    tables = list(itertools.product(enumerate_domain(A2), repeat=2))
+    for mv in enumerate_carrier(ma) if "map" in kept else ():
+        for t in tables:
+            assert mutant.map(lambda x: t[x.index], mv) == good.map(lambda x: t[x.index], mv)
+
+
+@pytest.mark.parametrize("build", [mutant_a_monad, mutant_b_monad], ids=["mutant-a", "mutant-b"])
+def test_mutants_are_not_parametric(build):
+    # a scan may skip renamed bindings only on a parametric instance
+    assert build().parametric is False and get_instance(build().name).parametric is False
+
+
+def test_the_reader_is_functor_only():
+    doms = {r: FiniteType(r, 2) for r in "ABE"}
+    reader = reader_functor(doms["E"])
+    assert (reader.pure, reader.join, reader.bind) == (None, None, None)
+    assert suite_checks(reader) == ("F1", "F2", "F3", "F3L2")
+    with pytest.raises(ValueError, match=r"law T1 needs operations \['pure', 'join'\] "
+                                         "that instance 'reader' does not provide"):
+        check_law(law_by_id("T1"), reader, doms, Quantifier(budget=10))
+
+
 def test_reader_map_is_slotwise():
     env = FiniteType("E", 2)
     r = reader_functor(env)
@@ -314,7 +348,7 @@ def test_reader_level2_witness_is_the_arrow_and_the_path():
             out = Vec((out.items[0], Atom(1 - out.items[1].index)))
         return out
 
-    drifting = FunctorInstance("reader", good.carrier_of, rmap)
+    drifting = dataclasses.replace(good, map=rmap)
     rep = reader_pres_ee2_report(drifting, {"A": A2, "B": FiniteType("B", 2), "E": env})
     assert not rep.passed and rep.checked == 1
     assert rep.witness == {"f": "<#0, #0>", "path": "[#3, #1]", "lhs": "#0", "rhs": "#1"}

@@ -40,7 +40,6 @@ from finmon.values import (
     canonical_key,
     carrier_size,
     check_member,
-    dist_of_terms,
     enumerate_carrier,
     enumerate_domain,
     enumerate_functions,
@@ -54,7 +53,7 @@ from finmon.values import (
     weight_tuples,
 )
 
-from dist_helpers import dist_of_entries
+from dist_helpers import dist_of_entries, dist_of_terms
 
 A2 = FiniteType("A", 2)
 A3 = FiniteType("A", 3)
@@ -316,7 +315,7 @@ def test_mk_dist_merges_and_sorts():
 
 
 def test_mk_dist_merge_off_keeps_duplicates():
-    # mk_dist always merges; mutant-b's core, dist_of_terms, can keep both
+    # mk_dist always merges; mutant-b's closer keeps both
     d = dist_of_terms([(Atom(0), 1), (Atom(0), 1)], 2, merge=False)
     assert d.entries == ((Atom(0), Fraction(1, 2)), (Atom(0), Fraction(1, 2)))
 
@@ -352,7 +351,7 @@ def test_mk_dist_still_validates_every_weight(weights, why, weight):
 
 
 def test_unmerged_join_keeps_duplicates():
-    # mutant-b's join: both halves land on #0, and merge=False keeps both
+    # mutant-b's join: both halves land on #0, and its closer keeps both
     half = Fraction(1, 2)
     point = dist_of_entries(((Atom(0), Fraction(1)),))
     mmv = dist_of_entries(((point, half),
