@@ -325,8 +325,9 @@ def _variable(
         dom = domains[vs.dom]
         cod = resolve_carrier(vs.cod, inst, domains)
         fns = enumerate_functions(dom, cod, cap)
+        fn = FnOf(dom, cod)
         return Var(vs.name, f"{vs.dom}->{render_carrier(cod)}", fns,
-                   carrier_size(FnOf(dom, cod)), carriers=(FnOf(dom, cod),))
+                   carrier_size(fn), carriers=(fn,))
     if vs.kind == "atom":
         desc = Base(domains[vs.dom])
         full = enumerate_domain(refuse_wide(desc.domain, cap))

@@ -30,7 +30,7 @@ reports, read back by one recursive reader over the tokens, parse_value):
 
 A function is its outputs, slot i at atom #i, held by role: a table a
 law quantifies over is an interned FnTable, rendered as its Vec; a value
-of a function-valued carrier (FnOf) inside a structure is a Vec, so a
+of FnOf(domain, inner) inside a structure is a Vec of inner values, so a
 vector of length n is a value of FnOf(T(n), X); and a level over the
 states (a system's step, a flow) is a plain tuple, applied by table_fn.
 Rewards are bare ints when integral and Fractions otherwise, values of
@@ -310,10 +310,13 @@ class DistOf:
 @dataclass(frozen=True, slots=True)
 class FnOf:
     domain: FiniteType
-    codomain: "CarrierDesc"
+    inner: "CarrierDesc"
 
 
 CarrierDesc = Union[Base, MaybeOf, SeqOf, DistOf, FnOf]
+# the tuple lengths of a Maybe, Seq or Fn carrier c, one block of values each
+_LENGTHS = {MaybeOf: lambda c: (0, 1), SeqOf: lambda c: range(c.max_len + 1),
+            FnOf: lambda c: (c.domain.size,)}
 
 
 def render_carrier(c: CarrierDesc) -> str:
@@ -326,7 +329,7 @@ def render_carrier(c: CarrierDesc) -> str:
     if isinstance(c, DistOf):
         return f"Dist[{render_carrier(c.inner)};maxSupport={c.max_support}]"
     if isinstance(c, FnOf):
-        return f"Fn[{c.domain.name}({c.domain.size})->{render_carrier(c.codomain)}]"
+        return f"Fn[{c.domain.name}({c.domain.size})->{render_carrier(c.inner)}]"
     raise TypeError(f"not a carrier descriptor: {c!r}")
 
 
@@ -356,7 +359,7 @@ def check_member(v: Value, c: CarrierDesc) -> None:
     elif isinstance(c, FnOf):
         if type(v) is Vec and len(v.items) == c.domain.size:
             for x in v.items:
-                check_member(x, c.codomain)
+                check_member(x, c.inner)
             return
     raise ValueError(f"{render_value(v)} is not a value of {render_carrier(c)}")
 
@@ -410,29 +413,24 @@ EXACT_BITS = 1 << 20  # counts below 2^(2^20) are exact: a pow that size takes a
 
 
 def carrier_size(c: CarrierDesc, bits: int | None = None) -> int:
-    """Closed-form count of enumerate_carrier output (documented per
-    constructor; the test suite pins these against direct counting).
-    Given bits, a count of more than bits + 1 bits may come back as a
-    smaller count past 2^bits, bounded by bit length before any pow."""
+    """Closed-form count of enumerate_carrier output, pinned by the tests
+    against direct counting: n ** k tuples in each block of length k over n
+    inner values. Given bits, a count of more than bits + 1 bits may come
+    back as a smaller count past 2^bits, bounded by bit length before any pow."""
     if isinstance(c, Base):
         return c.domain.size
-    if isinstance(c, MaybeOf):
-        size = 1 + carrier_size(c.inner, bits)
-    elif isinstance(c, (SeqOf, FnOf)):
-        n, k = ((carrier_size(c.inner, bits), c.max_len) if isinstance(c, SeqOf)
-                else (carrier_size(c.codomain, bits), c.domain.size))
-        if bits is not None and k * (n.bit_length() - 1) > bits:  # n ** k >= 2^(bits + 1)
-            return (1 << bits) + 1
-        if isinstance(c, FnOf):
-            size = n ** k
-        else:  # the sum of n ** j for j <= max_len, with one pow
-            size = k + 1 if n == 1 else (n ** (k + 1) - 1) // (n - 1)
-    elif isinstance(c, DistOf):
-        n = carrier_size(c.inner, bits)
+    n = carrier_size(c.inner, bits)
+    if isinstance(c, DistOf):
         size = sum(math.comb(n, k) * len(weight_tuples(k))  # no grid tuple is longer than 4
                    for k in range(1, min(c.max_support, n, 4) + 1))
     else:
-        raise TypeError(f"not a carrier descriptor: {c!r}")
+        lengths = _LENGTHS[type(c)](c)
+        if bits is not None and lengths[-1] * (n.bit_length() - 1) > bits:  # n ** k >= 2^(bits + 1)
+            return (1 << bits) + 1
+        if len(lengths) > 2:  # 0..max_len: the geometric sum, with one pow
+            size = len(lengths) if n == 1 else (n ** len(lengths) - 1) // (n - 1)
+        else:  # one or two pows, and no division, which is slow on a huge count
+            size = sum(n ** k for k in lengths)
     return size if bits is None or size.bit_length() <= bits + 1 else (1 << bits) + 1
 
 
@@ -453,20 +451,17 @@ def stream_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> Iterator[V
     refuse_count("carrier", render_carrier(c), carrier_size(c, EXACT_BITS), cap)
     if isinstance(c, Base):
         return iter(enumerate_domain(c.domain))
-    inner = _enumerate_carrier_cached(c.codomain if isinstance(c, FnOf) else c.inner, cap)
-    if isinstance(c, FnOf):
-        return map(Vec, itertools.product(inner, repeat=c.domain.size))
+    inner = _enumerate_carrier_cached(c.inner, cap)
     if isinstance(c, MaybeOf):
         return itertools.chain((Opt(None),), map(Opt, inner))
-    if isinstance(c, SeqOf):
-        return (Seq(combo) for k in range(c.max_len + 1)
-                for combo in itertools.product(inner, repeat=k))
     if isinstance(c, DistOf):
         return (Dist(support, nums, den)
                 for k in range(1, min(c.max_support, len(inner), 4) + 1)
                 for support in itertools.combinations(inner, k)
                 for nums, den in weight_tuples(k))
-    raise TypeError(f"not a carrier descriptor: {c!r}")
+    build = Seq if isinstance(c, SeqOf) else Vec
+    return itertools.chain.from_iterable(
+        map(build, itertools.product(inner, repeat=k)) for k in _LENGTHS[type(c)](c))
 
 
 @lru_cache(maxsize=None)
@@ -476,39 +471,26 @@ def _enumerate_carrier_cached(c: CarrierDesc, cap: int) -> tuple[Value, ...]:
 
 def enumerate_carrier(c: CarrierDesc, cap: int = DEFAULT_CARRIER_CAP) -> tuple[Value, ...]:
     """All canonical values of the carrier, in a fixed canonical order:
-    Base by atom index; MaybeOf none first; SeqOf by length then
-    lexicographically; DistOf by support size, then support combination,
-    then grid tuple order; FnOf lexicographically with the last
-    slot varying fastest. Re-running yields the identical, cached tuple;
-    stream_carrier builds the same values without keeping them."""
+    Base by atom index; MaybeOf, SeqOf and FnOf in blocks of tuples of inner
+    values, one per length (0 and 1, none and some v; 0..max_len; domain.size)
+    in turn, the last slot fastest; DistOf by support size, then support
+    combination, then grid tuple order. Re-running yields the identical,
+    cached tuple; stream_carrier builds the same values without keeping them."""
     return _enumerate_carrier_cached(c, cap)
 
 
 def relabeling(c: CarrierDesc, perms: dict[FiniteType, Sequence[int]]) -> array:
     """The index permutation of enumerate_carrier(c) renaming atom #j of
     each domain d to #perms[d][j], and an FnOf's slot k to perms[domain][k].
-    Built on indices: nested distributions do not enumerate in canonical
-    order, so a value renamed by map need not be an enumerated one."""
+    Built on indices, a tuple's index being its block's offset plus its
+    inner indices in base n, first slot most significant: nested
+    distributions do not enumerate in canonical order, so a value renamed
+    by map need not be an enumerated one."""
     if isinstance(c, Base):
         return array("q", perms.get(c.domain, range(c.domain.size)))
-    inner = relabeling(c.codomain if isinstance(c, FnOf) else c.inner, perms)
+    inner = relabeling(c.inner, perms)
     n = len(inner)
-
-    def radix(weights):  # slot j of a tuple of inner indices weighs weights[j]
-        block = [0]
-        for w in weights:
-            block = [x + p * w for x in block for p in inner]
-        return block
-
-    out = array("q")  # MaybeOf, SeqOf and DistOf: one block after another
-    if isinstance(c, (MaybeOf, SeqOf)):  # none and some v enumerate as [] and [v]
-        for k in range(getattr(c, "max_len", 1) + 1):
-            offset = len(out)
-            out.extend(offset + x for x in radix([n ** (k - 1 - j) for j in range(k)]))
-        return out
-    if isinstance(c, FnOf):
-        moved = perms.get(c.domain, range(c.domain.size))
-        return array("q", radix([n ** (len(moved) - 1 - m) for m in moved]))
+    out = array("q")  # one block after another
     if isinstance(c, DistOf):
         # only supports of up to 4 values have grid tuples: at most 4! sort orders
         for k in filter(weight_tuples, range(1, min(c.max_support, n) + 1)):
@@ -525,7 +507,13 @@ def relabeling(c: CarrierDesc, perms: dict[FiniteType, Sequence[int]]) -> array:
                 base = offset + support_rank[tuple(renamed[j] for j in order)] * len(grid)
                 out.extend(base + r for r in ranks[order])
         return out
-    raise TypeError(f"not a carrier descriptor: {c!r}")
+    for k in _LENGTHS[type(c)](c):  # only an FnOf's slots move
+        moved = perms.get(c.domain, range(k)) if isinstance(c, FnOf) else range(k)
+        block = [len(out)]
+        for w in [n ** (k - 1 - m) for m in moved]:  # slot j weighs n ** (k - 1 - moved[j])
+            block = [x + p * w for x in block for p in inner]
+        out.extend(block)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from finmon.values import (
     mk_dist,
     parse_value,
     relabeling,
+    render_carrier,
 )
 
 from dist_helpers import dist_of_entries
@@ -96,7 +97,7 @@ def _renamed(v, c, renaming):
         return dist_of_entries((_renamed(x, c.inner, renaming), w) for x, w in v.entries)
     slots = [None] * len(v.items)
     for k, x in enumerate(v.items):
-        slots[perms.get(c.domain, range(len(v.items)))[k]] = _renamed(x, c.codomain, renaming)
+        slots[perms.get(c.domain, range(len(v.items)))[k]] = _renamed(x, c.inner, renaming)
     return Vec(tuple(slots))
 
 
@@ -115,6 +116,12 @@ CARRIERS = [
     pytest.param(FnOf(FiniteType("T", 2), Base(B)), id="Vec"),
     FnOf(A, SeqOf(Base(B), 2)), FnOf(B, DistOf(Base(A), 2)), FnOf(B, Base(B)),
     SeqOf(FnOf(A, Base(B)), 2),
+    # the edges of the length-block rule: a single length 0, inner sizes 0 and 1
+    *(pytest.param(c, id=render_carrier(c)) for c in (
+        SeqOf(Base(B), 0), SeqOf(Base(FiniteType("A", 1)), 3),
+        MaybeOf(Base(FiniteType("A", 0))), MaybeOf(Base(FiniteType("A", 1))),
+        FnOf(FiniteType("T", 0), Base(B)), FnOf(FiniteType("T", 1), Base(B)),
+        FnOf(A, Base(FiniteType("A", 0))))),
 ]
 
 

@@ -137,6 +137,9 @@ def test_nested_counts_are_bounded_before_any_huge_pow():
         enumerate_carrier(nested)
     # a huge max_support stops at the longest grid tuple, of 4 weights
     assert carrier_size(DistOf(nested, 10**18), 1 << 20) == (1 << (1 << 20)) + 1
+    # a function space of 2 * 10^6 slots, and one more value on top of the bound
+    assert carrier_size(FnOf(FiniteType("E", 2_000_000), Base(A2)), 1 << 20) == (1 << (1 << 20)) + 1
+    assert carrier_size(MaybeOf(nested), 1 << 20) == (1 << (1 << 20)) + 2
     assert time.perf_counter() - t0 < 5
     # below the bound a count is exact, so cheap refusals keep their text
     for desc in (SeqOf(Base(A2), 10**6), FnOf(A3, SeqOf(Base(A2), 40))):
@@ -211,6 +214,11 @@ ORDERED_CARRIERS = [
     MaybeOf(SeqOf(Base(A2), 2)),
     SeqOf(MaybeOf(Base(A2)), 2),
     FnOf(A2, MaybeOf(Base(A2))),
+    # the edges of the length-block rule: a single length 0, inner sizes 0 and 1
+    SeqOf(Base(A2), 0), SeqOf(Base(FiniteType("A", 1)), 3),
+    MaybeOf(Base(FiniteType("A", 0))), MaybeOf(Base(FiniteType("A", 1))),
+    FnOf(FiniteType("T", 0), Base(A2)), FnOf(FiniteType("T", 1), Base(A2)),
+    FnOf(A2, Base(FiniteType("A", 0))),
 ]
 
 SOME_CARRIERS = ORDERED_CARRIERS + [
