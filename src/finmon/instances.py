@@ -2,14 +2,13 @@
 
 Every instance is one MonadInstance: pure, map, join and bind over the
 closed value universe, plus a carrier constructor so the law suite can
-enumerate M A, M (M A) and deeper nestings. Distributions are put in
-canonical form as they are built: map, bind and join add integer
-numerators over one denominator into a dict keyed by value, closed by
-canonical_dist, and the join of maybe and nondet is their own bind with
-the identity. One table maps each name to its builder: four lawful
-instances (identity, maybe, nondet, simpleprob) and two deliberately
-broken ones, each its lawful instance with the broken operations
-replaced, that prove the harness can refute:
+enumerate M A, M (M A) and deeper nestings. A simpleprob operation sums
+integer numerators into the slots of a plan, its values' canonical
+support, and checks the result; the join of maybe and nondet is their
+own bind with the identity. One table maps each name to its builder:
+four lawful instances (identity, maybe, nondet, simpleprob) and two
+deliberately broken ones, each its lawful instance with the broken
+operations replaced, that prove the harness can refute:
 
   mutant-a  nondet whose join concatenates the reversed outer sequence
   mutant-b  simpleprob whose closer sorts its terms but never merges them
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from .values import (
@@ -45,10 +45,11 @@ from .values import (
     SeqOf,
     Value,
     Vec,
-    canonical_dist,
     canonical_key,
     checked_dist,
+    merge_plan,
     mk_dist,  # noqa: F401  perfbench/tracer.py wraps instances.mk_dist
+    planned_dist,
 )
 
 __all__ = [
@@ -149,40 +150,57 @@ def nondet_monad(max_len: int = 2) -> MonadInstance:
     )
 
 
+# Bounds of simpleprob's plan cache. No enumerated distribution has more than
+# 4 values (the least grid weight is 1/4), so an operation on an enumerated
+# value has at most PLAN_TERMS = 4 * 4 terms (--suite full's widest has 8).
+# Trajectory supports double each step: caching plans of any size raised
+# dynamics' peak RSS 21.8 -> 24.3 MB. The simpleprob fat suite at sizes 2
+# builds 5,369 plans; 88% of its calls hit at PLAN_BOUND, 92% at 8,192 (+2.8 MB).
+PLAN_TERMS = 16
+PLAN_BOUND = 1 << 9
+
+
+class _Wide(Exception):
+    """A plan past PLAN_TERMS, raised through an lru_cache to keep it out."""
+
+
+def _mix_plan(inner: tuple[Dist, ...]):
+    """merge_plan of the inner supports' values, scaled to one denominator."""
+    common = math.lcm(*[d.den for d in inner])
+    support, _, terms = merge_plan(tuple([y for d in inner for y in d.support]))
+    owned = [(i, p * (common // d.den)) for i, d in enumerate(inner) for p in d.nums]
+    return support, common, tuple([(s, *o) for (s, _, _), o in zip(terms, owned)])
+
+
 def simpleprob_monad(max_support: int = 2) -> MonadInstance:
-    """Finite probability with exact rational weights over the integer
-    core of values. All operations return canonical distributions:
-    sorted, merged, total weight exactly 1 (canonical_dist checks each
-    result; no input is trusted as canonical)."""
+    """Finite probability with exact rational weights in integer form. An
+    operation's plan depends on its values alone and is cached per instance;
+    checked_dist checks every result, its plan cached or not."""
     if max_support < 1:
         raise ValueError("simpleprob needs max_support >= 1")
 
-    def pmap(fn: MapFn, mv: Value) -> Value:
-        acc: dict[Value, int] = {}
-        for y, n in zip(map(fn, mv.support), mv.nums):
-            acc[y] = acc.get(y, 0) + n
-        return canonical_dist(acc, mv.den)
+    @lru_cache(PLAN_BOUND)
+    def plans(build, key):
+        plan = build(key)
+        if len(plan[-1]) > PLAN_TERMS:
+            raise _Wide(plan)
+        return plan
 
-    def mix(nums: tuple[int, ...], den: int, inner) -> Value:
-        """The mixture of the inner distributions, the i-th weighted nums[i] / den."""
-        common = inner[0].den if inner else 1
-        for d in inner:
-            if d.den != common:
-                common = math.lcm(common, d.den)
-        acc: dict[Value, int] = {}
-        for w, d in zip(nums, inner):
-            w *= common // d.den
-            for y, p in zip(d.support, d.nums):
-                acc[y] = acc.get(y, 0) + w * p
-        return canonical_dist(acc, den * common)
+    def plan(build, key):
+        try:
+            return plans(build, key)
+        except _Wide as wide:
+            return wide.args[0]
 
     return MonadInstance(
         name="simpleprob",
         carrier_of=lambda c: DistOf(c, max_support),
         pure=lambda v: Dist((v,), (1,), 1),
-        map=pmap,
-        join=lambda mmv: mix(mmv.nums, mmv.den, mmv.support),
-        bind=lambda mv, fn: mix(mv.nums, mv.den, [fn(x) for x in mv.support]),
+        map=lambda fn, mv: planned_dist(
+            plan(merge_plan, tuple(map(fn, mv.support))), mv.nums, mv.den),
+        join=lambda mmv: planned_dist(plan(_mix_plan, mmv.support), mmv.nums, mmv.den),
+        bind=lambda mv, fn: planned_dist(
+            plan(_mix_plan, tuple([fn(x) for x in mv.support])), mv.nums, mv.den),
         parametric=True,
     )
 

@@ -180,7 +180,7 @@ def resolve_carrier(expr: str, inst: MonadInstance, domains: dict[str, FiniteTyp
 # Simpleprob T3 at sizes 2 is the widest: at this bound its outer joins, m0
 # on join mmma and m2 on map join mmma, hit 2,175 and 9,423 times and miss
 # 13,465 and 6,217 times, over 10,975 and 3,943 distinct keys. A bound of
-# 65,536, holding them all, raised --suite full's peak RSS 19.6 -> 26.9 MB.
+# 65,536, holding them all, raised --suite full's peak RSS 20.1 -> 25.5 MB.
 MEMO_TABLE_READING = 1 << 15
 MEMO_TABLE_FREE = 1 << 10
 

@@ -8,12 +8,12 @@ extensional function tables over enumerated domains.
 
 Functions are tables, not code. That single choice makes pointwise
 function equality decidable: two tables agree everywhere iff their entry
-tuples are equal. Distributions carry exact rationals in integer form,
-so every equality check is a decision, never a tolerance: a support
-tuple, positive integer numerators and one denominator, reduced so that
-equal distributions have one representation. One closer, canonical_dist,
-builds them from numerators merged by value; checked_dist, the checked
-constructor it ends in, also closes a mutant's unmerged terms. Fractions
+tuples are equal. Distributions carry exact rationals in integer form, so
+every equality check is a decision, never a tolerance: a support tuple,
+positive integer numerators and one denominator, reduced so that equal
+distributions have one representation. One support rule, merge_plan, sorts
+and merges the values; planned_dist sums numerators on it into
+checked_dist, which also closes a mutant's unmerged terms. Fractions
 appear at the edges (rendering, parsing, the expected measure and the
 read-only entries) and in canonical_key, which keys each weight by an
 integer and compares its interned Fraction only when two integer keys tie.
@@ -63,7 +63,7 @@ __all__ = [
     "CarrierDesc", "FnTable", "Quantifier", "Product", "sub_seed",
     "CarrierTooLarge", "CarrierOverflow",
     "WEIGHT_GRID", "weight_tuples",
-    "canonical_key", "canonical_dist", "checked_dist", "mk_dist", "check_member",
+    "canonical_key", "merge_plan", "planned_dist", "checked_dist", "mk_dist", "check_member",
     "enumerate_domain", "refuse_count", "refuse_wide", "enumerate_carrier", "carrier_size",
     "relabeling", "enumerate_functions", "shown_count", "stream_carrier",
     "table_fn",
@@ -232,14 +232,27 @@ class _Weights(dict):
 _WEIGHTS = _Weights()
 
 
-def canonical_dist(acc: dict[Value, int], den: int) -> Dist:
-    """The canonical Dist of acc, each value's merged numerator over the
-    common denominator den > 0: the one closer of every lawful distribution.
-    The support is sorted once, two values by one key comparison."""
-    support = tuple(sorted(acc, key=canonical_key) if len(acc) > 2 else acc)
-    if len(support) == 2 and canonical_key(support[1]) < canonical_key(support[0]):
-        support = support[::-1]
-    return checked_dist(support, tuple(map(acc.__getitem__, support)), den)
+def merge_plan(ys: tuple[Value, ...]):
+    """The plan of terms ys[i] for planned_dist: the canonical support, ys
+    sorted stably by canonical_key with equal neighbours merged (the rule
+    of every lawful support), common denominator 1, and terms (slot, i, 1)."""
+    keys = list(map(canonical_key, ys))
+    support, terms = [], [None] * len(ys)
+    for i in sorted(range(len(ys)), key=keys.__getitem__):
+        if not support or ys[i] != support[-1]:
+            support.append(ys[i])
+        terms[i] = (len(support) - 1, i, 1)
+    return tuple(support), 1, tuple(terms)
+
+
+def planned_dist(plan, nums: Sequence[int], den: int) -> Dist:
+    """The Dist of plan, each term (slot, i, scale) adding nums[i] * scale
+    into its slot, over den times the plan's common denominator, checked."""
+    support, common, terms = plan
+    acc = [0] * len(support)
+    for s, i, q in terms:
+        acc[s] += nums[i] * q
+    return checked_dist(support, tuple(acc), den * common)
 
 
 def checked_dist(support: tuple[Value, ...], nums: tuple[int, ...], den: int) -> Dist:
@@ -260,12 +273,11 @@ def mk_dist(pairs) -> Dist:
     and made a Fraction if it is not one, merged by value over the lcm."""
     pairs = [(v, w if type(w) is Fraction else Fraction(w)) for v, w in pairs]
     den = math.lcm(*[w.denominator for _, w in pairs])
-    acc: dict[Value, int] = {}
-    for v, w in pairs:
+    for _, w in pairs:
         if w <= 0:
             raise ValueError(f"distribution weight must be positive, got {w}")
-        acc[v] = acc.get(v, 0) + w.numerator * (den // w.denominator)
-    return canonical_dist(acc, den)
+    return planned_dist(merge_plan(tuple([v for v, _ in pairs])),
+                        [w.numerator * (den // w.denominator) for _, w in pairs], den)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 from finmon.instances import mutant_b_monad
-from finmon.values import Atom, Dist, canonical_dist
+from finmon.values import Atom, Dist, merge_plan, planned_dist
 
 
 def dist_of_entries(entries) -> Dist:
@@ -24,12 +24,9 @@ def dist_of_entries(entries) -> Dist:
 
 def dist_of_terms(terms, den: int, merge: bool = True) -> Dist:
     """The terms (value, numerator) over den closed by the code under
-    test: merged by value into canonical_dist or, with merge off, by
+    test: merged by value on their merge_plan or, with merge off, by
     mutant-b's map, which sorts them stably and checks them unmerged."""
     if merge:
-        acc: dict = {}
-        for v, n in terms:
-            acc[v] = acc.get(v, 0) + n
-        return canonical_dist(acc, den)
+        return planned_dist(merge_plan(tuple(v for v, _ in terms)), [n for _, n in terms], den)
     indices = Dist(tuple(Atom(i) for i in range(len(terms))), tuple(n for _, n in terms), den)
     return mutant_b_monad().map(lambda a: terms[a.index][0], indices)

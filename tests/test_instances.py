@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from finmon.instances import (
     INSTANCE_NAMES,
+    PLAN_TERMS,
     get_instance,
     identity_monad,
     maybe_monad,
@@ -21,11 +23,12 @@ from finmon.instances import (
     reader_functor,
     simpleprob_monad,
 )
-from finmon.laws import check_law, law_by_id, reader_pres_ee2_report, suite_checks
+from finmon.laws import check_law, law_by_id, reader_pres_ee2_report, run_suite, suite_checks
 from finmon.values import (
     Atom,
     Base,
     CarrierOverflow,
+    Dist,
     DistOf,
     FiniteType,
     MaybeOf,
@@ -46,6 +49,7 @@ from dist_helpers import dist_of_entries, dist_of_terms
 
 A2 = FiniteType("A", 2)
 A3 = FiniteType("A", 3)
+DOMS = {r: FiniteType(r, 2) for r in "ABCD"}
 
 
 def test_identity_ops_are_trivial():
@@ -238,15 +242,86 @@ ZERO_MESSAGE = "distribution weight must be positive, got 0"
 @pytest.mark.parametrize("bad,message", [(SHORT, SHORT_MESSAGE), (ZERO, ZERO_MESSAGE)],
                          ids=["mass-3/4", "zero-weight"])
 def test_prob_ops_check_every_result_they_build(m, bad, message):
-    # the operations merge their terms into the closer directly; none may
-    # trust an input to be canonical and skip the mass or positivity check
+    # none may trust an input to be canonical and skip the mass or
+    # positivity check; simpleprob's second call reaches a cached plan
     point = dist_of_entries([(Atom(0), 1)])
     for op in (lambda: m.join(dist_of_entries([(bad, 1)])),
                lambda: m.bind(point, lambda a: bad),
                lambda: m.map(lambda a: a, bad)):
-        with pytest.raises(ValueError) as exc:
-            op()
-        assert str(exc.value) == message
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                op()
+            assert str(exc.value) == message
+
+
+def plan_cache(m):
+    """The lru_cache of simpleprob instance m's plans, read from the
+    closures of its operations."""
+    plan = inspect.getclosurevars(m.map).nonlocals["plan"]
+    return inspect.getclosurevars(plan).nonlocals["plans"]
+
+
+def swap(v):
+    """v with atoms #0 and #1 exchanged, distributions closed by the reference."""
+    return Atom(1 - v.index) if type(v) is Atom else ref_map(swap, v, True)
+
+
+def spread(v):
+    """The kernel v -> {v: 1/3, swap v: 2/3}, built by the reference."""
+    return ref_mk_dist([(v, Fraction(1, 3)), (swap(v), Fraction(2, 3))], True)
+
+
+def assert_hits_match_the_reference(m, mv):
+    """Each operation on mv, twice, equals the plan-free reference, and the
+    second call of each reaches a cached plan."""
+    cases = [(lambda f=f: m.map(f, mv), lambda f=f: ref_map(f, mv, True))
+             for f in (m.pure, lambda v: Atom(0), swap)]
+    cases.append((lambda: m.bind(mv, spread), lambda: ref_bind(mv, spread, True)))
+    if type(mv.support[0]) is Dist:
+        cases.append((lambda: m.join(mv), lambda: ref_bind(mv, lambda d: d, True)))
+    for op, ref in cases:
+        want = ref()
+        assert op() == want
+        hits = plan_cache(m).cache_info().hits
+        assert op() == want
+        assert plan_cache(m).cache_info().hits == hits + 1
+
+
+SIMPLEPROB = simpleprob_monad()
+
+
+@pytest.mark.parametrize("level", [1, 2], ids=["M A", "M M A"])
+def test_cached_plans_give_the_reference_results(level):
+    carrier = Base(A2)
+    for _ in range(level):
+        carrier = DistOf(carrier, 2)
+    for mv in enumerate_carrier(carrier):
+        assert_hits_match_the_reference(SIMPLEPROB, mv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(enumerate_carrier(DistOf(DistOf(DistOf(Base(A2), 2), 2), 2))))
+def test_cached_plans_give_the_reference_results_on_m_m_m_a(mmmv):
+    assert_hits_match_the_reference(SIMPLEPROB, mmmv)
+
+
+def test_a_warm_suite_reports_what_a_cold_one_does():
+    m, q = simpleprob_monad(), Quantifier(budget=100_000)
+    cold, warm = ([r.to_deterministic_dict() for r in run_suite(m, suite_checks(m), DOMS, q)]
+                  for _ in range(2))
+    assert warm == cold and all(r["pass"] for r in cold)
+
+
+def test_a_plan_past_the_term_bound_is_not_kept():
+    # the plan caches keep no large one-off value alive
+    m, halve = simpleprob_monad(), lambda a: Atom(a.index // 2)
+    wide = dist_of_entries([(Atom(i), Fraction(1, PLAN_TERMS + 1)) for i in range(PLAN_TERMS + 1)])
+    assert m.map(halve, wide) == ref_map(halve, wide, True)
+    assert m.join(dist_of_entries([(wide, 1)])) == wide
+    assert m.bind(dist_of_entries([(Atom(0), 1)]), lambda a: wide) == wide
+    assert plan_cache(m).cache_info().currsize == 0
+    m.map(halve, m.join(parse_value("{{#0: 1/2, #1: 1/2}: 1}")))
+    assert plan_cache(m).cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("name", ["identity", "maybe", "nondet", "simpleprob"])

@@ -221,7 +221,7 @@ def test_a_refuted_scan_builds_only_the_outermost_values_it_visits(monkeypatch):
     rep = check_law(law_by_id("T3"), get_instance("mutant-b"), DOMS2, Quantifier(budget=100_000))
     assert not rep.passed and rep.checked == 63
     # M M M A has 31,192 values; the 63 visited ones are built along with
-    # the 119 of the cached M A and M M A (canonical_dist, which closes each
+    # the 119 of the cached M A and M M A (checked_dist, which closes each
     # operation's result, builds its Dist past Dist.__new__)
     assert len(built) < 31_192 // 10
     # cached: A, M A and M M A, the levels inside the streamed M M M A
